@@ -35,12 +35,11 @@ a side.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from divfilt.beatty import scan_threads
 from divfilt.intersection import (
     BivariatePolynomial,
     DivisorExpr,
@@ -57,6 +56,7 @@ __all__ = [
     "LimitReport",
     "CesaroResult",
     "ScanRow",
+    "ScanRows",
     "SigmaStats",
     "ScanResult",
     "example_alpha",
@@ -228,11 +228,22 @@ def cesaro_consistency(model: ExampleModel, L0: QuadExt, L1: QuadExt) -> CesaroR
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One sampled index; delta = delta_num / denom exactly."""
+
     n: int
     sigma: int
     ceil_alpha_n: int
-    delta: Fraction
-    ratio: Fraction  # delta / n^2
+    delta_num: int
+    denom: int
+
+    @property
+    def delta(self) -> Fraction:
+        return _F(self.delta_num, self.denom)
+
+    @property
+    def ratio(self) -> Fraction:
+        """delta / n^2"""
+        return _F(self.delta_num, self.denom * self.n * self.n)
 
     def to_json(self) -> dict:
         return {
@@ -242,6 +253,29 @@ class ScanRow:
             "delta": rational_str(self.delta),
             "ratio": rational_str(self.ratio),
         }
+
+
+class ScanRows(Sequence):
+    """Sampled rows held as ints, four per row: n, sigma, ceil(alpha*n) and
+    the numerator of delta(n) over the common denominator `denom`.
+    Indexing builds a `ScanRow`; `ints()` yields the raw 4-tuples."""
+
+    def __init__(self, flat: list[int], denom: int) -> None:
+        self._flat = flat
+        self.denom = denom
+
+    def __len__(self) -> int:
+        return len(self._flat) // 4
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        k = 4 * range(len(self))[i]
+        return ScanRow(*self._flat[k : k + 4], self.denom)
+
+    def ints(self) -> Iterator[tuple[int, int, int, int]]:
+        f = self._flat
+        return zip(f[0::4], f[1::4], f[2::4], f[3::4])
 
 
 @dataclass
@@ -282,7 +316,7 @@ class ScanResult:
 
     n_max: int
     stride: int
-    rows: tuple[ScanRow, ...]
+    rows: ScanRows
     per_sigma: dict
     max_ratio: Fraction
     max_ratio_at: int
@@ -309,33 +343,22 @@ class ScanResult:
         }
 
 
-@dataclass
-class _ScanChunk:
-    start: int
-    stop: int
-    rows: list
-    stats: dict
-    max_num: int | None
-    max_at: int | None
-    delta_sum: int
-    last_negative: int | None
-
-
-def _int_model(model: ExampleModel) -> tuple[list[tuple[int, int, int]], int]:
+def _int_model(model: ExampleModel) -> tuple[BivariatePolynomial, int]:
     """Scaled integer form: model_length(n) = N(x, n) / D with N integral."""
     combined = 2 * model.p3 + 3 * model.p2  # = 12 * model_length before scaling
     denom = 1
     for c in combined.terms.values():
         denom = lcm(denom, c.denominator)
-    terms = [(i, j, int(c * denom)) for (i, j), c in sorted(combined.terms.items())]
-    return terms, 12 * denom
+    return denom * combined, 12 * denom
 
 
-def _eval_int(terms: list[tuple[int, int, int]], x: int, n: int) -> int:
-    acc = 0
-    for i, j, c in terms:
-        acc += c * x**i * n**j
-    return acc
+def _difference_coeffs(N: BivariatePolynomial, sigma: int) -> tuple[int, ...]:
+    """D_sigma(x, n) = N(x + sigma, n + 1) - N(x, n) as integer coefficients of
+    x^2, x*n, x, n^2, n, 1.  N has degree 3, so D_sigma has degree <= 2."""
+    D = difference_polynomial(N, sigma)
+    assert D.total_degree() <= 2
+    keys = ((2, 0), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
+    return tuple(int(D.coefficient(i, j)) for i, j in keys)
 
 
 def _ceil_kernel(alpha: QuadExt):
@@ -354,72 +377,24 @@ def _ceil_kernel(alpha: QuadExt):
     return ceil_n
 
 
-def _scan_range(terms, denom, ceil_n, start, stop, stride) -> _ScanChunk:
-    """Scan n in [start, stop] inclusive; integers only in the hot loop."""
-    rows: list[ScanRow] = []
-    stats: dict[int, SigmaStats] = {0: SigmaStats(), 1: SigmaStats()}
-    max_num = None
-    max_at = None
-    delta_sum = 0
-    last_negative = None
-    x = ceil_n(start)
-    value = _eval_int(terms, x, start)
-    for n in range(start, stop + 1):
-        x_next = ceil_n(n + 1)
-        value_next = _eval_int(terms, x_next, n + 1)
-        dnum = value_next - value
-        s = x_next - x
-        nn = n * n
-        st = stats[s]
-        st.count += 1
-        if st.min_ratio is None:
-            ratio = _F(dnum, denom * nn)
-            st.min_ratio = st.max_ratio = ratio
-            st.min_at = st.max_at = n
-        else:
-            # cross-multiplied comparisons keep the loop in plain integers
-            if dnum * st.min_ratio.denominator < st.min_ratio.numerator * denom * nn:
-                st.min_ratio, st.min_at = _F(dnum, denom * nn), n
-            if dnum * st.max_ratio.denominator > st.max_ratio.numerator * denom * nn:
-                st.max_ratio, st.max_at = _F(dnum, denom * nn), n
-        st.last_n, st.last_ratio = n, _F(dnum, denom * nn)
-        if max_num is None or dnum * max_at * max_at > max_num * nn:
-            max_num, max_at = dnum, n
-        if dnum < 0:
-            last_negative = n
-        delta_sum += dnum
-        if (n - start) % stride == 0 or n == stop:
-            rows.append(ScanRow(n, s, x, _F(dnum, denom), _F(dnum, denom * nn)))
-        x, value = x_next, value_next
-    return _ScanChunk(start, stop, rows, stats, max_num, max_at, delta_sum, last_negative)
-
-
-def _merge_stats(acc: SigmaStats, part: SigmaStats) -> None:
-    if part.count == 0:
-        return
-    acc.count += part.count
-    if acc.min_ratio is None or (part.min_ratio is not None and part.min_ratio < acc.min_ratio):
-        acc.min_ratio, acc.min_at = part.min_ratio, part.min_at
-    if acc.max_ratio is None or (part.max_ratio is not None and part.max_ratio > acc.max_ratio):
-        acc.max_ratio, acc.max_at = part.max_ratio, part.max_at
-    acc.last_n, acc.last_ratio = part.last_n, part.last_ratio
-
-
 def empirical_scan(
     model: ExampleModel,
     n_max: int,
     sample_stride: int = 1,
     checkpoints: tuple[int, ...] = (),
-    threads: int | None = None,
 ) -> ScanResult:
     """Exact scan of the first differences delta(n) = length(n+1) - length(n).
 
-    Rows are sampled every `sample_stride` indices; the per-sigma extremes,
-    the global maximum of delta(n)/n^2, the telescoping identity and the
-    remainder-slope estimate cover every n in [1, n_max].  `checkpoints`
-    records the running maximum of delta(n)/n^2 at the given indices.
-    The index range splits into chunks merged in order, so the scan can run
-    on a thread pool (DIVFILT_THREADS) without changing any output.
+    One pass over [1, n_max] in integers: delta(n) = D_sigma(x, n) / D with
+    x = ceil(alpha*n), sigma = ceil(alpha*(n+1)) - x and D_sigma the integer
+    difference polynomial of the scaled model.  Ratios delta(n)/n^2 are kept
+    as (numerator, n^2) pairs and compared by cross-multiplying; Fractions
+    are built only for the result.  The per-sigma extremes, the global
+    maximum of delta(n)/n^2, the telescoping identity and the remainder-slope
+    estimate cover every n in [1, n_max].  `checkpoints` records the running
+    maximum of delta(n)/n^2 at the given indices.  The range is cut into
+    segments ending at each checkpoint and at n_max; rows are sampled at
+    every `sample_stride`-th index of a segment and at its last index.
     """
     if not isinstance(n_max, int) or n_max < 10:
         raise ValueError(f"n_max must be an integer >= 10, got {n_max!r}")
@@ -429,84 +404,97 @@ def empirical_scan(
         if not isinstance(c, int) or not 1 <= c <= n_max:
             raise ValueError(f"checkpoint {c!r} outside [1, {n_max}]")
 
-    terms, denom = _int_model(model)
+    N, denom = _int_model(model)
+    coeffs = (_difference_coeffs(N, 0), _difference_coeffs(N, 1))
     ceil_n = _ceil_kernel(model.alpha)
-    limits = {s: subsequence_limit(model, s) for s in (0, 1)}
+    A, B, q = model.alpha._cleared()
+    dbb = B * B * model.alpha.d
+    neg = B < 0
 
-    # chunk boundaries: checkpoints first (so running maxima are exact at
-    # them), then even splits for the worker pool
-    workers = scan_threads(threads)
-    ranges: list[tuple[int, int]] = []
-    prev = 1
-    for b in sorted({n_max, *checkpoints}):
-        span = b - prev + 1
-        parts = min(workers, span) if workers > 1 else 1
-        step = (span + parts - 1) // parts
-        lo = prev
-        while lo <= b:
-            hi = min(lo + step - 1, b)
-            ranges.append((lo, hi))
-            lo = hi + 1
-        prev = b + 1
-
-    def job(r):
-        return _scan_range(terms, denom, ceil_n, r[0], r[1], sample_stride)
-
-    if workers == 1 or len(ranges) == 1:
-        chunks = [job(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(job, ranges))
-
-    checkpoint_set = set(checkpoints)
-    rows: list[ScanRow] = []
-    stats = {0: SigmaStats(), 1: SigmaStats()}
-    max_ratio: Fraction | None = None
-    max_at: int | None = None
-    checkpoint_max: dict[int, Fraction] = {}
+    # per sigma: count, max/min as (numerator, n^2, n), last as (numerator, n);
+    # a max with n^2 = 0 accepts the first value of its class
+    count = [0, 0]
+    max_num, max_nn, max_at = [-1, -1], [0, 0], [0, 0]
+    min_num, min_nn, min_at = [1, 1], [0, 0], [0, 0]
+    last_num, last_at = [0, 0], [0, 0]
+    top_num, top_nn, top_at = -1, 0, 0
+    top_at_checkpoint: dict[int, tuple[int, int]] = {}
     total = 0
-    last_negative = None
-    for chunk in chunks:
-        rows.extend(chunk.rows)
-        for s, st in chunk.stats.items():
-            _merge_stats(stats[s], st)
-        if chunk.max_num is not None:
-            r = _F(chunk.max_num, denom * chunk.max_at * chunk.max_at)
-            if max_ratio is None or r > max_ratio:
-                max_ratio, max_at = r, chunk.max_at
-        total += chunk.delta_sum
-        if chunk.last_negative is not None:
-            last_negative = chunk.last_negative
-        if chunk.stop in checkpoint_set:
-            assert max_ratio is not None
-            checkpoint_max[chunk.stop] = max_ratio
-    assert max_ratio is not None and max_at is not None
+    last_negative = 0
+    rows: list[int] = []
+    checkpoint_set = set(checkpoints)
+    lo = 1
+    x = ceil_n(1)
+    for hi in sorted({n_max, *checkpoints}):
+        for n in range(lo, hi + 1):
+            n1 = n + 1
+            r = isqrt(dbb * n1 * n1)
+            x1 = (A * n1 + (-r - 1 if neg else r)) // q + 1  # ceil(alpha*(n+1))
+            s = x1 - x
+            a, b1, b0, c2, c1, c0 = coeffs[s]
+            dnum = (a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0
+            nn = n * n
+            count[s] += 1
+            if dnum * max_nn[s] > max_num[s] * nn:
+                max_num[s], max_nn[s], max_at[s] = dnum, nn, n
+                if min_nn[s] == 0:
+                    min_num[s], min_nn[s], min_at[s] = dnum, nn, n
+                # the global maximum can only move where a class maximum does
+                if dnum * top_nn > top_num * nn:
+                    top_num, top_nn, top_at = dnum, nn, n
+            elif dnum * min_nn[s] < min_num[s] * nn:
+                min_num[s], min_nn[s], min_at[s] = dnum, nn, n
+            last_num[s], last_at[s] = dnum, n
+            if dnum < 0:
+                last_negative = n
+            total += dnum
+            if (n - lo) % sample_stride == 0 or n == hi:
+                rows += (n, s, x, dnum)
+            x = x1
+        if hi in checkpoint_set:
+            top_at_checkpoint[hi] = (top_num, top_nn)
+        lo = hi + 1
+
+    def ratio(num: int, nn: int) -> Fraction:
+        return _F(num, denom * nn)
+
+    stats = {s: SigmaStats() for s in (0, 1)}
+    for s, st in stats.items():
+        if count[s]:
+            st.count = count[s]
+            st.min_ratio, st.min_at = ratio(min_num[s], min_nn[s]), min_at[s]
+            st.max_ratio, st.max_at = ratio(max_num[s], max_nn[s]), max_at[s]
+            st.last_n, st.last_ratio = last_at[s], ratio(last_num[s], last_at[s] ** 2)
+    max_ratio = ratio(top_num, top_nn)
 
     # telescoping: sum_{n=1}^{n_max} delta(n) = length(n_max+1) - length(1)
     telescoping_ok = _F(total, denom) == model_length(model, n_max + 1) - model_length(model, 1)
 
     # remainder-slope estimate |delta(n) - n^2 L_sigma(n)| / n on a sparse
     # exact sample (QuadExt arithmetic is too heavy for every index)
+    limits = {s: subsequence_limit(model, s) for s in (0, 1)}
     slope = QuadExt.from_rational(0, model.alpha.d)
     sample_step = max(1, n_max // 512)
     for n in list(range(1, n_max + 1, sample_step)) + [n_max]:
-        xs, xn = ceil_n(n), ceil_n(n + 1)
-        dnum = _eval_int(terms, xn, n + 1) - _eval_int(terms, xs, n)
-        dev = abs(_F(dnum, denom) - (n * n) * limits[xn - xs]) / n
+        x = ceil_n(n)
+        s = ceil_n(n + 1) - x
+        a, b1, b0, c2, c1, c0 = coeffs[s]
+        dnum = (a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0
+        dev = abs(_F(dnum, denom) - (n * n) * limits[s]) / n
         if dev > slope:
             slope = dev
 
     return ScanResult(
         n_max=n_max,
         stride=sample_stride,
-        rows=tuple(rows),
+        rows=ScanRows(rows, denom),
         per_sigma=stats,
         max_ratio=max_ratio,
-        max_ratio_at=max_at,
+        max_ratio_at=top_at,
         bound_constant=math.ceil(max_ratio) + 1,
         telescoping_ok=telescoping_ok,
-        monotone_from=(last_negative + 1) if last_negative is not None else 1,
-        checkpoint_max=checkpoint_max,
+        monotone_from=last_negative + 1,
+        checkpoint_max={c: ratio(*v) for c, v in top_at_checkpoint.items()},
         estimated_remainder_slope=slope,
     )
 

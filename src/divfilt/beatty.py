@@ -9,15 +9,12 @@ and produces exact equidistribution histograms.
 
 Large scans avoid per-step Fraction arithmetic: with alpha written as
 (A + B*sqrt(d))/q over a common denominator, floor(alpha*n) is
-(A*n + isqrt(B^2*d*n^2)) // q, one integer square root per index.  Scans
-over [1, n_max] are split into disjoint chunks whose partial summaries
-merge associatively, so they can be dispatched to a thread pool.
+(A*n + isqrt(B^2*d*n^2)) // q, one integer square root per index, in a
+single pass over [1, n_max].
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -32,18 +29,7 @@ __all__ = [
     "value_counts",
     "equidistribution_histogram",
     "window_constant",
-    "scan_threads",
 ]
-
-
-def scan_threads(explicit: int | None = None) -> int:
-    """Worker cap for data-parallel scans; DIVFILT_THREADS, default 1."""
-    if explicit is not None:
-        return max(1, explicit)
-    raw = os.environ.get("DIVFILT_THREADS", "").strip()
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return 1
 
 
 @dataclass(frozen=True)
@@ -113,17 +99,15 @@ class PartitionReport:
 
 
 @dataclass
-class _ChunkSummary:
+class _ScanSummary:
     counts: dict
     first_pos: dict
     last_pos: dict
     max_internal_gap: dict
     histogram: list
-    start: int
-    stop: int  # inclusive
 
 
-def _scan_chunk(A: int, B: int, q: int, d: int, start: int, stop: int, bins: int | None) -> _ChunkSummary:
+def _scan_chunk(A: int, B: int, q: int, d: int, start: int, stop: int, bins: int | None) -> _ScanSummary:
     """Scan sigma on [start, stop] (inclusive), integers only.
 
     floor(B*m*sqrt(d)) is isqrt(B^2*d*m^2) for B > 0 and -isqrt(..) - 1 for
@@ -159,51 +143,17 @@ def _scan_chunk(A: int, B: int, q: int, d: int, start: int, stop: int, bins: int
             j = floor_irr((A * n - prev_floor * q) * bins, n * bins)
             hist[j] += 1
         prev_floor = cur_floor
-    return _ChunkSummary(counts, first_pos, last_pos, max_gap, hist, start, stop)
+    return _ScanSummary(counts, first_pos, last_pos, max_gap, hist)
 
 
-def _merge(left: _ChunkSummary, right: _ChunkSummary) -> _ChunkSummary:
-    assert left.stop + 1 == right.start
-    counts = dict(left.counts)
-    for k, v in right.counts.items():
-        counts[k] = counts.get(k, 0) + v
-    first_pos = dict(left.first_pos)
-    last_pos = dict(right.last_pos)
-    max_gap = dict(left.max_internal_gap)
-    for k, v in right.max_internal_gap.items():
-        max_gap[k] = max(max_gap.get(k, 0), v)
-    for k in counts:
-        if k in left.last_pos and k in right.first_pos:
-            boundary = right.first_pos[k] - left.last_pos[k]
-            max_gap[k] = max(max_gap.get(k, 0), boundary)
-        if k not in first_pos and k in right.first_pos:
-            first_pos[k] = right.first_pos[k]
-        if k not in last_pos and k in left.last_pos:
-            last_pos[k] = left.last_pos[k]
-    hist = [a + b for a, b in zip(left.histogram, right.histogram)] if left.histogram else []
-    return _ChunkSummary(counts, first_pos, last_pos, max_gap, hist, left.start, right.stop)
-
-
-def _scan(seq: BeattySequence, n_max: int, bins: int | None, threads: int | None) -> _ChunkSummary:
+def _scan(seq: BeattySequence, n_max: int, bins: int | None) -> _ScanSummary:
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     A, B, q, d = seq._cleared()
-    workers = min(scan_threads(threads), n_max)
-    if workers == 1:
-        return _scan_chunk(A, B, q, d, 1, n_max, bins)
-    step = (n_max + workers - 1) // workers
-    ranges = [(lo, min(lo + step - 1, n_max)) for lo in range(1, n_max + 1, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(lambda r: _scan_chunk(A, B, q, d, r[0], r[1], bins), ranges)
-        )
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = _merge(merged, part)
-    return merged
+    return _scan_chunk(A, B, q, d, 1, n_max, bins)
 
 
-def _boundary_gap(summary: _ChunkSummary, value: int, n_max: int) -> int:
+def _boundary_gap(summary: _ScanSummary, value: int, n_max: int) -> int:
     """Largest stretch of [1, n_max] without `value`, including the ends."""
     if value not in summary.first_pos:
         return n_max
@@ -217,12 +167,12 @@ def sigma(seq: BeattySequence, n: int) -> int:
     return seq.sigma(n)
 
 
-def value_counts(seq: BeattySequence, n_max: int, threads: int | None = None) -> dict[int, int]:
+def value_counts(seq: BeattySequence, n_max: int) -> dict[int, int]:
     """Counts of each sigma value on [1, n_max] (general alpha)."""
-    return dict(sorted(_scan(seq, n_max, None, threads).counts.items()))
+    return dict(sorted(_scan(seq, n_max, None).counts.items()))
 
 
-def partition(seq: BeattySequence, n_max: int, threads: int | None = None) -> PartitionReport:
+def partition(seq: BeattySequence, n_max: int) -> PartitionReport:
     """Classify every n <= n_max into the two-value partition.
 
     The binary labeling (value 0 vs value 1) requires 0 < alpha < 1;
@@ -230,7 +180,7 @@ def partition(seq: BeattySequence, n_max: int, threads: int | None = None) -> Pa
     """
     if not (0 < seq.alpha < 1):
         raise ValueError("binary labeling requires 0 < alpha < 1; use value_counts")
-    summary = _scan(seq, n_max, None, threads)
+    summary = _scan(seq, n_max, None)
     ones = summary.counts.get(1, 0)
     zeros = summary.counts.get(0, 0)
     assert zeros + ones == n_max
@@ -245,13 +195,11 @@ def partition(seq: BeattySequence, n_max: int, threads: int | None = None) -> Pa
     )
 
 
-def equidistribution_histogram(
-    seq: BeattySequence, n_max: int, bins: int, threads: int | None = None
-) -> PartitionReport:
+def equidistribution_histogram(seq: BeattySequence, n_max: int, bins: int) -> PartitionReport:
     """Partition report plus exact bin counts of the fractional parts."""
     if not isinstance(bins, int) or bins < 2:
         raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
-    summary = _scan(seq, n_max, bins, threads)
+    summary = _scan(seq, n_max, bins)
     low, high = seq.low_value(), seq.high_value()
     lo_count = summary.counts.get(low, 0)
     hi_count = summary.counts.get(high, 0)

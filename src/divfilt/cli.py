@@ -5,8 +5,8 @@ Every subcommand writes a single JSON (or CSV) artifact to stdout or to
 keys, exact rational strings, correctly rounded decimals, no timestamps).
 Commands attach audit flags to their reports; ``--strict`` turns any
 ``discrepancy:`` flag into exit status 1.  Exit status 2 marks a
-configuration error, 3 an ingestion error.  DIVFILT_THREADS caps the
-worker count of the large scans.
+configuration error, 3 an ingestion error, 4 an internal error (any other
+exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from importlib import resources
-from pathlib import Path
+from math import gcd
 
 from divfilt import asymptotics, beatty, monomial, picard
 from divfilt.intersection import DivisorExpr, POLY_X, POLY_Y, form_from_json, triple_product
-from divfilt.quadfield import QuadExt, parse_rational
+from divfilt.quadfield import QuadExt, parse_rational, rational_decimal
 
 _DN_EXPR = DivisorExpr({"S": POLY_X, "F": POLY_Y})
 _K_EXPR = DivisorExpr.single("K")
@@ -39,11 +40,14 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write a report, or its chunks in order as they are produced."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
 
 
 def _load_json(path: str):
@@ -147,7 +151,7 @@ def _cmd_example_limits(args) -> tuple[str, list[str]]:
     return _dumps(report.to_json(args.digits)), list(report.audit_flags)
 
 
-def _cmd_example_scan(args) -> tuple[str, list[str]]:
+def _cmd_example_scan(args) -> tuple[Iterable[str], list[str]]:
     model = _example_model_from_args(args)
     n_max = args.n_max
     if n_max < 10:
@@ -158,15 +162,19 @@ def _cmd_example_scan(args) -> tuple[str, list[str]]:
         if not 1 <= c <= n_max:
             raise ConfigError(f"--checkpoint {c} outside [1, {n_max}]")
     scan = asymptotics.empirical_scan(model, n_max, stride, checkpoints)
-    lines = ["n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal"]
-    for row in scan.rows:
-        delta = f"{row.delta.numerator}/{row.delta.denominator}" if row.delta.denominator != 1 else str(row.delta.numerator)
-        dec = QuadExt.from_rational(row.ratio, model.alpha.d).to_decimal(args.digits)
-        lines.append(f"{row.n},{row.sigma},{row.ceil_alpha_n},{delta},{dec}")
-    csv_text = "\n".join(lines) + "\n"
     if args.summary_out is not None:
         _emit(_dumps(scan.to_json(args.digits)), args.summary_out)
-    return csv_text, []
+    return scan_csv_lines(scan.rows, args.digits), []
+
+
+def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
+    """The `example-scan` CSV, line by line, rendered from the rows' ints."""
+    yield "n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal\n"
+    denom = rows.denom
+    for n, s, x, num in rows.ints():
+        g = gcd(num, denom)
+        delta = str(num // g) if g == denom else f"{num // g}/{denom // g}"
+        yield f"{n},{s},{x},{delta},{rational_decimal(num, denom * n * n, digits)}\n"
 
 
 def _cmd_monomial_check(args) -> tuple[str, list[str]]:
@@ -342,13 +350,17 @@ def main(argv=None) -> int:
         parser.exit(2, "divfilt: --digits must be in [1, 10000]\n")
     try:
         text, flags = args.func(args)
+        _emit(text, args.out)
     except ConfigError as exc:
         sys.stderr.write(f"divfilt: configuration error: {exc}\n")
         return 2
     except IngestError as exc:
         sys.stderr.write(f"divfilt: ingestion error: {exc}\n")
         return 3
-    _emit(text, args.out)
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"divfilt: internal error: {message}\n")
+        return 4
     if args.strict and any(f.startswith("discrepancy:") for f in flags):
         return 1
     return 0

@@ -33,6 +33,7 @@ __all__ = [
     "to_decimal",
     "parse_rational",
     "rational_str",
+    "rational_decimal",
 ]
 
 #: Rational numbers are arbitrary-precision, always in lowest terms with a
@@ -68,14 +69,31 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def rational_decimal(num: int, den: int, digits: int) -> str:
+    """num/den (den > 0) as a decimal string with `digits` >= 1 fractional
+    digits, rounded half-even; integer arithmetic only."""
+    scale = 10**digits
+    m, r = divmod(num * scale, den)
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    return _fixed_point(m, digits)
+
+
+def _fixed_point(m: int, digits: int) -> str:
+    """The decimal string of m / 10^digits."""
+    ip, fp = divmod(abs(m), 10**digits)
+    return f"{'-' if m < 0 else ''}{ip}.{str(fp).zfill(digits)}"
+
+
 _validated_radicands: set[int] = set()
 
 
 def _validate_radicand(d: int) -> None:
-    if d in _validated_radicands:
-        return
+    # type first: 3.0 hashes like 3 and would pass the cache lookup
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"radicand must be an integer >= 2, got {d!r}")
+    if d in _validated_radicands:
+        return
     if d > _MAX_CERTIFIABLE_RADICAND:
         raise ValueError(
             f"radicand {d} exceeds {_MAX_CERTIFIABLE_RADICAND}; "
@@ -331,14 +349,9 @@ class QuadExt:
         """
         if not isinstance(digits, int) or not 1 <= digits <= MAX_DECIMAL_DIGITS:
             raise ValueError(f"digits must be in [1, {MAX_DECIMAL_DIGITS}], got {digits!r}")
-        scale = 10**digits
         if self.b == 0:
-            m = round(self.a * scale)  # round() on Fraction is half-even
-        else:
-            m = (self * scale + Fraction(1, 2)).floor()
-        prefix = "-" if m < 0 else ""
-        ip, fp = divmod(abs(m), scale)
-        return f"{prefix}{ip}.{str(fp).zfill(digits)}"
+            return rational_decimal(self.a.numerator, self.a.denominator, digits)
+        return _fixed_point((self * 10**digits + Fraction(1, 2)).floor(), digits)
 
     # -- auxiliary -----------------------------------------------------------
 

@@ -16,6 +16,7 @@ from divfilt.asymptotics import (
     REFERENCE_MULTIPLICITY,
     REFERENCE_SIGMA_LIMITS,
     ExampleModel,
+    SigmaStats,
     cesaro_consistency,
     empirical_scan,
     example_alpha,
@@ -27,8 +28,9 @@ from divfilt.asymptotics import (
     subsequence_limit,
 )
 from divfilt.beatty import BeattySequence
+from divfilt.cli import scan_csv_lines
 from divfilt.intersection import BivariatePolynomial
-from divfilt.quadfield import QuadExt
+from divfilt.quadfield import QuadExt, rational_str
 
 ALPHA = example_alpha()
 MODEL = example_model()
@@ -252,17 +254,6 @@ def test_scan_max_at_small_n(scan100k):
     assert scan100k.max_ratio_at == 1
 
 
-def test_scan_threads_agree():
-    a = empirical_scan(MODEL, 5000, sample_stride=13, checkpoints=(2500,), threads=1)
-    b = empirical_scan(MODEL, 5000, sample_stride=13, checkpoints=(2500,), threads=4)
-    assert a.max_ratio == b.max_ratio and a.max_ratio_at == b.max_ratio_at
-    assert a.checkpoint_max == b.checkpoint_max
-    assert a.telescoping_ok and b.telescoping_ok
-    assert {s: st.to_json() for s, st in a.per_sigma.items()} == {
-        s: st.to_json() for s, st in b.per_sigma.items()
-    }
-
-
 def test_scan_monotone_threshold(scan100k):
     # the bundled model's first differences are positive from n = 1 on
     assert scan100k.monotone_from == 1
@@ -277,6 +268,86 @@ def test_scan_monotone_threshold(scan100k):
     assert model_length(m, n0 - 1) > model_length(m, n0)  # still dipping at n0 - 1
     for n in range(n0, 200):
         assert model_length(m, n + 1) >= model_length(m, n)
+
+
+def _scan_oracle(model, n_max, checkpoints):
+    """Per-index rows, class stats, checkpoint maxima and monotone index from
+    model_length differences and QuadExt ceilings."""
+    alpha = model.alpha
+    length = [model_length(model, n) for n in range(n_max + 2)]
+    x = [alpha.ceil_scaled(n) for n in range(n_max + 2)]
+    rows, stats, cp = [], {0: SigmaStats(), 1: SigmaStats()}, {}
+    best = best_at = None
+    last_negative = 0
+    for n in range(1, n_max + 1):
+        delta = length[n + 1] - length[n]
+        ratio = delta / n**2
+        s = x[n + 1] - x[n]
+        rows.append((n, s, x[n], delta, ratio))
+        st = stats[s]
+        st.count += 1
+        if st.min_ratio is None or ratio < st.min_ratio:
+            st.min_ratio, st.min_at = ratio, n
+        if st.max_ratio is None or ratio > st.max_ratio:
+            st.max_ratio, st.max_at = ratio, n
+        st.last_n, st.last_ratio = n, ratio
+        if best is None or ratio > best:
+            best, best_at = ratio, n
+        if delta < 0:
+            last_negative = n
+        if n in checkpoints:
+            cp[n] = best
+    return rows, stats, best, best_at, cp, last_negative + 1
+
+
+def _decimal(value, digits=30):
+    m = round(value * 10**digits)  # half-even on Fraction
+    ip, fp = divmod(abs(m), 10**digits)
+    return f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
+
+
+ORACLE_MODELS = {
+    # negative first differences up to n ~ 100: negative decimals and monotone_from
+    "heavy-negative": ExampleModel(ALPHA, Y3, BivariatePolynomial.monomial(0, 2, -100)),
+    # alpha = 2 - sqrt(3): the ceiling kernel's B < 0 branch
+    "negative-sqrt": ExampleModel(QuadExt(F(2), F(-1), 3), MODEL.p3, MODEL.p2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_scan_matches_per_index_oracle(name):
+    model = ORACLE_MODELS[name]
+    n_max, checkpoints = 2000, (3, 400, 1999)
+    rows, stats, best, best_at, cp, monotone_from = _scan_oracle(model, n_max, checkpoints)
+    scan = empirical_scan(model, n_max, 1, checkpoints)
+    assert [(r.n, r.sigma, r.ceil_alpha_n, r.delta, r.ratio) for r in scan.rows] == rows
+    assert scan.per_sigma == stats
+    assert scan.checkpoint_max == cp
+    assert (scan.max_ratio, scan.max_ratio_at) == (best, best_at)
+    assert scan.monotone_from == monotone_from
+    assert scan.telescoping_ok
+    lines = list(scan_csv_lines(scan.rows, 30))
+    assert lines[1:] == [
+        f"{n},{s},{x},{rational_str(delta)},{_decimal(ratio)}\n" for n, s, x, delta, ratio in rows
+    ]
+    # sampled rows: every stride-th index of each segment cut at the
+    # checkpoints and at n_max, plus each segment's last index
+    sampled = empirical_scan(model, n_max, 7, checkpoints)
+    want, lo = [], 1
+    for hi in (3, 400, 1999, 2000):
+        want += [n for n in range(lo, hi + 1) if (n - lo) % 7 == 0 or n == hi]
+        lo = hi + 1
+    assert [r.n for r in sampled.rows] == want
+    assert [(r.n, r.sigma, r.ceil_alpha_n, r.delta, r.ratio) for r in sampled.rows] == [
+        rows[n - 1] for n in want
+    ]
+    assert sampled.per_sigma == stats and sampled.checkpoint_max == cp
+
+
+def test_oracle_models_cover_their_branches():
+    heavy = _scan_oracle(ORACLE_MODELS["heavy-negative"], 200, ())
+    assert heavy[5] > 1 and any(row[3] < 0 for row in heavy[0])
+    assert ORACLE_MODELS["negative-sqrt"].alpha._cleared()[1] < 0
 
 
 def test_scan_remainder_slope_bounded(scan100k):

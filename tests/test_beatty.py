@@ -107,15 +107,6 @@ def test_scan_matches_per_index_sigma():
     assert rep.sigma2_count == counts[1]
 
 
-def test_scan_threads_agree():
-    a = partition(SEQ, 50_000, threads=1)
-    b = partition(SEQ, 50_000, threads=4)
-    assert a == b
-    ha = equidistribution_histogram(SEQ, 20_000, 7, threads=1)
-    hb = equidistribution_histogram(SEQ, 20_000, 7, threads=3)
-    assert ha == hb
-
-
 def test_partition_density_at_scale():
     rep = partition(SEQ, 1_000_000)
     gap = rep.sigma2_density - ALPHA
@@ -139,17 +130,6 @@ def test_telescoping_kernel_vs_floor_scaled():
     counts = value_counts(SEQ, n_max)
     total = sum(v * c for v, c in counts.items())
     assert total == ALPHA.floor_scaled(n_max + 1) - ALPHA.floor_scaled(1)
-
-
-def test_threads_env_variable(monkeypatch):
-    monkeypatch.setenv("DIVFILT_THREADS", "3")
-    from divfilt.beatty import scan_threads
-
-    assert scan_threads() == 3
-    assert scan_threads(7) == 7  # explicit argument wins
-    assert partition(SEQ, 30_000) == partition(SEQ, 30_000, threads=1)
-    monkeypatch.setenv("DIVFILT_THREADS", "junk")
-    assert scan_threads() == 1
 
 
 def test_histogram_small_sums():

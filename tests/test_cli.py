@@ -1,6 +1,7 @@
 """CLI tests: determinism (byte-identical reruns), exit codes, schema
 conformance of every report, and ingestion of the documented input files."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from divfilt import cli
 from divfilt.cli import main
 
 
@@ -66,6 +68,43 @@ def test_module_entrypoint_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["value"]["decimal"].startswith("2.414213562373095")
+
+
+# sha256 of the CSV and of --summary-out, recorded before the scan kernel
+# became a single integer pass; the bytes must never change
+SCAN_BYTES = [
+    (
+        ("--n-max", "2000", "--stride", "100", "--checkpoint", "1000"),
+        "98fd85596784e788b337aa3b5d14c20672529922cec0438fc0bcd3a21e1c74f8",
+        "a2a925d1b7565fcf299c335f979ceef331bf33cceba95ddcb9871ab9bc835de8",
+    ),
+    (
+        ("--n-max", "777", "--stride", "5")
+        + ("--checkpoint", "3", "--checkpoint", "400", "--checkpoint", "776"),
+        "497f4821ff6f77bb0e86a29ba1b01ead3d80d45ee3e099c81ae4358d4110b98b",
+        "acfa223a0e4507e1772e9ab17fae535cc4b1bb5243107cf4f9097ace4d934645",
+    ),
+    (
+        ("--n-max", "5000", "--stride", "13", "--checkpoint", "2500"),
+        "68714fafb3f6055c9571735e3b82f55ec2a1f472f3f2d356ce0f9355d85b1f82",
+        "44963c7c84f49144f18c97ca27f456e568f4536598542319302ccb2db3fbdd5f",
+    ),
+    (
+        ("--n-max", "10", "--stride", "1"),
+        "544f34c6504b94cce8b0143e5785adf3dcd12a176bc5e11f648218f92881cac0",
+        "717a106578eeac151d48c7c7739e31beeace9fc4b817691c243959af4da8538c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,csv_sha,summary_sha", SCAN_BYTES, ids=[f"n{argv[1]}" for argv, _, _ in SCAN_BYTES]
+)
+def test_example_scan_bytes_pinned(tmp_path, argv, csv_sha, summary_sha):
+    csv, summary = tmp_path / "scan.csv", tmp_path / "summary.json"
+    assert main(["example-scan", *argv, "--out", str(csv), "--summary-out", str(summary)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
 
 
 # -- schema conformance ----------------------------------------------------------
@@ -224,3 +263,14 @@ def test_ingestion_errors_exit_three(capsys, tmp_path):
     decimals = tmp_path / "table.json"
     decimals.write_text(json.dumps({"generators": ["S"], "triples": [{"d": ["S", "S", "S"], "v": "1.5"}]}))
     assert run_cli(capsys, "example-limits", "--table", str(decimals))[0] == 3
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("kernel fault\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_quad_eval", broken)
+    assert main(["quad-eval", "--a", "1", "--b", "1", "--d", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "divfilt: internal error: RuntimeError: kernel fault second line\n"

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from divfilt import monomial
 from divfilt.monomial import (
     MonomialIdeal,
     SigmaFiltration,
@@ -165,6 +166,26 @@ def test_filtration_property_linear_sigma():
     f = SigmaFiltration.from_callable(lambda n: n)
     rep = filtration_check(f, 30, 30)
     assert rep.ok and rep.failures == ()
+
+
+def _visited_pairs(monkeypatch, f, m_max, n_max):
+    # every visited (m, n) reports one dummy failure, so the report lists them
+    monkeypatch.setattr(monomial, "containment_failures", lambda I, J, K: [((), ())])
+    return [(m, n) for m, n, _, _ in filtration_check(f, m_max, n_max).failures]
+
+
+def test_filtration_check_visits_every_pair(monkeypatch):
+    f = SigmaFiltration(table=tuple(range(1, 21)))
+    for m_max, n_max in ((6, 2), (2, 6), (4, 4), (5, 1)):
+        visited = _visited_pairs(monkeypatch, f, m_max, n_max)
+        assert len(visited) == len(set(visited))
+        for m in range(1, m_max + 1):
+            for n in range(1, n_max + 1):
+                assert (m, n) in visited or (n <= m_max and m <= n_max and (n, m) in visited)
+    # square ranges keep the symmetric shortcut: exactly the pairs m <= n
+    assert _visited_pairs(monkeypatch, f, 5, 5) == [
+        (m, n) for m in range(1, 6) for n in range(m, 6)
+    ]
 
 
 def test_filtration_property_random_sigma():

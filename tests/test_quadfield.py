@@ -17,6 +17,7 @@ from divfilt.quadfield import (
     ceil_scaled,
     floor_scaled,
     parse_rational,
+    rational_decimal,
     rational_str,
     sign,
     to_decimal,
@@ -51,6 +52,14 @@ def test_radicand_must_be_squarefree():
         QuadExt(F(1), F(1), 10**13)  # beyond the certifiable bound
     QuadExt(F(1), F(1), 2)  # fine
     QuadExt(F(1), F(1), 9999999967)  # large prime below the bound
+
+
+def test_float_radicand_rejected_after_int_validated():
+    QuadExt(F(1), F(1), 3)  # 3 is now in the validated-radicand cache
+    with pytest.raises(ValueError):
+        QuadExt(F(1), F(1), 3.0)  # 3.0 == 3 and hashes alike
+    with pytest.raises(ValueError):
+        QuadExt(F(1), F(1), True)
 
 
 def test_canonical_fractions():
@@ -247,6 +256,23 @@ def test_to_decimal_negative_and_rational_ties():
     assert to_decimal(QuadExt(F(1, 4), F(0), 3), 1) == "0.2"  # 0.25 -> 0.2 (half-even)
     assert to_decimal(QuadExt(F(3, 4), F(0), 3), 1) == "0.8"
     assert to_decimal(QuadExt(F(0), F(-1), 3), 4) == "-1.7321"
+
+
+def test_rational_decimal_matches_fraction_round():
+    # half-even ties on both signs, and random values against round() on
+    # Fraction, which rounds half to even
+    assert rational_decimal(1, 4, 1) == "0.2"
+    assert rational_decimal(-1, 4, 1) == "-0.2"
+    assert rational_decimal(-3, 4, 1) == "-0.8"
+    assert rational_decimal(-1, 200, 2) == "0.00"  # rounds to zero: no sign
+    rng = random.Random(4242)
+    for _ in range(500):
+        num, den, digits = rng.randint(-10**9, 10**9), rng.randint(1, 10**6), rng.randint(1, 12)
+        m = round(F(num, den) * 10**digits)
+        ip, fp = divmod(abs(m), 10**digits)
+        want = f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
+        assert rational_decimal(num, den, digits) == want
+        assert QuadExt(F(num, den), F(0), 2).to_decimal(digits) == want
 
 
 def test_to_decimal_matches_mpmath():
