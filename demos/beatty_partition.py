@@ -3,8 +3,9 @@
 
 sigma(n) = floor(alpha(n+1)) - floor(alpha n) takes only the values 0 and 1;
 the indices with sigma = 1 have density alpha, and the fractional parts
-{alpha n} equidistribute.  Every count below comes from the integer scan
-kernel (one isqrt per index), so the statistics are exact, not sampled.
+{alpha n} equidistribute.  Every count below comes from exact closed forms
+(telescoping counts, two-valued gaps and floor sums), so the statistics are
+exact, not sampled, at any n_max.
 """
 
 from divfilt.asymptotics import example_alpha

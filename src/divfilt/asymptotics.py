@@ -541,7 +541,7 @@ class LimitReport:
 
 def _is_bundled(model: ExampleModel) -> bool:
     bundled = example_model()
-    return model.alpha == bundled.alpha and model.p3 == bundled.p3
+    return (model.alpha, model.p3, model.p2) == (bundled.alpha, bundled.p3, bundled.p2)
 
 
 def limit_exists_report(model: ExampleModel) -> LimitReport:

@@ -7,19 +7,21 @@ fractional parts {alpha*n} are uniformly distributed mod 1.  This module
 generates sigma exactly, partitions the positive integers by its value,
 and produces exact equidistribution histograms.
 
-Large scans avoid per-step Fraction arithmetic: with alpha written as
-(A + B*sqrt(d))/q over a common denominator, floor(alpha*n) is
-(A*n + isqrt(B^2*d*n^2)) // q, one integer square root per index, in a
-single pass over [1, n_max].
+Reports on [1, n_max] come from closed forms, not from a scan, so n_max may
+be any size: the counts telescope, the positions of each value form a
+Beatty sequence whose gaps take two adjacent values (Fraenkel 1969; the
+three-distance theorem, Sos 1958), and each histogram bin is a difference of
+two floor sums evaluated by an O(log n_max) reciprocity recursion.  Every
+floor is exact: one integer square root on cleared denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd
 
-from divfilt.quadfield import QuadExt, rational_str
+from divfilt.quadfield import QuadExt, floor_cleared, rational_str
 
 __all__ = [
     "BeattySequence",
@@ -28,6 +30,7 @@ __all__ = [
     "partition",
     "value_counts",
     "equidistribution_histogram",
+    "floor_sum",
     "window_constant",
 ]
 
@@ -55,11 +58,6 @@ class BeattySequence:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         return self.alpha.floor_scaled(n + 1) - self.alpha.floor_scaled(n)
-
-    # Integer kernel parameters: alpha = (A + B*sqrt(d)) / q with B != 0, q > 0.
-    def _cleared(self) -> tuple[int, int, int, int]:
-        A, B, q = self.alpha._cleared()
-        return A, B, q, self.alpha.d
 
 
 @dataclass(frozen=True)
@@ -98,69 +96,93 @@ class PartitionReport:
         }
 
 
-@dataclass
-class _ScanSummary:
-    counts: dict
-    first_pos: dict
-    last_pos: dict
-    max_internal_gap: dict
-    histogram: list
+def floor_sum(alpha: QuadExt, beta: QuadExt | Fraction | int, n: int) -> int:
+    """sum of floor(alpha*k + beta) over 0 <= k < n, exact, for irrational
+    alpha and beta in the field of alpha.
 
-
-def _scan_chunk(A: int, B: int, q: int, d: int, start: int, stop: int, bins: int | None) -> _ScanSummary:
-    """Scan sigma on [start, stop] (inclusive), integers only.
-
-    floor(B*m*sqrt(d)) is isqrt(B^2*d*m^2) for B > 0 and -isqrt(..) - 1 for
-    B < 0 (the value is irrational for m >= 1, so never an exact integer).
+    Euclid-style reciprocity: take off the integer parts of alpha and beta,
+    then count the lattice points under the line from the other axis, which
+    is the same sum with slope 1/alpha over m = floor(alpha*n + beta) terms.
+    The slopes run through the continued fraction of alpha, so the depth is
+    O(log n).  Each value is held as integers (p, q, r) meaning
+    (p + q*sqrt(d))/r and floored by `floor_cleared`, as `QuadExt.floor` is.
     """
-    counts: dict[int, int] = {}
-    first_pos: dict[int, int] = {}
-    last_pos: dict[int, int] = {}
-    max_gap: dict[int, int] = {}
-    hist = [0] * bins if bins else []
-    dbb = B * B * d
-    neg = B < 0
-
-    def floor_irr(numer: int, m: int) -> int:
-        s = isqrt(dbb * m * m)
-        return (numer + (-s - 1 if neg else s)) // q
-
-    prev_floor = floor_irr(A * start, start)
-    for n in range(start, stop + 1):
-        n1 = n + 1
-        cur_floor = floor_irr(A * n1, n1)
-        s = cur_floor - prev_floor
-        counts[s] = counts.get(s, 0) + 1
-        if s not in first_pos:
-            first_pos[s] = n
-        else:
-            gap = n - last_pos[s]
-            if gap > max_gap.get(s, 0):
-                max_gap[s] = gap
-        last_pos[s] = n
-        if bins:
-            # bin of {alpha*n} = floor(bins * (alpha*n - prev_floor)), exact
-            j = floor_irr((A * n - prev_floor * q) * bins, n * bins)
-            hist[j] += 1
-        prev_floor = cur_floor
-    return _ScanSummary(counts, first_pos, last_pos, max_gap, hist)
+    d = alpha.d
+    (A, B, C), (P, Q, R) = alpha._cleared(), alpha._coerce(beta)._cleared()
+    total = 0
+    while n:
+        a, b = floor_cleared(A, B, C, d), floor_cleared(P, Q, R, d)
+        total += a * (n * (n - 1) // 2) + b * n
+        A, P = A - a * C, P - b * R
+        # top = alpha*n + beta = (T + U*sqrt(d))/V, and m = floor(top)
+        T, U, V = A * n * R + P * C, B * n * R + Q * C, C * R
+        m = floor_cleared(T, U, V, d)
+        # alpha <- 1/alpha = C*(A - B*sqrt(d))/(A^2 - B^2*d), then
+        # beta <- (top - m)/(old alpha) = (top - m) * (new alpha)
+        A, B, C = _lowest(C * A, -C * B, A * A - B * B * d)
+        T -= m * V
+        P, Q, R = _lowest(T * A + U * B * d, T * B + U * A, V * C)
+        n = m
+    return total
 
 
-def _scan(seq: BeattySequence, n_max: int, bins: int | None) -> _ScanSummary:
+def _lowest(p: int, q: int, r: int) -> tuple[int, int, int]:
+    """(p, q, r) over gcd(p, q, r), signed so that r > 0."""
+    g = gcd(p, q, r) if r > 0 else -gcd(p, q, r)
+    return p // g, q // g, r // g
+
+
+def _max_gap(frac: QuadExt, count: int, n_max: int) -> int:
+    """Largest stretch of [1, n_max] without a value that sits at the
+    `count` positions floor(k/frac), k = 1..count, including the ends.
+
+    Consecutive positions differ by floor(1/frac) or ceil(1/frac); the
+    larger gap occurs iff the positions span more than count-1 small gaps.
+    """
+    if count == 0:
+        return n_max
+    gamma = frac.inverse()
+    first, last = gamma.floor(), gamma.floor_scaled(count)
+    internal = 0
+    if count > 1:  # each gap is first = floor(gamma) or first + 1
+        internal = first + 1 if last - first > (count - 1) * first else first
+    return max(internal, first, n_max - last + 1)
+
+
+def _histogram(alpha: QuadExt, n_max: int, bins: int) -> tuple[int, ...]:
+    """Bin counts of {alpha*n}, n <= n_max, from #{n : {alpha*n} < t} =
+    sum floor(alpha*n) - sum floor(alpha*n - t) at t = j/bins."""
+    total = floor_sum(alpha, alpha, n_max)  # sum over n = 1..n_max
+    below = [0]
+    below += [total - floor_sum(alpha, alpha - Fraction(j, bins), n_max) for j in range(1, bins)]
+    below.append(n_max)
+    return tuple(hi - lo for lo, hi in zip(below, below[1:]))
+
+
+def _report(seq: BeattySequence, n_max: int, bins: int | None) -> PartitionReport:
+    """Counts, gaps and optional histogram of sigma on [1, n_max].
+
+    With frac = {alpha}, sigma(n) - floor(alpha) is the 0/1 difference
+    floor(frac*(n+1)) - floor(frac*n): the high value sits at floor(k/frac)
+    and, since 1 - sigma is the same difference for 1 - frac, the low value
+    at floor(k/(1 - frac)).  The high count telescopes to floor(frac*(n_max+1)).
+    """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    A, B, q, d = seq._cleared()
-    return _scan_chunk(A, B, q, d, 1, n_max, bins)
-
-
-def _boundary_gap(summary: _ScanSummary, value: int, n_max: int) -> int:
-    """Largest stretch of [1, n_max] without `value`, including the ends."""
-    if value not in summary.first_pos:
-        return n_max
-    internal = summary.max_internal_gap.get(value, 0)
-    head = summary.first_pos[value]  # window [1, head] contains it
-    tail = n_max - summary.last_pos[value] + 1
-    return max(internal, head, tail)
+    low, high = seq.low_value(), seq.high_value()
+    frac = seq.alpha.fractional_part()
+    hi_count = frac.floor_scaled(n_max + 1)
+    lo_count = n_max - hi_count
+    return PartitionReport(
+        n_max=n_max,
+        sigma1_count=lo_count,
+        sigma2_count=hi_count,
+        sigma2_density=Fraction(hi_count, n_max),
+        histogram=_histogram(seq.alpha, n_max, bins) if bins else (),
+        low_value=low,
+        high_value=high,
+        max_gap={low: _max_gap(1 - frac, lo_count, n_max), high: _max_gap(frac, hi_count, n_max)},
+    )
 
 
 def sigma(seq: BeattySequence, n: int) -> int:
@@ -168,8 +190,11 @@ def sigma(seq: BeattySequence, n: int) -> int:
 
 
 def value_counts(seq: BeattySequence, n_max: int) -> dict[int, int]:
-    """Counts of each sigma value on [1, n_max] (general alpha)."""
-    return dict(sorted(_scan(seq, n_max, None).counts.items()))
+    """Counts of each sigma value on [1, n_max] (general alpha); a value
+    that does not occur is omitted."""
+    rep = _report(seq, n_max, None)
+    counts = ((rep.low_value, rep.sigma1_count), (rep.high_value, rep.sigma2_count))
+    return {v: c for v, c in counts if c}
 
 
 def partition(seq: BeattySequence, n_max: int) -> PartitionReport:
@@ -180,39 +205,14 @@ def partition(seq: BeattySequence, n_max: int) -> PartitionReport:
     """
     if not (0 < seq.alpha < 1):
         raise ValueError("binary labeling requires 0 < alpha < 1; use value_counts")
-    summary = _scan(seq, n_max, None)
-    ones = summary.counts.get(1, 0)
-    zeros = summary.counts.get(0, 0)
-    assert zeros + ones == n_max
-    return PartitionReport(
-        n_max=n_max,
-        sigma1_count=zeros,
-        sigma2_count=ones,
-        sigma2_density=Fraction(ones, n_max),
-        low_value=0,
-        high_value=1,
-        max_gap={v: _boundary_gap(summary, v, n_max) for v in (0, 1)},
-    )
+    return _report(seq, n_max, None)
 
 
 def equidistribution_histogram(seq: BeattySequence, n_max: int, bins: int) -> PartitionReport:
     """Partition report plus exact bin counts of the fractional parts."""
     if not isinstance(bins, int) or bins < 2:
         raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
-    summary = _scan(seq, n_max, bins)
-    low, high = seq.low_value(), seq.high_value()
-    lo_count = summary.counts.get(low, 0)
-    hi_count = summary.counts.get(high, 0)
-    return PartitionReport(
-        n_max=n_max,
-        sigma1_count=lo_count,
-        sigma2_count=hi_count,
-        sigma2_density=Fraction(hi_count, n_max),
-        histogram=tuple(summary.histogram),
-        low_value=low,
-        high_value=high,
-        max_gap={v: _boundary_gap(summary, v, n_max) for v in (low, high)},
-    )
+    return _report(seq, n_max, bins)
 
 
 def window_constant(seq: BeattySequence) -> int:

@@ -22,12 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 import re
+import sys
 
 __all__ = [
     "Rational",
     "QuadExt",
     "RadicandMismatchError",
     "sign",
+    "floor_cleared",
     "floor_scaled",
     "ceil_scaled",
     "to_decimal",
@@ -61,12 +63,26 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def _without_digit_limit(render, *args) -> str:
+    """render(*args) with the interpreter's int-to-str digit limit lifted for
+    this call only; the limit is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def rational_str(value: Fraction) -> str:
-    """Render a rational as ``p`` or ``p/q`` (lowest terms, q > 0)."""
+    """Render a rational as ``p`` or ``p/q`` (lowest terms, q > 0), at any size."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the int-to-str digit limit
+        return _without_digit_limit(rational_str, value)
 
 
 def rational_decimal(num: int, den: int, digits: int) -> str:
@@ -82,7 +98,10 @@ def rational_decimal(num: int, den: int, digits: int) -> str:
 def _fixed_point(m: int, digits: int) -> str:
     """The decimal string of m / 10^digits."""
     ip, fp = divmod(abs(m), 10**digits)
-    return f"{'-' if m < 0 else ''}{ip}.{str(fp).zfill(digits)}"
+    try:
+        return f"{'-' if m < 0 else ''}{ip}.{str(fp).zfill(digits)}"
+    except ValueError:  # past the int-to-str digit limit
+        return _without_digit_limit(_fixed_point, m, digits)
 
 
 _validated_radicands: set[int] = set()
@@ -125,6 +144,15 @@ def _sign_of_pair(a: Fraction, b: Fraction, d: int) -> int:
     # Equality would force sqrt(d) rational, impossible for squarefree d >= 2.
     assert lhs != rhs
     return sa if lhs > rhs else sb
+
+
+def floor_cleared(A: int, B: int, q: int, d: int) -> int:
+    """floor((A + B*sqrt(d)) / q) for integers A, B, q > 0 and squarefree d."""
+    if B == 0:
+        return A // q
+    s = isqrt(B * B * d)
+    # floor(B*sqrt(d)): B*sqrt(d) is irrational for B != 0.
+    return (A + (s if B > 0 else -s - 1)) // q
 
 
 @dataclass(frozen=True)
@@ -314,13 +342,7 @@ class QuadExt:
 
     def floor(self) -> int:
         """Exact floor, via isqrt on cleared denominators."""
-        A, B, q = self._cleared()
-        if B == 0:
-            return A // q
-        s = isqrt(B * B * self.d)
-        # floor(B*sqrt(d)): B*sqrt(d) is irrational for B != 0.
-        fb = s if B > 0 else -s - 1
-        return (A + fb) // q
+        return floor_cleared(*self._cleared(), self.d)
 
     def ceil(self) -> int:
         return -((-self).floor())

@@ -381,6 +381,14 @@ def test_report_bundled_model():
     assert "discrepancy:sigma1-derived-vs-reference" not in slugs
 
 
+def test_report_other_k_rows_not_bundled():
+    # same alpha and p3 as the bundled model, but its own canonical pairing
+    other = ExampleModel(ALPHA, MODEL.p3, MODEL.p2 + BivariatePolynomial.monomial(0, 2))
+    rep = limit_exists_report(other)
+    assert rep.reference_sigma_limits == {}
+    assert rep.audit_flags == ()
+
+
 def test_report_degenerate_model_no_flags():
     rep = limit_exists_report(degenerate_model())
     assert rep.limit_exists

@@ -1,11 +1,15 @@
-"""Tests for exact Beatty sequence generation and partition scans.
+"""Tests for exact Beatty sequence generation and partition reports.
 
 The low-n oracle is mpmath at 60 digits (safely exact at these scales);
-the scan kernel is additionally cross-checked against per-index sigma().
+the closed-form reports are cross-checked against per-index sigma() and
+against the former per-index scan kernel, kept here as `scan_oracle`.
 """
 
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from math import isqrt
 
 import mpmath
 import pytest
@@ -13,11 +17,13 @@ import pytest
 from divfilt.beatty import (
     BeattySequence,
     equidistribution_histogram,
+    floor_sum,
     partition,
     sigma,
     value_counts,
     window_constant,
 )
+from divfilt.cli import main
 from divfilt.quadfield import QuadExt
 
 mpmath.mp.dps = 60
@@ -123,11 +129,11 @@ def test_telescoping_sum():
 
 
 def test_telescoping_kernel_vs_floor_scaled():
-    # the scan kernel's sigma counts over all n <= 1e5 must telescope to an
-    # independently computed floor difference (kernel isqrt identity on one
-    # side, QuadExt floor path on the other)
+    # the sigma counts over all n <= 1e5 must equal the per-index kernel's
+    # (isqrt identity) and telescope to a floor difference of alpha itself
     n_max = 100_000
     counts = value_counts(SEQ, n_max)
+    assert counts == scan_oracle(ALPHA, n_max, None)[0]
     total = sum(v * c for v, c in counts.items())
     assert total == ALPHA.floor_scaled(n_max + 1) - ALPHA.floor_scaled(1)
 
@@ -199,3 +205,118 @@ def test_report_json():
     assert doc["sigma2_density"] == "2/5"
     assert doc["n_max"] == 10
     assert doc["max_gap"].keys() == {"0", "1"}
+
+
+# -- closed forms against the per-index kernel ------------------------------------
+
+
+def scan_oracle(alpha: QuadExt, n_max: int, bins: int | None):
+    """The per-index scan kernel the closed forms replaced, integers only.
+
+    Returns (counts, max_gap, histogram): counts of each sigma value that
+    occurs on [1, n_max]; for floor(alpha) and ceil(alpha) the largest
+    stretch of [1, n_max] without that value, including the ends; and the
+    bin counts of {alpha*n} (empty without bins).  floor(B*m*sqrt(d)) is
+    isqrt(B^2*d*m^2) for B > 0 and -isqrt(..) - 1 for B < 0.
+    """
+    A, B, q = alpha._cleared()
+    dbb = B * B * alpha.d
+
+    def floor_irr(numer: int, m: int) -> int:
+        s = isqrt(dbb * m * m)
+        return (numer + (-s - 1 if B < 0 else s)) // q
+
+    counts: dict[int, int] = {}
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    internal: dict[int, int] = {}
+    hist = [0] * bins if bins else []
+    prev = floor_irr(A, 1)
+    for n in range(1, n_max + 1):
+        cur = floor_irr(A * (n + 1), n + 1)
+        s = cur - prev
+        counts[s] = counts.get(s, 0) + 1
+        if s in first:
+            internal[s] = max(internal.get(s, 0), n - last[s])
+        else:
+            first[s] = n
+        last[s] = n
+        if bins:
+            # bin of {alpha*n} = floor(bins * (alpha*n - prev)), exact
+            hist[floor_irr((A * n - prev * q) * bins, n * bins)] += 1
+        prev = cur
+    max_gap = {
+        v: max(internal.get(v, 0), first[v], n_max - last[v] + 1) if v in first else n_max
+        for v in (alpha.floor(), alpha.ceil())
+    }
+    return dict(sorted(counts.items())), max_gap, hist
+
+
+def random_alphas(rng: random.Random, count: int) -> list[QuadExt]:
+    out = []
+    while len(out) < count:
+        a = F(rng.randint(-40, 60), rng.randint(1, 30))
+        b = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 30))
+        alpha = QuadExt(a, b, rng.choice((2, 3, 5, 6, 7, 10, 11, 13)))
+        if alpha.sign() > 0:
+            out.append(alpha)
+    return out
+
+
+ORACLE_ALPHAS = [
+    ALPHA,
+    QuadExt(F(2), F(-1), 3),  # 2 - sqrt(3), B < 0
+    QuadExt(F(0), F(1), 2),  # sqrt(2) > 1
+    QuadExt(F(7, 2), F(1, 3), 5),
+    QuadExt(F(1, 2), F(1, 2), 5) - 1,  # golden ratio conjugate
+    QuadExt(F(0), F(1, 1000), 2),  # tiny fractional part, long gaps
+    QuadExt(F(1), F(-1, 1000), 2),  # fractional part near 1
+] + random_alphas(random.Random(20261018), 33)
+
+
+def test_oracle_alphas_cover_their_branches():
+    assert len(ORACLE_ALPHAS) >= 30
+    assert any(alpha > 1 for alpha in ORACLE_ALPHAS)
+    assert any(alpha < 1 for alpha in ORACLE_ALPHAS)
+    assert any(alpha._cleared()[1] < 0 for alpha in ORACLE_ALPHAS)
+    assert any(alpha._cleared()[1] > 0 for alpha in ORACLE_ALPHAS)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_ALPHAS)))
+def test_closed_forms_match_scan_oracle(index):
+    alpha = ORACLE_ALPHAS[index]
+    seq = BeattySequence(alpha)
+    rng = random.Random(index)
+    sizes = {1, 2, 3, rng.randint(4, 200), rng.randint(200, 10_000), 10_000}
+    for n_max in sorted(sizes):
+        bins = rng.choice((2, 3, 7, 10))
+        counts, max_gap, hist = scan_oracle(alpha, n_max, bins)
+        assert value_counts(seq, n_max) == counts  # absent values omitted
+        rep = equidistribution_histogram(seq, n_max, bins)
+        low, high = seq.low_value(), seq.high_value()
+        assert (rep.sigma1_count, rep.sigma2_count) == (counts.get(low, 0), counts.get(high, 0))
+        assert rep.max_gap == max_gap, (str(alpha), n_max)
+        assert list(rep.histogram) == hist, (str(alpha), n_max, bins)
+        if 0 < alpha < 1:
+            assert partition(seq, n_max) == replace(rep, histogram=())
+
+
+def test_floor_sum_matches_direct_sum():
+    rng = random.Random(7)
+    for alpha in ORACLE_ALPHAS[:12]:
+        for beta in (0, F(-7, 3), F(5, 2), alpha - F(3, 10), QuadExt(F(1, 3), F(-2, 7), alpha.d)):
+            for n in (0, 1, 2, rng.randint(3, 400)):
+                want = sum((alpha * k + beta).floor() for k in range(n))
+                assert floor_sum(alpha, beta, n) == want, (str(alpha), beta, n)
+        assert floor_sum(-alpha, F(1, 2), 50) == sum((F(1, 2) - alpha * k).floor() for k in range(50))
+
+
+def test_beatty_scan_at_1e18(capsys):
+    n_max = 10**18
+    assert main(["beatty-scan", "--n-max", str(n_max), "--bins", "10"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    ones = ALPHA.floor_scaled(n_max + 1) - ALPHA.floor_scaled(1)
+    assert rep["sigma2_count"] == ones
+    assert rep["sigma1_count"] == n_max - ones
+    assert sum(rep["histogram"]) == n_max
+    assert all(abs(c - n_max // 10) < 100 for c in rep["histogram"])  # discrepancy is O(log n)

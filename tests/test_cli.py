@@ -107,6 +107,61 @@ def test_example_scan_bytes_pinned(tmp_path, argv, csv_sha, summary_sha):
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
 
 
+# sha256 of `beatty-scan` reports, recorded from the per-index scan kernel
+# before the Beatty layer moved to closed forms; the bytes must never change
+SEEDED_ALPHA = ("--alpha-a=3/14", "--alpha-b=1/28", "--alpha-d=6")
+TWO_MINUS_SQRT3 = ("--alpha-a=2", "--alpha-b=-1", "--alpha-d=3")
+BEATTY_BYTES = [
+    (
+        "readme",
+        ("--n-max", "1000000", "--bins", "10"),
+        "6e6a77006f663bd4dd1e0a52aa140334d6bf1bc6a8bd80bea2bfb8f4f7915f91",
+    ),
+    (
+        "seeded",
+        ("--n-max", "1000000", *SEEDED_ALPHA),
+        "ee87d575e1e5b3e40d08ea3b1646bb51fcd69ca1bf6f0232f67ec52bbb8da999",
+    ),
+    (
+        "seeded-bins10",
+        ("--n-max", "1000000", "--bins", "10", *SEEDED_ALPHA),
+        "f0f8a41af7548915579553a4d6d6193b4cb747b91c8a04d1b7b106d876f1e9b8",
+    ),
+    (
+        "alpha-above-1-bins7",
+        ("--n-max", "30000", "--bins", "7", "--alpha-a=7/2", "--alpha-b=1/3", "--alpha-d=5"),
+        "49dec4ec0b12e86708a573683974429a3940c3f2bd34674ed9d2ea00e7504467",
+    ),
+    (
+        "negative-b",
+        ("--n-max", "30000", *TWO_MINUS_SQRT3),
+        "8bac97275c15e6414dca0f8e3e764c7029ba8d581d2a68c8383435d8b7d49b66",
+    ),
+    (
+        "negative-b-bins3",
+        ("--n-max", "30000", "--bins", "3", *TWO_MINUS_SQRT3),
+        "b55ae7d690d7b44bd241d1146cd20a1e48381490d34abb804f5cbb38cd390300",
+    ),
+    (
+        "n1-value-absent",
+        ("--n-max", "1"),
+        "9db8409ef824c1b0f5ea3d58f80a5bd6738bc2bf7153ed0ca73dba77b3382172",
+    ),
+    (
+        "n1-bins2-sqrt2",
+        ("--n-max", "1", "--bins", "2", "--alpha-a=0", "--alpha-b=1", "--alpha-d=2"),
+        "cf8612050044ff3ff420a6e88d437997cb9bec57388c391531f8e41a0167b227",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,sha", [c[1:] for c in BEATTY_BYTES], ids=[c[0] for c in BEATTY_BYTES])
+def test_beatty_scan_bytes_pinned(tmp_path, argv, sha):
+    report = tmp_path / "beatty.json"
+    assert main(["beatty-scan", *argv, "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == sha
+
+
 # -- schema conformance ----------------------------------------------------------
 
 
@@ -168,6 +223,16 @@ def test_elliptic_schema(capsys):
     assert doc["witness"]["certified_infinite"]
 
 
+def test_elliptic_qn_beyond_int_digit_limit(capsys):
+    # n-max 70 is the smallest run whose exact coordinates pass 4300 digits
+    code, out = run_cli(capsys, "elliptic-qn", "--n-max", "70", "--restriction-max", "2")
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc, "elliptic_report.schema.json")
+    assert doc["qn"]["all_distinct"]
+    assert max(len(p["x"]) for p in doc["qn"]["points"] if isinstance(p, dict)) > 4300
+
+
 def test_bundled_table_matches_schema():
     doc = json.loads(
         resources.files("divfilt").joinpath("data/intersection_table.json").read_text()
@@ -196,6 +261,20 @@ def test_table_ingestion(capsys, tmp_path):
     code, out = run_cli(capsys, "example-limits", "--table", str(path))
     assert code == 0
     assert json.loads(out)["cubic_limit"]["a"] == "12042/169"
+
+
+def test_table_with_other_k_rows_gets_no_reference_audit(capsys, tmp_path):
+    table = json.loads(
+        resources.files("divfilt").joinpath("data/intersection_table.json").read_text()
+    )
+    table["triples"][-1]["v"] = "-174"  # the F.F.K row; the cubic rows stay bundled
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out = run_cli(capsys, "example-limits", "--strict", "--table", str(path))
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["cubic_limit"]["a"] == "12042/169"
+    assert doc["reference_sigma_limits"] == {} and doc["audit_flags"] == []
 
 
 def test_sigma_ingestion(capsys, tmp_path):

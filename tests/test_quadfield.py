@@ -5,6 +5,7 @@ digits for decimals/floors, hand calculation for small identities.
 """
 
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -309,6 +310,23 @@ def test_parse_and_render_rational():
     for bad in ["1.5", "1e3", "3/0/2", "", "a/b"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_rational_str_beyond_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    num = 10**4999 + 7  # 5000 digits, above the default 4300-digit limit
+    assert rational_str(F(num)) == "1" + "0" * 4995 + "0007"
+    text = rational_str(F(-num, 3))
+    assert text.startswith("-1000") and text.endswith("0007/3") and len(text) == 5003
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_decimals_beyond_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    text = ALPHA.to_decimal(10_000)  # the largest --digits the CLI accepts
+    assert text.startswith("0.41277118490649528052") and len(text) == 10_002
+    assert rational_decimal(-1, 3, 5000) == "-0." + "3" * 5000
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_cross_field_equality_and_hash():
