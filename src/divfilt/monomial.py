@@ -6,9 +6,13 @@ generators equals the length of I/mI (Nakayama), which is the quantity the
 filtration I_n = (z^(n+2)) + z^(n+1) (x, y)^sigma(n) is built to control:
 it always has exactly sigma(n) + 2 minimal generators.
 
-The graded condition I_m * I_n within I_(m+n) is verified generator by
-generator rather than assumed, and failures are reported as explicit
-counterexample pairs.
+The graded condition I * J within K is verified on the actual ideals rather
+than assumed, certificate first: every generator product is divisible by the
+monomial gcd(I) * gcd(J), whose exponents are the componentwise minima over
+the generators, so if it lies in K then so does I * J.  Otherwise every
+generator product is tested and failures are reported as explicit
+counterexample pairs.  For the filtration above gcd(I_m) * gcd(I_n) is
+z^(m+n+2), which lies in I_(m+n): the filtration is graded for every sigma.
 """
 
 from __future__ import annotations
@@ -169,14 +173,17 @@ def build_In(f: SigmaFiltration, n: int) -> MonomialIdeal:
     """The n-th filtration ideal (z^(n+2)) + z^(n+1) (x, y)^sigma(n).
 
     Minimal generators: (0, 0, n+2) plus (i, sigma(n)-i, n+1) for
-    0 <= i <= sigma(n).
+    0 <= i <= sigma(n).  They form an antichain for every sigma(n) >= 1: the
+    (x, y)-parts of the last sigma(n)+1 are distinct of one degree, and
+    z^(n+2) divides none of them nor they it.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     s = f.sigma(n)
     gens = [(0, 0, n + 2)]
     gens.extend((i, s - i, n + 1) for i in range(s + 1))
-    return minimalize(gens)
+    # already an antichain for s >= 1, which MonomialIdeal verifies
+    return MonomialIdeal(frozenset(gens))
 
 
 def min_gens_count(ideal: MonomialIdeal) -> int:
@@ -184,10 +191,25 @@ def min_gens_count(ideal: MonomialIdeal) -> int:
     return len(ideal.generators)
 
 
+def _floor_certificate(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) -> bool:
+    """True when one monomial proves I*J within K.
+
+    Every generator product g*h is divisible by f = gcd(I) * gcd(J), the
+    componentwise minima of I's and of J's generators added; so f in K puts
+    every product in K.  False only means the certificate does not apply.
+    """
+    if not I.generators or not J.generators:
+        return False
+    f = tuple(min(a) + min(b) for a, b in zip(zip(*I.generators), zip(*J.generators)))
+    return K.contains_monomial(f)
+
+
 def containment_failures(
     I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal
 ) -> list[tuple[Vector, Vector]]:
     """Generator pairs (g, h) of I x J whose product lies outside K."""
+    if _floor_certificate(I, J, K):
+        return []
     failures = []
     for g in I._sorted_gens():
         for h in J._sorted_gens():
@@ -199,6 +221,8 @@ def containment_failures(
 
 def product_contained_in(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) -> bool:
     """True iff I*J is contained in K (checked on generator products)."""
+    if _floor_certificate(I, J, K):
+        return True
     for g in I._sorted_gens():
         for h in J._sorted_gens():
             prod = (g[0] + h[0], g[1] + h[1], g[2] + h[2])
@@ -229,9 +253,15 @@ class FiltrationReport:
 def filtration_check(f: SigmaFiltration, m_max: int, n_max: int) -> FiltrationReport:
     """Verify I_m * I_n within I_(m+n) for all m <= m_max, n <= n_max.
 
-    The sigma source must cover indices up to m_max + n_max.  Counterexample
-    pairs are reported verbatim, never suppressed.  The check is symmetric
-    in (m, n), so a pair with n < m is skipped when (n, m) is in range too.
+    The sigma source must cover indices up to m_max + n_max.  Each pair is
+    decided by `containment_failures`, the floor certificate first and the
+    generator-by-generator test as the fallback.  Every product of generators
+    of I_m and I_n is divisible by z^(m+n+2), which lies in I_(m+n), so the
+    certificate settles each pair of this filtration; it is read off the
+    built generators, so a wrongly built ideal would still show.
+    Counterexample pairs are reported verbatim, never suppressed.  The check
+    is symmetric in (m, n), so a pair with n < m is skipped when (n, m) is in
+    range too.
     """
     ideals = {k: build_In(f, k) for k in range(1, m_max + n_max + 1)}
     failures = []

@@ -230,8 +230,9 @@ class EllipticCurve:
         while k:
             if k & 1:
                 acc = self.add(acc, addend)
-            addend = self.add(addend, addend)
             k >>= 1
+            if k:
+                addend = self.add(addend, addend)
         return acc
 
     def __str__(self) -> str:

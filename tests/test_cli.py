@@ -162,6 +162,56 @@ def test_beatty_scan_bytes_pinned(tmp_path, argv, sha):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == sha
 
 
+# sha256 of `monomial-check` and `elliptic-qn` reports, recorded before the
+# filtration check gained its floor certificate and `EllipticCurve.mul` its
+# shorter ladder; the bytes must never change.  Input documents are written
+# to the working directory and named by a relative path, because
+# `monomial-check` echoes its `--sigma` path in `sigma_source`.
+SEEDED_SIGMA = [1 + (41 * k + 7) % 60 for k in range(100)]
+FP_CURVE = {
+    "field": {"p": 1505983},
+    "A": "400537",
+    "B": "1289995",
+    "points": {"p": "O", "q": {"x": "235916", "y": "396205"}},
+}
+REPORT_BYTES = [
+    (
+        "monomial-identity",
+        ("monomial-check", "--n-max", "20", "--filtration-max", "8"),
+        "242bcef83014dd6a6d6e49d2de499971837fefbc80cb337b7b21288d54ac6b3b",
+    ),
+    (
+        "monomial-seeded",
+        ("monomial-check", "--sigma", "sigma.json", "--n-max", "100", "--filtration-max", "30"),
+        "19b65bc27cd5eb6e3785ff54b279b95f136417963804dfa1a9203269c0c530eb",
+    ),
+    (
+        "elliptic-default",
+        ("elliptic-qn",),
+        "345efdb92ca1fd47de7cd70a90c05f3edaf1b591d50de5d96fbacaca80952eb9",
+    ),
+    (
+        "elliptic-n60-r20",
+        ("elliptic-qn", "--n-max", "60", "--restriction-max", "20"),
+        "343bc7194b01eb76b359e8ebcabb78ee215514773db9c02e5b7c39268b4dc14c",
+    ),
+    (
+        "elliptic-fp",
+        ("elliptic-qn", "--curve", "curve.json", "--n-max", "2000", "--restriction-max", "50"),
+        "4e861d7820c64a913a3cbec137ce0820a6a3eb12e933d622716ae77b42e5c09c",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,sha", [c[1:] for c in REPORT_BYTES], ids=[c[0] for c in REPORT_BYTES])
+def test_monomial_and_elliptic_bytes_pinned(tmp_path, monkeypatch, argv, sha):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sigma.json").write_text(json.dumps(SEEDED_SIGMA))
+    (tmp_path / "curve.json").write_text(json.dumps(FP_CURVE))
+    assert main([*argv, "--out", "report.json"]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == sha
+
+
 # -- schema conformance ----------------------------------------------------------
 
 

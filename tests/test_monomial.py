@@ -97,6 +97,18 @@ def test_build_In_matches_enumeration():
         assert build_In(f, n).generators == brute_minimalize(raw)
 
 
+def test_build_In_is_its_own_minimalization():
+    # build_In hands its generators to MonomialIdeal without minimalize
+    rng = random.Random(4242)
+    tables = [(1,) * 12] + [tuple(rng.randint(1, 60) for _ in range(12)) for _ in range(10)]
+    for table in tables:
+        f = SigmaFiltration(table=table)
+        for n in range(1, 13):
+            s = f.sigma(n)
+            gens = [(0, 0, n + 2)] + [(i, s - i, n + 1) for i in range(s + 1)]
+            assert build_In(f, n) == minimalize(gens)
+
+
 def test_generator_count_is_sigma_plus_two():
     rng = random.Random(2026)
     for _ in range(20):
@@ -160,6 +172,75 @@ def test_containment_counterexamples_reported():
     z = MonomialIdeal(frozenset({(0, 0, 1)}))
     assert not product_contained_in(x, y, z)
     assert containment_failures(x, y, z) == [((1, 0, 0), (0, 1, 0))]
+
+
+def brute_failures(I, J, K):
+    # test-local oracle: every generator product, tested against every
+    # generator of K, in the order of the sorted generators
+    failures = []
+    for g in sorted(I.generators):
+        for h in sorted(J.generators):
+            prod = tuple(a + b for a, b in zip(g, h))
+            if not any(all(k <= p for k, p in zip(gk, prod)) for gk in K.generators):
+                failures.append((g, h))
+    return failures
+
+
+def _random_ideal(rng, max_gens=5, max_exp=4):
+    if rng.random() < 0.08:
+        return MonomialIdeal.zero()
+    if rng.random() < 0.08:
+        return MonomialIdeal.unit()
+    k = rng.randint(1, max_gens)
+    return minimalize(tuple(rng.randint(0, max_exp) for _ in range(3)) for _ in range(k))
+
+
+def _floor_in(I, J, K):
+    if not I.generators or not J.generators:
+        return False
+    f = [min(g[i] for g in I.generators) + min(h[i] for h in J.generators) for i in range(3)]
+    return any(all(k <= p for k, p in zip(gk, f)) for gk in K.generators)
+
+
+def test_containment_matches_brute_force_oracle():
+    rng = random.Random(9090)
+    x, y, z = ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)
+    xy = MonomialIdeal(frozenset(x + y))
+    fixed = [
+        (MonomialIdeal(frozenset(x)), MonomialIdeal(frozenset(y)), MonomialIdeal(frozenset(z))),
+        (xy, xy, minimalize([(2, 0, 0), (1, 1, 0), (0, 2, 0)])),  # holds, floor 1 not in K
+        (xy, xy, MonomialIdeal.unit()),
+        (MonomialIdeal.zero(), xy, MonomialIdeal.zero()),
+        (xy, MonomialIdeal.zero(), MonomialIdeal.zero()),
+        (MonomialIdeal.unit(), xy, MonomialIdeal.zero()),
+        (MonomialIdeal.unit(), MonomialIdeal.unit(), MonomialIdeal.unit()),
+    ]
+    cases = list(fixed)
+    for _ in range(400):
+        I, J = _random_ideal(rng), _random_ideal(rng)
+        products = [tuple(a + b for a, b in zip(g, h)) for g in I.generators for h in J.generators]
+        kind = rng.randrange(4)
+        if kind == 0 or not products:
+            K = _random_ideal(rng)
+        elif kind == 1:  # exactly I*J: contained, certificate rarely applies
+            K = minimalize(products)
+        elif kind == 2:  # I*J with a generator pushed up: usually not contained
+            drop = rng.choice(products)
+            K = minimalize([p for p in products if p != drop] + [(drop[0] + 1,) + drop[1:]])
+        else:  # a random ideal plus a random multiple of one product
+            extra = tuple(c + rng.randint(0, 1) for c in rng.choice(products))
+            K = minimalize(list(_random_ideal(rng).generators) + [extra])
+        cases.append((I, J, K))
+    seen = {"certified": 0, "contained": 0, "failing": 0}
+    for I, J, K in cases:
+        expected = brute_failures(I, J, K)
+        assert containment_failures(I, J, K) == expected, (I, J, K)
+        assert product_contained_in(I, J, K) == (not expected), (I, J, K)
+        if _floor_in(I, J, K):
+            seen["certified"] += 1
+        else:
+            seen["failing" if expected else "contained"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_filtration_property_linear_sigma():

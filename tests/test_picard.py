@@ -80,6 +80,33 @@ def test_scalar_mul_homomorphism():
         assert E.add(scalar_mul(E, m, Q0), scalar_mul(E, n, Q0)) == scalar_mul(E, m + n, Q0)
 
 
+def test_mul_matches_repeated_addition(monkeypatch):
+    # the ladder stops after the top bit: k >= 1 costs bit_length(k) - 1
+    # doublings and popcount(k) additions into the accumulator
+    Ep = EllipticCurve(400537, 1289995, 1505983)
+    Qp = Ep.check(CurvePoint(235916, 396205))
+    add = EllipticCurve.add
+    calls = []
+
+    def counting_add(self, P, Q):
+        calls.append(1)
+        return add(self, P, Q)
+
+    for curve, pt in ((E, Q0), (Ep, Qp)):
+        multiples = {0: O}
+        for k in range(1, 71):
+            multiples[k] = add(curve, multiples[k - 1], pt)
+        for k in range(1, 21):
+            multiples[-k] = curve.neg(multiples[k])
+        monkeypatch.setattr(EllipticCurve, "add", counting_add)
+        for k in range(-20, 71):
+            calls.clear()
+            assert curve.mul(k, pt) == multiples[k], k
+            if k >= 1:
+                assert len(calls) == k.bit_length() + bin(k).count("1") - 1, k
+        monkeypatch.setattr(EllipticCurve, "add", add)
+
+
 def test_finite_field_curve():
     Ep = EllipticCurve(2, 3, 97)
     pt = None
