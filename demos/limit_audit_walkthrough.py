@@ -14,7 +14,6 @@ model converges after all.
 from divfilt.asymptotics import (
     cesaro_consistency,
     empirical_scan,
-    example_form,
     example_model,
     limit_exists_report,
     model_length,
@@ -22,16 +21,12 @@ from divfilt.asymptotics import (
     reference_sigma_limit,
     subsequence_limit,
 )
-from divfilt.intersection import DivisorExpr, POLY_X, POLY_Y, triple_product
-
-form = example_form()
-dn = DivisorExpr({"S": POLY_X, "F": POLY_Y})
-k = DivisorExpr.single("K")
-print("cubic growth polynomial   p3 =", triple_product(form, dn, dn, dn))
-print("canonical pairing         p2 =", triple_product(form, dn, dn, k))
-print()
 
 model = example_model()
+print("cubic growth polynomial   p3 =", model.p3)
+print("canonical pairing         p2 =", model.p2)
+print()
+
 print("model lengths:", [str(model_length(model, n)) for n in range(6)])
 cubic, scaled = multiplicity(model)
 print("cubic limit p3(a,1)  =", cubic, "~", cubic.to_decimal(8))

@@ -4,10 +4,11 @@ The model length function is the principal part of an exact length formula
 
     length(n) = (1/6) * p3(ceil(alpha*n), n) + (1/4) * p2(ceil(alpha*n), n)
 
-where p3 is the cubic growth polynomial of the divisor family (expanded
-from the intersection table) and p2 its canonical-class pairing; the
-dropped remainder is O(n), so it affects neither the n^2-normalized first
-differences nor the n^3-normalized multiplicity.
+where p3 is the cubic growth polynomial of the divisor family and p2 its
+canonical-class pairing, both expanded from an intersection table by
+`model_from_form`; the dropped remainder is O(n), so it affects neither the
+n^2-normalized first differences nor the n^3-normalized multiplicity.  The
+bundled table is the package's `data/intersection_table.json`.
 
 Derived quantities, all exact:
 
@@ -34,10 +35,12 @@ a side.
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from math import isqrt, lcm
 
 from divfilt.intersection import (
@@ -47,6 +50,7 @@ from divfilt.intersection import (
     POLY_X,
     POLY_Y,
     difference_polynomial,
+    form_from_json,
     triple_product,
 )
 from divfilt.quadfield import QuadExt, rational_str
@@ -62,6 +66,7 @@ __all__ = [
     "example_alpha",
     "example_form",
     "example_model",
+    "model_from_form",
     "model_length",
     "multiplicity",
     "subsequence_limit",
@@ -83,21 +88,12 @@ def example_alpha() -> QuadExt:
     return QuadExt(_F(9, 26), _F(1, 26), 3)
 
 
-_EXAMPLE_TABLE = {
-    ("S", "S", "S"): _F(468),
-    ("F", "S", "S"): _F(-162),
-    ("F", "F", "S"): _F(54),
-    ("F", "F", "F"): _F(54),
-    ("K", "S", "S"): _F(-792),
-    ("F", "K", "S"): _F(282),
-    ("F", "F", "K"): _F(-175),
-}
-
-
 def example_form() -> IntersectionForm:
-    """Triple table of the bundled example: lattice generators S, F plus the
+    """Triple table of the bundled example, parsed from the package resource
+    `data/intersection_table.json`: lattice generators S, F plus the
     canonical class K (mixed rows only)."""
-    return IntersectionForm(("S", "F", "K"), _EXAMPLE_TABLE)
+    text = resources.files("divfilt").joinpath("data/intersection_table.json").read_text()
+    return form_from_json(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -106,14 +102,11 @@ class ExampleModel:
 
     `p3` must be homogeneous of degree 3 and `p2` homogeneous of degree 2
     (either may be zero); alpha must be irrational with 0 < alpha < 1.
-    `remainder_slope` is the configurable bound constant for the dropped
-    O(n) remainder; the empirical scan estimates one from data.
     """
 
     alpha: QuadExt
     p3: BivariatePolynomial
     p2: BivariatePolynomial = BivariatePolynomial.zero()
-    remainder_slope: Fraction = _F(0)
 
     def __post_init__(self) -> None:
         if self.alpha.is_rational() or not (0 < self.alpha < 1):
@@ -122,20 +115,25 @@ class ExampleModel:
             raise ValueError("p3 must be homogeneous of total degree 3")
         if not self.p2.is_homogeneous(2):
             raise ValueError("p2 must be homogeneous of total degree 2")
-        object.__setattr__(self, "remainder_slope", _F(self.remainder_slope))
 
 
-def example_model(remainder_slope: Fraction | int = 0) -> ExampleModel:
-    """The bundled model, with p3/p2 expanded from the intersection table."""
-    form = example_form()
+def model_from_form(form: IntersectionForm) -> ExampleModel:
+    """The model of a table: p3 = (D_n^3) and p2 = (D_n^2 . K) expanded for
+    D_n = x*S + y*F, with the bundled alpha.
+
+    The table must have generators S, F and K and every triple the two
+    expansions touch; a missing one raises `UnknownSymbolError`.
+    """
     dn = DivisorExpr({"S": POLY_X, "F": POLY_Y})
     k = DivisorExpr.single("K")
     return ExampleModel(
-        example_alpha(),
-        triple_product(form, dn, dn, dn),
-        triple_product(form, dn, dn, k),
-        _F(remainder_slope),
+        example_alpha(), triple_product(form, dn, dn, dn), triple_product(form, dn, dn, k)
     )
+
+
+def example_model() -> ExampleModel:
+    """The bundled model: `model_from_form` of the bundled table."""
+    return model_from_form(example_form())
 
 
 # Reference closed forms the derivation is audited against; exact constants.
@@ -199,13 +197,6 @@ class CesaroResult:
     rhs: QuadExt
     passed: bool
 
-    def to_json(self, digits: int = 30) -> dict:
-        return {
-            "lhs": self.lhs.to_json(digits),
-            "rhs": self.rhs.to_json(digits),
-            "pass": self.passed,
-        }
-
 
 def cesaro_consistency(model: ExampleModel, L0: QuadExt, L1: QuadExt) -> CesaroResult:
     """Check (1 - alpha)*L0 + alpha*L1 = p3(alpha, 1)/2, exactly.
@@ -244,15 +235,6 @@ class ScanRow:
     def ratio(self) -> Fraction:
         """delta / n^2"""
         return _F(self.delta_num, self.denom * self.n * self.n)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "sigma": self.sigma,
-            "ceil_alpha_n": self.ceil_alpha_n,
-            "delta": rational_str(self.delta),
-            "ratio": rational_str(self.ratio),
-        }
 
 
 class ScanRows(Sequence):

@@ -15,15 +15,11 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from importlib import resources
 from math import gcd
 
 from divfilt import asymptotics, beatty, monomial, picard
-from divfilt.intersection import DivisorExpr, POLY_X, POLY_Y, form_from_json, triple_product
+from divfilt.intersection import form_from_json
 from divfilt.quadfield import QuadExt, parse_rational, rational_decimal
-
-_DN_EXPR = DivisorExpr({"S": POLY_X, "F": POLY_Y})
-_K_EXPR = DivisorExpr.single("K")
 
 __all__ = ["main", "ConfigError", "IngestError"]
 
@@ -131,16 +127,10 @@ def _cmd_beatty_scan(args) -> tuple[str, list[str]]:
 
 def _example_model_from_args(args) -> asymptotics.ExampleModel:
     if args.table is None:
-        doc = json.loads(
-            resources.files("divfilt").joinpath("data/intersection_table.json").read_text()
-        )
-    else:
-        doc = _load_json(args.table)
+        return asymptotics.example_model()
+    doc = _load_json(args.table)
     try:
-        form = form_from_json(doc)
-        p3 = triple_product(form, _DN_EXPR, _DN_EXPR, _DN_EXPR)
-        p2 = triple_product(form, _DN_EXPR, _DN_EXPR, _K_EXPR)
-        return asymptotics.ExampleModel(asymptotics.example_alpha(), p3, p2)
+        return asymptotics.model_from_form(form_from_json(doc))
     except ValueError as exc:
         raise IngestError(f"bad intersection table: {exc}") from exc
 

@@ -22,11 +22,9 @@ required only among generators that do have a pure cube in the table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from divfilt.quadfield import QuadExt, parse_rational, rational_str
@@ -46,7 +44,6 @@ __all__ = [
     "evaluate",
     "evaluate_at_n",
     "form_from_json",
-    "form_from_path",
     "form_to_json",
 ]
 
@@ -373,11 +370,6 @@ def form_from_json(doc: dict) -> IntersectionForm:
             raise ValueError(f"conflicting values for triple {key!r}")
         table[key] = value
     return IntersectionForm(tuple(gens), table)
-
-
-def form_from_path(path: str | Path) -> IntersectionForm:
-    with open(path, "r", encoding="utf-8") as handle:
-        return form_from_json(json.load(handle))
 
 
 def form_to_json(form: IntersectionForm) -> dict:

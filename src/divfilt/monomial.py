@@ -140,7 +140,7 @@ class SigmaFiltration:
         if (self.func is None) == (not self.table):
             raise ValueError("provide exactly one of table or func")
         for v in self.table:
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # type(), not isinstance: bool is an int
                 raise ValueError(f"sigma values must be positive integers, got {v!r}")
         object.__setattr__(self, "table", tuple(self.table))
 
@@ -164,7 +164,7 @@ class SigmaFiltration:
             if n > len(self.table):
                 raise ValueError(f"sigma table has {len(self.table)} entries; n={n}")
             value = self.table[n - 1]
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ValueError(f"sigma({n}) must be a positive integer, got {value!r}")
         return value
 

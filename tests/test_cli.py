@@ -107,6 +107,77 @@ def test_example_scan_bytes_pinned(tmp_path, argv, csv_sha, summary_sha):
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
 
 
+def bundled_table_with(change) -> dict:
+    """The bundled intersection table with each row value `v` of triple `d`
+    replaced by `change(sorted d, v)`."""
+    doc = json.loads(resources.files("divfilt").joinpath("data/intersection_table.json").read_text())
+    for row in doc["triples"]:
+        row["v"] = change(sorted(row["d"]), row["v"])
+    return doc
+
+
+PIN_TABLES = {
+    "ffk174.json": bundled_table_with(lambda d, v: "-174" if d == ["F", "F", "K"] else v),
+    "doubled.json": bundled_table_with(lambda d, v: v if "K" in d else str(2 * int(v))),
+    "otherk.json": bundled_table_with(
+        lambda d, v: {"F,K,S": "280", "K,S,S": "-790", "F,F,K": "-170"}.get(",".join(d), v)
+    ),
+}
+
+# sha256 of `example-limits` reports and of one `example-scan --table` run,
+# recorded before the bundled model got its single builder; the bytes must
+# never change.  Tables are named by relative paths in the working directory.
+LIMITS_BYTES = [
+    (
+        "default",
+        ("example-limits",),
+        0,
+        "1ab92bd553eec1a95b2b93b6d222c7bbd1dc3e3150c889eb161d4c442646cbe1",
+    ),
+    (
+        "digits60",
+        ("example-limits", "--digits", "60"),
+        0,
+        "ba47f002f12304406b7469d9136ee402f965093fc2907617a61cd504d592d3f2",
+    ),
+    (
+        "strict",
+        ("example-limits", "--strict"),
+        1,
+        "1ab92bd553eec1a95b2b93b6d222c7bbd1dc3e3150c889eb161d4c442646cbe1",
+    ),
+    (
+        "table-ffk174",
+        ("example-limits", "--table", "ffk174.json"),
+        0,
+        "7857240362fa6be19bb84b4e73db3afe923cce8006d305f44da39510bb32f9a2",
+    ),
+    (
+        "table-cubic-doubled",
+        ("example-limits", "--table", "doubled.json"),
+        0,
+        "f2c2f80222533800df5d0558a50ccdbc0ad1789ae40151616dfdc09b38e27e5b",
+    ),
+    (
+        "scan-table-other-k",
+        ("example-scan", "--table", "otherk.json", "--n-max", "500", "--stride", "50"),
+        0,
+        "ac0e0874465b4f0be1d7452a03efe76b566016ca3a81d2286e490a7e02c01795",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,sha", [c[1:] for c in LIMITS_BYTES], ids=[c[0] for c in LIMITS_BYTES]
+)
+def test_example_limits_bytes_pinned(tmp_path, monkeypatch, argv, code, sha):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in PIN_TABLES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert main([*argv, "--out", "report.out"]) == code
+    assert hashlib.sha256((tmp_path / "report.out").read_bytes()).hexdigest() == sha
+
+
 # sha256 of `beatty-scan` reports, recorded from the per-index scan kernel
 # before the Beatty layer moved to closed forms; the bytes must never change
 SEEDED_ALPHA = ("--alpha-a=3/14", "--alpha-b=1/28", "--alpha-d=6")
@@ -392,6 +463,17 @@ def test_ingestion_errors_exit_three(capsys, tmp_path):
     decimals = tmp_path / "table.json"
     decimals.write_text(json.dumps({"generators": ["S"], "triples": [{"d": ["S", "S", "S"], "v": "1.5"}]}))
     assert run_cli(capsys, "example-limits", "--table", str(decimals))[0] == 3
+    bools = tmp_path / "bools.json"
+    bools.write_text("[true, 2, true, 1]")
+    assert run_cli(capsys, "monomial-check", "--sigma", str(bools), "--n-max", "4")[0] == 3
+    cubic_rows = bundled_table_with(lambda d, v: v)["triples"][:4]
+    assert all("K" not in row["d"] for row in cubic_rows)
+    no_k = tmp_path / "no_k.json"
+    no_k.write_text(json.dumps({"generators": ["S", "F"], "triples": cubic_rows}))
+    assert run_cli(capsys, "example-limits", "--table", str(no_k))[0] == 3
+    no_k_rows = tmp_path / "no_k_rows.json"
+    no_k_rows.write_text(json.dumps({"generators": ["S", "F", "K"], "triples": cubic_rows}))
+    assert run_cli(capsys, "example-limits", "--table", str(no_k_rows))[0] == 3
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):

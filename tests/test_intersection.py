@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from divfilt.asymptotics import example_form, example_model, model_from_form
 from divfilt.intersection import (
     BivariatePolynomial,
     DivisorExpr,
@@ -281,6 +282,14 @@ def test_json_roundtrip(form):
     again = form_from_json(json.loads(json.dumps(doc)))
     assert again == form
     assert doc["generators"] == ["S", "F", "K"]
+
+
+def test_bundled_table_is_the_package_json(form):
+    # TABLE above is an independent copy: an edit to the packaged JSON fails here
+    assert example_form() == IntersectionForm(("S", "F", "K"), TABLE)
+    model = model_from_form(form)
+    assert model == example_model()
+    assert model.p3 == triple_product(form, dn_expr(), dn_expr(), dn_expr())
 
 
 def test_json_validation_errors():

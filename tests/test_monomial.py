@@ -149,6 +149,17 @@ def test_sigma_table_bounds():
         SigmaFiltration.from_json([])
 
 
+def test_sigma_rejects_bools():
+    # bool is an int subclass; JSON true must not read as sigma = 1
+    for table in ([True, 2, True, 1], [2, 3, True]):
+        with pytest.raises(ValueError, match="positive integers"):
+            SigmaFiltration.from_json(table)
+    f = SigmaFiltration.from_callable(lambda n: n == 1 or n)
+    assert f.sigma(2) == 2
+    with pytest.raises(ValueError, match="sigma\\(1\\) must be a positive integer"):
+        f.sigma(1)
+
+
 # -- containment -----------------------------------------------------------------
 
 
