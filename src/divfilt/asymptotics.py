@@ -35,6 +35,7 @@ a side.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterator, Sequence
@@ -53,7 +54,7 @@ from divfilt.intersection import (
     form_from_json,
     triple_product,
 )
-from divfilt.quadfield import QuadExt, rational_str
+from divfilt.quadfield import QuadExt, floor_cleared, rational_str
 
 __all__ = [
     "ExampleModel",
@@ -131,8 +132,10 @@ def model_from_form(form: IntersectionForm) -> ExampleModel:
     )
 
 
+@functools.cache
 def example_model() -> ExampleModel:
-    """The bundled model: `model_from_form` of the bundled table."""
+    """The bundled model: `model_from_form` of the bundled table, built once
+    per process."""
     return model_from_form(example_form())
 
 
@@ -343,22 +346,6 @@ def _difference_coeffs(N: BivariatePolynomial, sigma: int) -> tuple[int, ...]:
     return tuple(int(D.coefficient(i, j)) for i, j in keys)
 
 
-def _ceil_kernel(alpha: QuadExt):
-    """Return f(n) = ceil(alpha*n) as a pure-integer closure (alpha irrational)."""
-    A, B, q = alpha._cleared()
-    dbb = B * B * alpha.d
-    neg = B < 0
-
-    def ceil_n(n: int) -> int:
-        if n == 0:
-            return 0
-        s = isqrt(dbb * n * n)
-        fb = -s - 1 if neg else s
-        return (A * n + fb) // q + 1  # alpha*n irrational for n >= 1
-
-    return ceil_n
-
-
 def empirical_scan(
     model: ExampleModel,
     n_max: int,
@@ -388,9 +375,9 @@ def empirical_scan(
 
     N, denom = _int_model(model)
     coeffs = (_difference_coeffs(N, 0), _difference_coeffs(N, 1))
-    ceil_n = _ceil_kernel(model.alpha)
     A, B, q = model.alpha._cleared()
-    dbb = B * B * model.alpha.d
+    d = model.alpha.d
+    dbb = B * B * d
     neg = B < 0
 
     # per sigma: count, max/min as (numerator, n^2, n), last as (numerator, n);
@@ -406,7 +393,7 @@ def empirical_scan(
     rows: list[int] = []
     checkpoint_set = set(checkpoints)
     lo = 1
-    x = ceil_n(1)
+    x = -floor_cleared(-A, -B, q, d)  # ceil(alpha)
     for hi in sorted({n_max, *checkpoints}):
         for n in range(lo, hi + 1):
             n1 = n + 1
@@ -455,11 +442,11 @@ def empirical_scan(
     # remainder-slope estimate |delta(n) - n^2 L_sigma(n)| / n on a sparse
     # exact sample (QuadExt arithmetic is too heavy for every index)
     limits = {s: subsequence_limit(model, s) for s in (0, 1)}
-    slope = QuadExt.from_rational(0, model.alpha.d)
+    slope = QuadExt.from_rational(0, d)
     sample_step = max(1, n_max // 512)
     for n in list(range(1, n_max + 1, sample_step)) + [n_max]:
-        x = ceil_n(n)
-        s = ceil_n(n + 1) - x
+        x = -floor_cleared(-A * n, -B * n, q, d)
+        s = -floor_cleared(-A * (n + 1), -B * (n + 1), q, d) - x
         a, b1, b0, c2, c1, c0 = coeffs[s]
         dnum = (a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0
         dev = abs(_F(dnum, denom) - (n * n) * limits[s]) / n

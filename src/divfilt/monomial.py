@@ -18,7 +18,7 @@ z^(m+n+2), which lies in I_(m+n): the filtration is graded for every sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Vector",
@@ -204,31 +204,29 @@ def _floor_certificate(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) -> 
     return K.contains_monomial(f)
 
 
+def _failing_pairs(
+    I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal
+) -> Iterator[tuple[Vector, Vector]]:
+    """Generator pairs (g, h) of I x J whose product lies outside K, lazily;
+    none when the floor certificate settles the containment."""
+    if _floor_certificate(I, J, K):
+        return
+    for g in I._sorted_gens():
+        for h in J._sorted_gens():
+            if not K.contains_monomial((g[0] + h[0], g[1] + h[1], g[2] + h[2])):
+                yield g, h
+
+
 def containment_failures(
     I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal
 ) -> list[tuple[Vector, Vector]]:
     """Generator pairs (g, h) of I x J whose product lies outside K."""
-    if _floor_certificate(I, J, K):
-        return []
-    failures = []
-    for g in I._sorted_gens():
-        for h in J._sorted_gens():
-            prod = (g[0] + h[0], g[1] + h[1], g[2] + h[2])
-            if not K.contains_monomial(prod):
-                failures.append((g, h))
-    return failures
+    return list(_failing_pairs(I, J, K))
 
 
 def product_contained_in(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) -> bool:
     """True iff I*J is contained in K (checked on generator products)."""
-    if _floor_certificate(I, J, K):
-        return True
-    for g in I._sorted_gens():
-        for h in J._sorted_gens():
-            prod = (g[0] + h[0], g[1] + h[1], g[2] + h[2])
-            if not K.contains_monomial(prod):
-                return False
-    return True
+    return next(_failing_pairs(I, J, K), None) is None
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,20 @@ its points with multiplicities (Abel-Jacobi).
 
 On top of the group law the module generates the point sequence
 
-    q_n = p + [n](q - p),
+    q_n = p + [n](q - p).
 
-audits its pairwise distinctness and q-avoidance (collisions certify a
-torsion relation, which is re-verified on the spot), certifies infinite
-order over Q via the bounded multiple check against the uniform rational
-torsion bound 12 (a general number-theoretic fact, used as a design
-choice; over F_p the verdict is only a bounded check), and replays the
-blowup restriction bookkeeping whose assembled divisor class
+Over Q on an integral model (integer A and B) with a step q - p of
+infinite order, the multiples [n](q - p) come from the division-polynomial
+values at the step, an elliptic divisibility sequence, and q_n is one
+chord step from p.  Every other case (F_p, a non-integral model, a torsion
+step) walks the generic group-law ladder.
+
+The module audits the sequence's pairwise distinctness and q-avoidance
+(collisions certify a torsion relation, which is re-verified on the spot),
+certifies infinite order over Q via the bounded multiple check against the
+uniform rational torsion bound 12 (a general number-theoretic fact, used
+as a design choice; over F_p the verdict is only a bounded check), and
+replays the blowup restriction bookkeeping whose assembled divisor class
 
     n(q - p) + p - q_n
 
@@ -34,22 +40,6 @@ from math import isqrt
 from typing import Iterable
 
 from divfilt.quadfield import parse_rational, rational_str
-
-try:  # GMP-backed integers make the O(n^2)-digit heights tractable
-    from gmpy2 import gcd as _gcd, isqrt as _isqrt, mpz as _mpz
-except ImportError:  # pragma: no cover - fallback exercised via monkeypatch
-    from math import gcd as _gcd, isqrt as _isqrt
-
-    _mpz = int
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """Fraction from an already-reduced pair (den > 0, gcd = 1); skips the
-    constructor's redundant normalization gcd."""
-    f = Fraction.__new__(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
 
 __all__ = [
     "EllipticCurve",
@@ -289,100 +279,60 @@ def class_sub(E: EllipticCurve, c1: DivisorClass, c2: DivisorClass) -> DivisorCl
 # -- the q_n sequence -----------------------------------------------------------
 
 
-class _IntegralKernel:
-    """Fast chord-tangent steps on y^2 = x^3 + Ax + B with integer A, B.
+def _multiples(E: EllipticCurve, P: CurvePoint, n_max: int) -> list | None:
+    """[k]P for 1 <= k <= n_max from division-polynomial values, or None.
 
-    Rational points on an integral model have x = a/e^2, y = b/e^3 in lowest
-    terms; tracking the integer triple (a, b, e) lets one addition run on
-    plain integers with a single normalization (two gcds) at the end,
-    instead of a gcd per Fraction operation.  Heights of the q_n grow
-    quadratically, so this dominates the sequence scan cost.
+    E must be over Q with integer A, B, so P = (a/e^2, b/e^3) in lowest terms
+    and (a, b) is an integral point of the model (e^4 A, e^6 B).  There the
+    values psi_k of the division polynomials form an elliptic divisibility
+    sequence, and [k](a, b) = (phi_k/psi_k^2, omega_k/psi_k^3) with
+
+        phi_k = a psi_k^2 - psi_(k+1) psi_(k-1),
+        4 b omega_k = psi_(k+2) psi_(k-1)^2 - psi_(k-2) psi_(k+1)^2
+
+    (Ward 1948; Silverman, AEC, Exercise 3.7).  psi_k, phi_k and omega_k lie
+    in Z[A, B, x, y], so every division below is exact.  None means P has
+    finite order: b = 0, or psi_k = 0 for some k <= 12, and by Mazur a point
+    with no such zero has infinite order, so no later psi_k vanishes.
     """
-
-    def __init__(self, curve: EllipticCurve):
-        assert curve.p is None and curve.a.denominator == 1 and curve.b.denominator == 1
-        self.A = _mpz(curve.a.numerator)
-
-    @staticmethod
-    def from_point(pt: CurvePoint):
-        if pt.is_infinity:
+    e = isqrt(P.x.denominator)
+    a, b = P.x.numerator, P.y.numerator
+    if b == 0:
+        return None
+    A, B = E.a.numerator * e**4, E.b.numerator * e**6
+    a2 = a * a
+    psi = [
+        0,
+        1,
+        2 * b,
+        3 * a2 * a2 + 6 * A * a2 + 12 * B * a - A * A,
+        4 * b * (a2**3 + 5 * A * a2 * a2 + 20 * B * a2 * a - 5 * A * A * a2
+                 - 4 * A * B * a - 8 * B * B - A**3),
+    ]
+    for k in range(5, max(n_max + 2, RATIONAL_TORSION_BOUND) + 1):
+        m = k // 2
+        if k % 2:
+            psi.append(psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3)
+        else:
+            psi.append(psi[m] * (psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2)
+                       // (2 * b))
+        if k == RATIONAL_TORSION_BOUND and 0 in psi[1:]:
             return None
-        x, y = Fraction(pt.x), Fraction(pt.y)
-        e = isqrt(x.denominator)
-        if e * e != x.denominator or y.denominator != e**3:
-            raise PointNotOnCurveError(f"{pt} is not on an integral model")
-        return (_mpz(x.numerator), _mpz(y.numerator), _mpz(e))
-
-    @staticmethod
-    def to_point(t) -> CurvePoint:
-        if t is None:
-            return O
-        a, b, e = t
-        return CurvePoint(
-            _coprime_fraction(int(a), int(e * e)), _coprime_fraction(int(b), int(e**3))
-        )
-
-    @staticmethod
-    def _normalize(xn, yn, z):
-        if z < 0:  # keep denominators positive: x is even in z, y is odd
-            z, yn = -z, -yn
-        zsq = z * z
-        g = _gcd(xn, zsq)
-        a, dx = xn // g, zsq // g
-        zcb = zsq * z
-        g = _gcd(yn, zcb)
-        b, dy = yn // g, zcb // g
-        e = _isqrt(dx)
-        assert e * e == dx and dy == e**3
-        return (a, b, e)
-
-    def double(self, t):
-        if t is None:
-            return None
-        a, b, e = t
-        if b == 0:
-            return None
-        m = 3 * a * a + self.A * e**4
-        s = 4 * a * b * b
-        xn = m * m - 2 * s
-        yn = m * (s - xn) - 8 * b**4
-        return self._normalize(xn, yn, 2 * b * e)
-
-    def add(self, t1, t2):
-        if t1 is None:
-            return t2
-        if t2 is None:
-            return t1
-        a1, b1, e1 = t1
-        a2, b2, e2 = t2
-        u1, u2 = a1 * e2 * e2, a2 * e1 * e1
-        s1, s2 = b1 * e2**3, b2 * e1**3
-        if u1 == u2:
-            if s1 + s2 == 0:
-                return None
-            return self.double(t1)
-        h = u2 - u1
-        r = s2 - s1
-        h2 = h * h
-        xn = r * r - h2 * (u1 + u2)
-        yn = r * (u1 * h2 - xn) - s1 * h2 * h
-        # the curve relation b1^2 - a1^3 = A a1 e1^4 + B e1^6 makes e1^2 | xn
-        # and e1^3 | yn, so the first point's denominator can be stripped
-        # before the normalization gcds run on the (much bigger) remainders
-        e1sq = e1 * e1
-        return self._normalize(xn // e1sq, yn // (e1sq * e1), e2 * h)
+    psi.append(-1)  # psi[-1] is psi_(-1), which omega_1 needs
+    out = []
+    for k in range(1, n_max + 1):
+        d = e * psi[k]
+        phi = a * psi[k] ** 2 - psi[k + 1] * psi[k - 1]
+        omega = (psi[k + 2] * psi[k - 1] ** 2 - psi[k - 2] * psi[k + 1] ** 2) // (4 * b)
+        out.append(CurvePoint(Fraction(phi, d * d), Fraction(omega, d**3)))
+    return out
 
 
 def _sequence_points(E: EllipticCurve, p: CurvePoint, step: CurvePoint, n_max: int) -> list:
     if E.p is None and E.a.denominator == 1 and E.b.denominator == 1:
-        kernel = _IntegralKernel(E)
-        cur = kernel.from_point(p)
-        st = kernel.from_point(step)
-        out = []
-        for _ in range(n_max):
-            cur = kernel.add(cur, st)
-            out.append(kernel.to_point(cur))
-        return out
+        multiples = _multiples(E, step, n_max)
+        if multiples is not None:
+            return [E.add(p, m) for m in multiples]
     out = []
     cur = p
     for _ in range(n_max):

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from divfilt import asymptotics
 from divfilt.asymptotics import (
     REFERENCE_CUBIC_LIMIT,
     REFERENCE_MULTIPLICITY,
@@ -379,6 +380,22 @@ def test_report_bundled_model():
     assert "discrepancy:reference-limits-fail-cesaro" in slugs
     assert "note:multiplicity-normalization" in slugs
     assert "discrepancy:sigma1-derived-vs-reference" not in slugs
+
+
+def test_bundled_model_built_once(monkeypatch):
+    # the bundled table is parsed and expanded once per process, not again
+    # by every report that asks whether its model is the bundled one
+    limit_exists_report(example_model())
+    parse = asymptotics.form_from_json
+    calls = []
+
+    def counting_parse(doc):
+        calls.append(1)
+        return parse(doc)
+
+    monkeypatch.setattr(asymptotics, "form_from_json", counting_parse)
+    limit_exists_report(example_model())
+    assert calls == []
 
 
 def test_report_other_k_rows_not_bundled():

@@ -235,7 +235,8 @@ def test_beatty_scan_bytes_pinned(tmp_path, argv, sha):
 
 # sha256 of `monomial-check` and `elliptic-qn` reports, recorded before the
 # filtration check gained its floor certificate and `EllipticCurve.mul` its
-# shorter ladder; the bytes must never change.  Input documents are written
+# shorter ladder (the README's `elliptic-qn` call: before q_n came from
+# division-polynomial values); the bytes must never change.  Input documents are written
 # to the working directory and named by a relative path, because
 # `monomial-check` echoes its `--sigma` path in `sigma_source`.
 SEEDED_SIGMA = [1 + (41 * k + 7) % 60 for k in range(100)]
@@ -270,6 +271,11 @@ REPORT_BYTES = [
         "elliptic-fp",
         ("elliptic-qn", "--curve", "curve.json", "--n-max", "2000", "--restriction-max", "50"),
         "4e861d7820c64a913a3cbec137ce0820a6a3eb12e933d622716ae77b42e5c09c",
+    ),
+    (
+        "elliptic-readme",
+        ("elliptic-qn", "--n-max", "200", "--restriction-max", "50"),
+        "6992221180750b0ed7ce00c7048b742bd8a40a8be21c565b4e120cdc4c9db4b9",
     ),
 ]
 

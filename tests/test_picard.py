@@ -174,7 +174,7 @@ def test_qn_distinct_to_200():
 
 
 def test_qn_matches_generic_group_law():
-    # the integer-triple kernel must agree with plain Fraction arithmetic
+    # the division-polynomial multiples must agree with the group law
     rep = qn_sequence(E, P0, Q0, 25)
     for n, pt in enumerate(rep.points, start=1):
         assert pt == scalar_mul(E, n, Q0)  # p = O here
@@ -189,27 +189,66 @@ def test_qn_avoids_q_with_affine_p():
     assert rep.avoids_q
 
 
-def test_qn_kernel_without_gmpy2(monkeypatch):
-    # the kernel must give identical results on pure stdlib integers
-    import math
-
-    import divfilt.picard as picard
-
-    monkeypatch.setattr(picard, "_mpz", int)
-    monkeypatch.setattr(picard, "_gcd", math.gcd)
-    monkeypatch.setattr(picard, "_isqrt", math.isqrt)
-    rep = qn_sequence(E, P0, Q0, 30)
-    for n, pt in enumerate(rep.points, start=1):
-        assert pt == scalar_mul(E, n, Q0)
-    assert rep.all_distinct
-
-
 def test_qn_non_integral_model_falls_back():
-    # quarter-integer coefficients force the generic Fraction path
+    # a quarter-integer A keeps the generic E.add ladder: the multiples come
+    # from division-polynomial values only on an integral model
     Ew = EllipticCurve(F(-1, 4), F(0))
     t = CurvePoint(F(1, 2), F(0))  # 2-torsion: y = 0
     rep = qn_sequence(Ew, O, t, 6)
     assert not rep.all_distinct and rep.collisions_certified
+
+
+def _ladder(curve, p, q, n_max):
+    # the oracle: one generic chord-tangent step per point
+    step = curve.sub(q, p)
+    out, cur = [], p
+    for _ in range(n_max):
+        cur = curve.add(cur, step)
+        out.append(cur)
+    return out
+
+
+E_NON_INTEGRAL = EllipticCurve(F(0), F(-1, 32))  # y^2 = x^3 - 2 scaled by u = 1/2
+E_ORDER_2 = EllipticCurve(F(-1), F(0))
+E_ORDER_3 = EllipticCurve(F(0), F(1))
+E_ORDER_7 = EllipticCurve(F(-43), F(166))
+E_FP = EllipticCurve(400537, 1289995, 1505983)
+
+# (id, curve, p, q, n_max, what `_multiples` returned: [True] for the
+# multiples, [False] for None on a torsion step, [] when it was not called)
+PSI, TORSION, LADDER = [True], [False], []
+QN_ORACLE_CASES = [
+    ("p=O", E, O, Q0, 40, PSI),
+    ("p=[2]q", E, scalar_mul(E, 2, Q0), Q0, 30, PSI),
+    ("p=-[2]q", E, scalar_mul(E, -2, Q0), Q0, 20, PSI),
+    ("negative-y-step", E, O, E.neg(Q0), 30, PSI),
+    ("non-integral-step", E, O, scalar_mul(E, 3, Q0), 20, PSI),
+    ("non-integral-model", E_NON_INTEGRAL, O, CurvePoint(F(3, 4), F(5, 8)), 20, LADDER),
+    ("order-2", E_ORDER_2, O, CurvePoint(F(0), F(0)), 10, TORSION),
+    ("order-3", E_ORDER_3, O, CurvePoint(F(0), F(1)), 10, TORSION),
+    ("order-7", E_ORDER_7, O, CurvePoint(F(3), F(8)), 20, TORSION),
+    ("order-7-p", E_ORDER_7, CurvePoint(F(3), F(8)), CurvePoint(F(-5), F(16)), 20, TORSION),
+    ("finite-field", E_FP, O, CurvePoint(235916, 396205), 30, LADDER),
+]
+
+
+@pytest.mark.parametrize(
+    "curve,p,q,n_max,calls", [c[1:] for c in QN_ORACLE_CASES], ids=[c[0] for c in QN_ORACLE_CASES]
+)
+def test_qn_matches_ladder_oracle(monkeypatch, curve, p, q, n_max, calls):
+    import divfilt.picard as picard
+
+    multiples = picard._multiples
+    results = []
+
+    def spy(*args):
+        results.append(multiples(*args))
+        return results[-1]
+
+    monkeypatch.setattr(picard, "_multiples", spy)
+    rep = qn_sequence(curve, p, q, n_max)
+    assert rep.points == tuple(_ladder(curve, p, q, n_max))
+    assert [r is not None for r in results] == calls
 
 
 def test_qn_torsion_collision_detected():
