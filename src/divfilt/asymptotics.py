@@ -38,10 +38,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterator, Sequence
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import chain, islice
 from math import isqrt, lcm
 
 from divfilt.intersection import (
@@ -54,7 +56,7 @@ from divfilt.intersection import (
     form_from_json,
     triple_product,
 )
-from divfilt.quadfield import QuadExt, floor_cleared, rational_str
+from divfilt.quadfield import QuadExt, _sign_of_pair, floor_cleared, rational_str
 
 __all__ = [
     "ExampleModel",
@@ -241,31 +243,52 @@ class ScanRow:
 
 
 class ScanRows(Sequence):
-    """Sampled rows held as ints, four per row: n, sigma, ceil(alpha*n) and
-    the numerator of delta(n) over the common denominator `denom`.
-    Indexing builds a `ScanRow`; `ints()` yields the raw 4-tuples."""
+    """The sampled rows, computed on demand.  Rows sit at every `stride`-th
+    index of each segment cut at the checkpoints and at n_max, plus each
+    segment's last index; the row count follows from that rule, and each row
+    costs one or two integer square roots, so nothing is held.  Indexing
+    builds a `ScanRow`; `ints()` yields the raw (n, sigma, ceil(alpha*n),
+    delta numerator) tuples over the common denominator `denom`."""
 
-    def __init__(self, flat: list[int], denom: int) -> None:
-        self._flat = flat
-        self.denom = denom
+    def __init__(self, deltas: _Deltas, cuts: Sequence[int], stride: int) -> None:
+        self._deltas = deltas
+        self.denom = deltas.denom
+        self._stride = stride
+        self._segments: list[tuple[int, int]] = []
+        self._starts: list[int] = []  # number of rows before each segment
+        lo, total = 1, 0
+        for hi in cuts:
+            self._segments.append((lo, hi))
+            self._starts.append(total)
+            total += (hi - lo) // stride + 1 + ((hi - lo) % stride != 0)
+            lo = hi + 1
+        self._len = total
 
     def __len__(self) -> int:
-        return len(self._flat) // 4
+        return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(len(self))[i]]
-        k = 4 * range(len(self))[i]
-        return ScanRow(*self._flat[k : k + 4], self.denom)
+        i = range(len(self))[i]
+        k = bisect_right(self._starts, i) - 1
+        lo, hi = self._segments[k]
+        n = min(lo + (i - self._starts[k]) * self._stride, hi)
+        return ScanRow(*next(self._deltas.rows((n,))), self.denom)
 
     def ints(self) -> Iterator[tuple[int, int, int, int]]:
-        f = self._flat
-        return zip(f[0::4], f[1::4], f[2::4], f[3::4])
+        stride = self._stride
+        return self._deltas.rows(
+            n
+            for lo, hi in self._segments
+            for n in chain(range(lo, hi + 1, stride), (hi,) if (hi - lo) % stride else ())
+        )
 
 
 @dataclass
 class SigmaStats:
-    """Running extremes of delta(n)/n^2 within one sigma class."""
+    """Count, extremes and last index of delta(n)/n^2 within one sigma
+    class on [1, n_max]; each extreme is at its earliest index."""
 
     count: int = 0
     min_ratio: Fraction | None = None
@@ -294,8 +317,8 @@ class SigmaStats:
 class ScanResult:
     """Exact scan summary over [1, n_max]; rows sampled by stride.
 
-    `monotone_from` is the smallest scanned index from which the model
-    length never decreases again (the true lengths are nondecreasing; the
+    `monotone_from` is the smallest index from which the model length never
+    decreases again up to n_max (the true lengths are nondecreasing; the
     model may dip at small n where the dropped O(n) remainder dominates).
     """
 
@@ -346,24 +369,198 @@ def _difference_coeffs(N: BivariatePolynomial, sigma: int) -> tuple[int, ...]:
     return tuple(int(D.coefficient(i, j)) for i, j in keys)
 
 
+class _Deltas:
+    """First differences of the scaled integer model, index by index.
+
+    delta(n) = D_sigma(x, n) / denom with x = ceil(alpha*n) and
+    sigma = ceil(alpha*(n+1)) - x, all in integers; each ceiling is one
+    integer square root on cleared denominators.
+    """
+
+    def __init__(self, model: ExampleModel) -> None:
+        self.N, self.denom = _int_model(model)
+        self.coeffs = (_difference_coeffs(self.N, 0), _difference_coeffs(self.N, 1))
+        self.A, self.B, self.q = model.alpha._cleared()
+        self.d = model.alpha.d
+
+    def ceil(self, n: int) -> int:
+        """ceil(alpha*n) for n >= 1."""
+        return -floor_cleared(-self.A * n, -self.B * n, self.q, self.d)
+
+    def rows(self, ns: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+        """(n, sigma, ceil(alpha*n), numerator of delta(n)) for each index n
+        of `ns`; along a run of consecutive indices the ceiling carries over,
+        one square root per index."""
+        A, q, coeffs = self.A, self.q, self.coeffs
+        dbb, neg = self.B * self.B * self.d, self.B < 0
+        prev, x1 = -1, 0  # no index follows -1
+        for n in ns:
+            x = x1 if n == prev + 1 else self.ceil(n)
+            n1 = n + 1
+            r = isqrt(dbb * n1 * n1)
+            x1 = (A * n1 + (-r - 1 if neg else r)) // q + 1  # ceil(alpha*(n+1))
+            s = x1 - x
+            a, b1, b0, c2, c1, c0 = coeffs[s]
+            yield n, s, x, (a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0
+            prev = n
+
+
+# -- certified head/tail windows ---------------------------------------------
+#
+# With x = alpha*n + theta, theta = ceil(alpha*n) - alpha*n in (0, 1), the
+# difference polynomial gives dnum/n^2 = k + r1(theta)/n + r0(theta)/n^2,
+# k constant, r1 linear and r0 quadratic in theta.  Index n has sigma = 1
+# exactly when theta < alpha, so the thetas of class 1 lie in (0, alpha)
+# and those of class 0 in (alpha, 1).  Bounding r1 and r0 over the closed
+# interval bounds every ratio of the class on a range of indices, and a
+# query is settled once that bound on the unscanned middle is strictly
+# worse than the best index already found.
+
+_FIRST_WINDOW = 64
+
+
+def _envelope(coeffs: tuple[int, ...], alpha: QuadExt, s: int, sign: int) -> tuple:
+    """(k, r1, r0) with sign * dnum/n^2 <= k + r1/n + r0/n^2 for every index
+    n of class s: k exact, r1 and r0 the largest values of sign * r1(theta)
+    and sign * r0(theta) over the class's closed theta-interval."""
+    d = alpha.d
+    a, b1, b0, c2, c1, c0 = coeffs
+    ends = (alpha, QuadExt.from_rational(1, d)) if s == 0 else (QuadExt.from_rational(0, d), alpha)
+    thetas = list(ends)
+    if a and ends[0] < _F(-b0, 2 * a) < ends[1]:  # vertex of r0
+        thetas.append(QuadExt.from_rational(_F(-b0, 2 * a), d))
+    k = sign * ((a * alpha + b1) * alpha + c2)
+    r1 = max(sign * ((2 * a * alpha + b1) * t + b0 * alpha + c1) for t in ends)
+    r0 = max(sign * ((a * t + b0) * t + c0) for t in thetas)
+    return k, r1, r0
+
+
+def _envelope_max(envelope: tuple, lo: int, hi: int) -> QuadExt:
+    """Largest value of k + r1/n + r0/n^2 over the integers n in [lo, hi]:
+    at an end, or next to the one critical point n = -2*r0/r1."""
+    k, r1, r0 = envelope
+    ns = {lo, hi}
+    if not r1.is_zero():
+        v = -2 * r0 / r1
+        if lo < v < hi:
+            ns |= {v.floor(), v.floor() + 1}
+    return max(k + r1 * _F(1, n) + r0 * _F(1, n * n) for n in ns)
+
+
+class _Extreme:
+    """The first index of class `s` in [1, m] where sign * delta/n^2 is
+    largest: the class maximum for sign 1, the minimum for sign -1."""
+
+    def __init__(self, envelope: tuple, s: int, sign: int) -> None:
+        self.envelope, self.s, self.sign = envelope, s, sign
+        self.num = self.nn = self.at = 0  # best as sign*dnum / n^2; nn = 0: none yet
+
+    def fold(self, rows: list) -> None:
+        s, sign = self.s, self.sign
+        num, nn, at = self.num, self.nn, self.at
+        for n, t, _, dnum in rows:
+            if t == s:
+                v, n2 = sign * dnum, n * n
+                lhs, rhs = v * nn, num * n2
+                if lhs > rhs or (lhs == rhs and n < at) or nn == 0:
+                    num, nn, at = v, n2, n
+        self.num, self.nn, self.at = num, nn, at
+
+    def settled(self, lo: int, hi: int) -> bool:
+        return self.nn > 0 and _envelope_max(self.envelope, lo, hi) < _F(self.num, self.nn)
+
+
+class _LastNegative:
+    """The last index in [1, m] with delta(n) < 0 (0 if none)."""
+
+    def __init__(self, envelopes: tuple) -> None:
+        self.envelopes = envelopes  # lower bounds of delta/n^2, one per class
+        self.at = 0
+
+    def fold(self, rows: list) -> None:
+        self.at = max([self.at] + [n for n, _, _, dnum in rows if dnum < 0])
+
+    def settled(self, lo: int, hi: int) -> bool:
+        return self.at > hi or all(_envelope_max(e, lo, hi) <= 0 for e in self.envelopes)
+
+
+def _fold(deltas: _Deltas, queries: list, ns: Iterable[int]) -> None:
+    """Fold the rows of the indices `ns` into every query, a chunk at a
+    time, so that memory stays flat in the window size."""
+    rows = deltas.rows(ns)
+    while chunk := list(islice(rows, 4096)):
+        for query in queries:
+            query.fold(chunk)
+
+
+def _windows(deltas: _Deltas, m: int, queries: list) -> list:
+    """Fold the head [1, h] and the tail [m-w+1, m] into every query,
+    doubling h = w until each query is settled on the middle [h+1, m-w] or
+    the windows meet.  Returns the queries still open when they met; those
+    have seen every index of [1, m], so their answer is exact either way."""
+    lo, hi, size = 1, m, _FIRST_WINDOW
+    while 2 * size < hi - lo + 1:
+        _fold(deltas, queries, chain(range(lo, lo + size), range(hi - size + 1, hi + 1)))
+        lo, hi = lo + size, hi - size
+        queries = [query for query in queries if not query.settled(lo, hi)]
+        if not queries:
+            return queries
+        size = lo - 1
+    _fold(deltas, queries, range(lo, hi + 1))
+    return queries
+
+
+def _better(p: _Extreme, q: _Extreme) -> _Extreme:
+    """The earlier of two maxima with the larger ratio."""
+    lhs, rhs = p.num * q.nn, q.num * p.nn
+    return p if lhs > rhs or (lhs == rhs and p.at < q.at) else q
+
+
+def _remainder_slope(model: ExampleModel, deltas: _Deltas, n_max: int) -> QuadExt:
+    """max |delta(n) - n^2 L_sigma| / n over 513 sampled indices, exactly.
+
+    With L_sigma = (u + v*sqrt(d))/w, each deviation is |P + Q*sqrt(d)| over
+    n*denom*w for integers P = dnum*w - denom*n^2*u and Q = -denom*n^2*v;
+    deviations are compared by cross-multiplying, signs from squares."""
+    d, denom = model.alpha.d, deltas.denom
+    limits = [subsequence_limit(model, s)._cleared() for s in (0, 1)]
+    best = (0, 0, 1)  # (P, Q, n*denom*w): zero
+    sample_step = max(1, n_max // 512)
+    samples = list(range(1, n_max + 1, sample_step)) + [n_max]
+    for n, s, _, dnum in deltas.rows(samples):
+        u, v, w = limits[s]
+        P, Q, scale = dnum * w - denom * n * n * u, -denom * n * n * v, n * denom * w
+        if _sign_of_pair(P, Q, d) < 0:
+            P, Q = -P, -Q
+        bP, bQ, bscale = best
+        if _sign_of_pair(P * bscale - bP * scale, Q * bscale - bQ * scale, d) > 0:
+            best = (P, Q, scale)
+    P, Q, scale = best
+    return QuadExt(_F(P, scale), _F(Q, scale), d)
+
+
 def empirical_scan(
     model: ExampleModel,
     n_max: int,
     sample_stride: int = 1,
     checkpoints: tuple[int, ...] = (),
 ) -> ScanResult:
-    """Exact scan of the first differences delta(n) = length(n+1) - length(n).
+    """Exact summary of the first differences delta(n) = length(n+1) - length(n)
+    on [1, n_max], without visiting every index.
 
-    One pass over [1, n_max] in integers: delta(n) = D_sigma(x, n) / D with
-    x = ceil(alpha*n), sigma = ceil(alpha*(n+1)) - x and D_sigma the integer
-    difference polynomial of the scaled model.  Ratios delta(n)/n^2 are kept
-    as (numerator, n^2) pairs and compared by cross-multiplying; Fractions
-    are built only for the result.  The per-sigma extremes, the global
-    maximum of delta(n)/n^2, the telescoping identity and the remainder-slope
-    estimate cover every n in [1, n_max].  `checkpoints` records the running
-    maximum of delta(n)/n^2 at the given indices.  The range is cut into
-    segments ending at each checkpoint and at n_max; rows are sampled at
-    every `sample_stride`-th index of a segment and at its last index.
+    delta(n) = D_sigma(x, n) / D with x = ceil(alpha*n), sigma =
+    ceil(alpha*(n+1)) - x and D_sigma the integer difference polynomial of
+    the scaled model.  The class counts telescope to ceil(alpha*(n_max+1)) -
+    ceil(alpha), and the last index of each class lies within
+    ceil(1/min(alpha, 1 - alpha)) of n_max.  Each extreme (class maximum and
+    minimum, the maxima up to each checkpoint, the last negative delta) comes
+    from `_windows`: exact head and tail windows of the range, grown until a
+    bound on the middle shows no index there can win, or until they meet.
+    Ratios are compared by cross-multiplying, and ties go to the earliest
+    index.  `telescoping_ok` is the identity sum delta = length(n_max+1) -
+    length(1) of the integer model against `model_length`.  Rows are sampled
+    at every `sample_stride`-th index of each segment cut at the checkpoints
+    and at n_max, plus its last index, and computed on demand.
     """
     if not isinstance(n_max, int) or n_max < 10:
         raise ValueError(f"n_max must be an integer >= 10, got {n_max!r}")
@@ -373,98 +570,59 @@ def empirical_scan(
         if not isinstance(c, int) or not 1 <= c <= n_max:
             raise ValueError(f"checkpoint {c!r} outside [1, {n_max}]")
 
-    N, denom = _int_model(model)
-    coeffs = (_difference_coeffs(N, 0), _difference_coeffs(N, 1))
-    A, B, q = model.alpha._cleared()
-    d = model.alpha.d
-    dbb = B * B * d
-    neg = B < 0
-
-    # per sigma: count, max/min as (numerator, n^2, n), last as (numerator, n);
-    # a max with n^2 = 0 accepts the first value of its class
-    count = [0, 0]
-    max_num, max_nn, max_at = [-1, -1], [0, 0], [0, 0]
-    min_num, min_nn, min_at = [1, 1], [0, 0], [0, 0]
-    last_num, last_at = [0, 0], [0, 0]
-    top_num, top_nn, top_at = -1, 0, 0
-    top_at_checkpoint: dict[int, tuple[int, int]] = {}
-    total = 0
-    last_negative = 0
-    rows: list[int] = []
-    checkpoint_set = set(checkpoints)
-    lo = 1
-    x = -floor_cleared(-A, -B, q, d)  # ceil(alpha)
-    for hi in sorted({n_max, *checkpoints}):
-        for n in range(lo, hi + 1):
-            n1 = n + 1
-            r = isqrt(dbb * n1 * n1)
-            x1 = (A * n1 + (-r - 1 if neg else r)) // q + 1  # ceil(alpha*(n+1))
-            s = x1 - x
-            a, b1, b0, c2, c1, c0 = coeffs[s]
-            dnum = (a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0
-            nn = n * n
-            count[s] += 1
-            if dnum * max_nn[s] > max_num[s] * nn:
-                max_num[s], max_nn[s], max_at[s] = dnum, nn, n
-                if min_nn[s] == 0:
-                    min_num[s], min_nn[s], min_at[s] = dnum, nn, n
-                # the global maximum can only move where a class maximum does
-                if dnum * top_nn > top_num * nn:
-                    top_num, top_nn, top_at = dnum, nn, n
-            elif dnum * min_nn[s] < min_num[s] * nn:
-                min_num[s], min_nn[s], min_at[s] = dnum, nn, n
-            last_num[s], last_at[s] = dnum, n
-            if dnum < 0:
-                last_negative = n
-            total += dnum
-            if (n - lo) % sample_stride == 0 or n == hi:
-                rows += (n, s, x, dnum)
-            x = x1
-        if hi in checkpoint_set:
-            top_at_checkpoint[hi] = (top_num, top_nn)
-        lo = hi + 1
+    deltas = _Deltas(model)
+    denom, alpha = deltas.denom, model.alpha
+    envelopes = {
+        (s, sign): _envelope(deltas.coeffs[s], alpha, s, sign) for s in (0, 1) for sign in (1, -1)
+    }
 
     def ratio(num: int, nn: int) -> Fraction:
         return _F(num, denom * nn)
 
-    stats = {s: SigmaStats() for s in (0, 1)}
-    for s, st in stats.items():
-        if count[s]:
-            st.count = count[s]
-            st.min_ratio, st.min_at = ratio(min_num[s], min_nn[s]), min_at[s]
-            st.max_ratio, st.max_at = ratio(max_num[s], max_nn[s]), max_at[s]
-            st.last_n, st.last_ratio = last_at[s], ratio(last_num[s], last_at[s] ** 2)
-    max_ratio = ratio(top_num, top_nn)
+    def counts(m: int) -> tuple[int, int]:
+        """The number of indices of class 0 and of class 1 in [1, m]."""
+        ones = deltas.ceil(m + 1) - deltas.ceil(1)
+        return m - ones, ones
 
-    # telescoping: sum_{n=1}^{n_max} delta(n) = length(n_max+1) - length(1)
-    telescoping_ok = _F(total, denom) == model_length(model, n_max + 1) - model_length(model, 1)
+    def extremes(m: int, sign: int) -> list[_Extreme]:
+        return [_Extreme(envelopes[s, sign], s, sign) for s, c in enumerate(counts(m)) if c]
 
-    # remainder-slope estimate |delta(n) - n^2 L_sigma(n)| / n on a sparse
-    # exact sample (QuadExt arithmetic is too heavy for every index)
-    limits = {s: subsequence_limit(model, s) for s in (0, 1)}
-    slope = QuadExt.from_rational(0, d)
-    sample_step = max(1, n_max // 512)
-    for n in list(range(1, n_max + 1, sample_step)) + [n_max]:
-        x = -floor_cleared(-A * n, -B * n, q, d)
-        s = -floor_cleared(-A * (n + 1), -B * (n + 1), q, d) - x
-        a, b1, b0, c2, c1, c0 = coeffs[s]
-        dnum = (a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0
-        dev = abs(_F(dnum, denom) - (n * n) * limits[s]) / n
-        if dev > slope:
-            slope = dev
+    maxima = {m: extremes(m, 1) for m in {n_max, *checkpoints}}
+    minima = extremes(n_max, -1)
+    last_negative = _LastNegative((envelopes[0, -1], envelopes[1, -1]))
+    for m, queries in maxima.items():
+        _windows(deltas, m, queries + minima + [last_negative] if m == n_max else queries)
+    tops = {m: functools.reduce(_better, queries) for m, queries in maxima.items()}
+    top = tops[n_max]
+    max_ratio = ratio(top.num, top.nn)
+
+    stats = {s: SigmaStats(count=c) for s, c in enumerate(counts(n_max))}
+    for high, low in zip(maxima[n_max], minima):
+        st = stats[high.s]
+        st.max_ratio, st.max_at = ratio(high.num, high.nn), high.at
+        st.min_ratio, st.min_at = ratio(-low.num, low.nn), low.at
+    gap = (1 / min(alpha, 1 - alpha)).ceil()  # no class skips this many indices
+    for n, s, _, dnum in deltas.rows(range(max(1, n_max - gap + 1), n_max + 1)):
+        stats[s].last_n, stats[s].last_ratio = n, ratio(dnum, n * n)
+
+    # the deltas of [1, n_max] telescope to N(x, n)/D at n_max + 1 minus at 1
+    telescoping_ok = all(
+        _F(deltas.N.evaluate(deltas.ceil(n), n), denom) == model_length(model, n)
+        for n in (1, n_max + 1)
+    )
 
     return ScanResult(
         n_max=n_max,
         stride=sample_stride,
-        rows=ScanRows(rows, denom),
+        rows=ScanRows(deltas, sorted({n_max, *checkpoints}), sample_stride),
         per_sigma=stats,
         max_ratio=max_ratio,
-        max_ratio_at=top_at,
+        max_ratio_at=top.at,
         bound_constant=math.ceil(max_ratio) + 1,
         telescoping_ok=telescoping_ok,
-        monotone_from=last_negative + 1,
-        checkpoint_max={c: ratio(*v) for c, v in top_at_checkpoint.items()},
-        estimated_remainder_slope=slope,
+        monotone_from=last_negative.at + 1,
+        checkpoint_max={c: ratio(tops[c].num, tops[c].nn) for c in checkpoints},
+        estimated_remainder_slope=_remainder_slope(model, deltas, n_max),
     )
 
 

@@ -11,7 +11,8 @@ Reports on [1, n_max] come from closed forms, not from a scan, so n_max may
 be any size: the counts telescope, the positions of each value form a
 Beatty sequence whose gaps take two adjacent values (Fraenkel 1969; the
 three-distance theorem, Sos 1958), and each histogram bin is a difference of
-two floor sums evaluated by an O(log n_max) reciprocity recursion.  Every
+two floor sums evaluated by an O(log n_max) reciprocity recursion (or, when
+the bins outnumber the points, each point is binned by its own floors).  Every
 floor is exact: one integer square root on cleared denominators.
 """
 
@@ -151,7 +152,16 @@ def _max_gap(frac: QuadExt, count: int, n_max: int) -> int:
 
 def _histogram(alpha: QuadExt, n_max: int, bins: int) -> tuple[int, ...]:
     """Bin counts of {alpha*n}, n <= n_max, from #{n : {alpha*n} < t} =
-    sum floor(alpha*n) - sum floor(alpha*n - t) at t = j/bins."""
+    sum floor(alpha*n) - sum floor(alpha*n - t) at t = j/bins.  With more
+    bins than points, one floor sum per bin costs more than binning each
+    point at floor(bins*alpha*n) - bins*floor(alpha*n)."""
+    if bins > n_max:
+        (A, B, q), d = alpha._cleared(), alpha.d
+        counts = [0] * bins
+        for n in range(1, n_max + 1):
+            high = floor_cleared(bins * A * n, bins * B * n, q, d)
+            counts[high - bins * floor_cleared(A * n, B * n, q, d)] += 1
+        return tuple(counts)
     total = floor_sum(alpha, alpha, n_max)  # sum over n = 1..n_max
     below = [0]
     below += [total - floor_sum(alpha, alpha - Fraction(j, bins), n_max) for j in range(1, bins)]

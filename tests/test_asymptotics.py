@@ -5,8 +5,11 @@ reference constants where the two agree, and against independent sympy
 recomputation where they do not.
 """
 
+import json
+import math
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 import sympy
@@ -23,6 +26,7 @@ from divfilt.asymptotics import (
     example_alpha,
     example_model,
     limit_exists_report,
+    model_from_form,
     model_length,
     multiplicity,
     reference_sigma_limit,
@@ -30,7 +34,7 @@ from divfilt.asymptotics import (
 )
 from divfilt.beatty import BeattySequence
 from divfilt.cli import scan_csv_lines
-from divfilt.intersection import BivariatePolynomial
+from divfilt.intersection import BivariatePolynomial, form_from_json
 from divfilt.quadfield import QuadExt, rational_str
 
 ALPHA = example_alpha()
@@ -349,6 +353,179 @@ def test_oracle_models_cover_their_branches():
     heavy = _scan_oracle(ORACLE_MODELS["heavy-negative"], 200, ())
     assert heavy[5] > 1 and any(row[3] < 0 for row in heavy[0])
     assert ORACLE_MODELS["negative-sqrt"].alpha._cleared()[1] < 0
+
+
+def _slope_oracle(model, rows, n_max):
+    """The remainder-slope sample in Fraction and QuadExt arithmetic:
+    max |delta(n) - n^2 L_sigma| / n over 513 sampled indices, first wins."""
+    limits = {s: subsequence_limit(model, s) for s in (0, 1)}
+    slope = QuadExt.from_rational(0, model.alpha.d)
+    step = max(1, n_max // 512)
+    for n in list(range(1, n_max + 1, step)) + [n_max]:
+        _, s, _, delta, _ = rows[n - 1]
+        dev = abs(delta - (n * n) * limits[s]) / n
+        if dev > slope:
+            slope = dev
+    return slope
+
+
+def _sampled_indices(n_max, stride, checkpoints):
+    want, lo = [], 1
+    for hi in sorted({n_max, *checkpoints}):
+        want += [n for n in range(lo, hi + 1) if (n - lo) % stride == 0 or n == hi]
+        lo = hi + 1
+    return want
+
+
+def _bundled_table_model(change):
+    """`model_from_form` of the bundled table with row d's value v replaced
+    by change(sorted d, int v)."""
+    doc = json.loads(resources.files("divfilt").joinpath("data/intersection_table.json").read_text())
+    for row in doc["triples"]:
+        row["v"] = str(change(sorted(row["d"]), int(row["v"])))
+    return model_from_form(form_from_json(doc))
+
+
+def _random_model(rng):
+    while True:
+        d = rng.choice((2, 3, 5, 6, 7, 10, 11, 13))
+        a = F(rng.randint(-30, 30), rng.randint(1, 30))
+        b = F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 30))
+        alpha = QuadExt(a, b, d)
+        if 0 < alpha < 1:
+            break
+    p3 = BivariatePolynomial({(3 - j, j): F(rng.randint(-60, 60)) for j in range(4)})
+    p2 = BivariatePolynomial({(2 - j, j): F(rng.randint(-200, 200), rng.randint(1, 3)) for j in range(3)})
+    return ExampleModel(alpha, p3, p2)
+
+
+# p3 = n^3 - x n^2, p2 = (x^2 - n^2)/3: D_1 = -4xn + 4n^2, so on class 1
+# 12 delta/n^2 = 4 - 4 alpha - 4 theta/n creeps up to its bound 4 - 4 alpha and
+# never reaches it; the class-1 maximum can only be found by scanning all
+NEVER_CERTIFIES = ExampleModel(
+    ALPHA,
+    BivariatePolynomial({(0, 3): F(1), (1, 2): F(-1)}),
+    BivariatePolynomial({(2, 0): F(1, 3), (0, 2): F(-1, 3)}),
+)
+
+# length = 71 n^3 - 101 n^2: delta/n^2 = 213 + 11/n - 30/n^2 for every n,
+# largest at n = 5 and n = 6, both of class 0; ties go to the earlier index
+TIES = ExampleModel(
+    ALPHA, BivariatePolynomial.monomial(0, 3, 426), BivariatePolynomial.monomial(0, 2, -404)
+)
+
+# length = 7 n^3 - 9 n^2: delta/n^2 = 21 + 3/n - 2/n^2 is 22 at n = 1 (class 0)
+# and at n = 2 (class 1); the global maximum is at the earlier index
+TIES_ACROSS = ExampleModel(
+    ALPHA, BivariatePolynomial.monomial(0, 3, 42), BivariatePolynomial.monomial(0, 2, -36)
+)
+
+SCAN_CASES = [
+    ("bundled", MODEL, 3000, 1000, (1500,)),
+    ("heavy-negative", ORACLE_MODELS["heavy-negative"], 2500, 1, (3, 400, 1999)),
+    ("negative-sqrt", ORACLE_MODELS["negative-sqrt"], 3000, 17, (2999,)),
+    # L0 != L1: the bundled table with S.S.S + 6
+    ("unequal-limits", _bundled_table_model(lambda d, v: v + 6 if d == ["S"] * 3 else v), 3000, 250, ()),
+    ("never-certifies", NEVER_CERTIFIES, 3000, 300, (2000,)),
+    ("ties", TIES, 3000, 5, (5, 6)),
+    ("ties-across", TIES_ACROSS, 500, 7, (1, 2)),
+    # alpha = (sqrt(2) - 1)/10: class 1 is absent from [1, 10]
+    ("tiny-alpha", ExampleModel(QuadExt(F(-1, 10), F(1, 10), 2), MODEL.p3, MODEL.p2), 10, 3, (4,)),
+]
+for _seed in range(30):
+    _rng = random.Random(7000 + _seed)
+    _n_max = _rng.randint(10, 3000)
+    SCAN_CASES.append(
+        (
+            f"random-{_seed}",
+            _random_model(_rng),
+            _n_max,
+            _rng.choice((1, _rng.randint(2, 50), _rng.randint(51, 1000))),
+            tuple(sorted(_rng.sample(range(1, _n_max + 1), _rng.randint(0, 3)))),
+        )
+    )
+
+
+@pytest.mark.parametrize("case", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_scan_matches_oracle_on_seeded_models(case):
+    _, model, n_max, stride, checkpoints = case
+    rows, stats, best, best_at, cp, monotone_from = _scan_oracle(model, n_max, checkpoints)
+    scan = empirical_scan(model, n_max, stride, checkpoints)
+    assert (scan.n_max, scan.stride) == (n_max, stride)
+    assert scan.per_sigma == stats
+    assert (scan.max_ratio, scan.max_ratio_at) == (best, best_at)
+    assert scan.bound_constant == math.ceil(best) + 1
+    assert scan.telescoping_ok
+    assert scan.monotone_from == monotone_from
+    assert scan.checkpoint_max == cp
+    assert scan.estimated_remainder_slope == _slope_oracle(model, rows, n_max)
+    want = [rows[n - 1] for n in _sampled_indices(n_max, stride, checkpoints)]
+    assert len(scan.rows) == len(want)
+    assert [(r.n, r.sigma, r.ceil_alpha_n, r.delta, r.ratio) for r in scan.rows] == want
+    assert [(n, s, x, F(num, scan.rows.denom)) for n, s, x, num in scan.rows.ints()] == [
+        row[:4] for row in want
+    ]
+    assert scan.rows[-1] == scan.rows[len(want) - 1] and scan.rows[1::2] == list(scan.rows)[1::2]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES[:12], ids=[c[0] for c in SCAN_CASES[:12]])
+def test_envelope_bounds_every_index(case):
+    # sign * delta/n^2 <= k + r1/n + r0/n^2 on every index of the class, with
+    # r1 and r0 no smaller than their values anywhere on the theta-interval;
+    # `_envelope_max` is the largest value over a range of integers
+    _, model, n_max, _, _ = case
+    deltas = asymptotics._Deltas(model)
+    alpha, rng = model.alpha, random.Random(n_max)
+    for s in (0, 1):
+        lo_t, hi_t = (alpha, 1) if s == 0 else (0, alpha)
+        a, b1, b0, c2, c1, c0 = deltas.coeffs[s]
+        thetas = [lo_t + (hi_t - lo_t) * F(j, 64) for j in range(65)]
+        for sign in (1, -1):
+            k, r1, r0 = env = asymptotics._envelope(deltas.coeffs[s], alpha, s, sign)
+            assert all(sign * ((2 * a * alpha + b1) * t + b0 * alpha + c1) <= r1 for t in thetas)
+            assert all(sign * ((a * t + b0) * t + c0) <= r0 for t in thetas)
+            for n, t, _, dnum in deltas.rows(range(1, 200)):
+                if t == s:
+                    assert sign * F(dnum, n * n) <= k + r1 / n + r0 / (n * n)
+            for _ in range(4):
+                lo = rng.randint(1, 20)
+                hi = rng.randint(lo, 80)
+                want = max(k + r1 / n + r0 / (n * n) for n in range(lo, hi + 1))
+                assert asymptotics._envelope_max(env, lo, hi) == want
+
+
+def test_window_certificates_settle_early_and_cover_all(monkeypatch):
+    # every summary query goes through `_windows`; count the queries it
+    # settles before the head and tail windows meet and those it returns
+    # open, which have seen every index
+    settled, covered = {}, {}
+    real = asymptotics._windows
+
+    def counting(deltas, m, queries):
+        still_open = real(deltas, m, queries)
+        settled[name] = settled.get(name, 0) + len(queries) - len(still_open)
+        covered[name] = covered.get(name, 0) + len(still_open)
+        if name == "never-certifies" and m == n_max:
+            # the class-1 maximum
+            assert any(
+                isinstance(q, asymptotics._Extreme) and (q.s, q.sign) == (1, 1) for q in still_open
+            )
+        return still_open
+
+    monkeypatch.setattr(asymptotics, "_windows", counting)
+    for name, model, n_max, stride, checkpoints in SCAN_CASES:
+        empirical_scan(model, n_max, stride, checkpoints)
+    assert settled["bundled"] > 0 and covered["never-certifies"] > 0
+    assert sum(settled.values()) > 0 and sum(covered.values()) > 0
+
+
+def test_scan_ties_go_to_the_earliest_index():
+    ties = empirical_scan(TIES, 3000)
+    assert ties.max_ratio_at == ties.per_sigma[0].max_at == 5
+    assert ties.max_ratio == ties.rows[5].ratio
+    across = empirical_scan(TIES_ACROSS, 500)
+    assert (across.per_sigma[0].max_at, across.per_sigma[1].max_at) == (1, 2)
+    assert across.max_ratio_at == 1 and across.max_ratio == 22
 
 
 def test_scan_remainder_slope_bounded(scan100k):

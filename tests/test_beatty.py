@@ -320,3 +320,25 @@ def test_beatty_scan_at_1e18(capsys):
     assert rep["sigma1_count"] == n_max - ones
     assert sum(rep["histogram"]) == n_max
     assert all(abs(c - n_max // 10) < 100 for c in rep["histogram"])  # discrepancy is O(log n)
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS[:8], ids=str)
+def test_histogram_bins_beyond_points_binned_per_point(monkeypatch, alpha):
+    # more bins than points: each point is binned by its own floors, so a
+    # wide histogram costs O(n_max), not one floor sum per bin
+    from divfilt import beatty
+
+    calls = []
+    real = beatty.floor_sum
+    monkeypatch.setattr(beatty, "floor_sum", lambda *a: calls.append(a) or real(*a))
+    seq = BeattySequence(alpha)
+    for n_max, bins in ((1, 2), (37, 38), (1000, 20_000)):
+        calls.clear()
+        rep = equidistribution_histogram(seq, n_max, bins)
+        assert list(rep.histogram) == scan_oracle(alpha, n_max, bins)[2]
+        assert len(calls) <= 1
+    # at n_max = bins the floor-sum path stays, one sum per bin
+    calls.clear()
+    rep = equidistribution_histogram(seq, 40, 40)
+    assert list(rep.histogram) == scan_oracle(alpha, 40, 40)[2]
+    assert len(calls) == 40

@@ -94,6 +94,18 @@ SCAN_BYTES = [
         "544f34c6504b94cce8b0143e5785adf3dcd12a176bc5e11f648218f92881cac0",
         "717a106578eeac151d48c7c7739e31beeace9fc4b817691c243959af4da8538c",
     ),
+    # the two calls of the benchmark's `scan` workload, recorded before the
+    # summary came from head/tail windows instead of a per-index pass
+    (
+        ("--n-max", "1000000", "--stride", "1000", "--checkpoint", "500000"),
+        "96d3eec41e73e39e0c547195b2b7d6b22af23db35d03423a771669fd3f9383ca",
+        "18800eca860c018bd5259d1748176d507d7b6efa9add02154636de657effaa1b",
+    ),
+    (
+        ("--n-max", "100000", "--stride", "1"),
+        "3a05a0ccb65f2c2922b372e5ea7342705b5ca6005706e25c5dbbb8fab6dfaa07",
+        "7e8bdb3d7708d799734d68e4cf5480ec2de6dcc83a725b2f078c5fad5586a0f5",
+    ),
 ]
 
 
