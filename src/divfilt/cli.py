@@ -170,7 +170,7 @@ def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
 def _cmd_monomial_check(args) -> tuple[str, list[str]]:
     n_max = _positive("--n-max", args.n_max)
     if args.sigma is None:
-        f = monomial.SigmaFiltration(table=tuple(range(1, 2 * n_max + 1)))
+        f = monomial.SigmaFiltration.from_callable(lambda n: n)
         source = "identity"
     else:
         doc = _load_json(args.sigma)
@@ -236,6 +236,8 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         if "p" not in points or "q" not in points:
             raise IngestError("curve document must name points 'p' and 'q'")
         p, q = points["p"], points["q"]
+        if p == q:
+            raise IngestError("curve document names the same point as 'p' and 'q'")
     n_max = _positive("--n-max", args.n_max)
     bound = _positive("--witness-bound", args.witness_bound)
     restrict_max = _positive("--restriction-max", args.restriction_max)

@@ -6,6 +6,12 @@ generators equals the length of I/mI (Nakayama), which is the quantity the
 filtration I_n = (z^(n+2)) + z^(n+1) (x, y)^sigma(n) is built to control:
 it always has exactly sigma(n) + 2 minimal generators.
 
+Vectors are validated once, where they enter: the `MonomialIdeal`
+constructor checks its vectors and rejects a non-antichain, `minimalize`
+checks its vectors, and `build_In` checks its two largest exponents.  The
+ideals that `minimalize` and `build_In` return are antichains by proof and
+are built without a second check.
+
 The graded condition I * J within K is verified on the actual ideals rather
 than assumed, certificate first: every generator product is divisible by the
 monomial gcd(I) * gcd(J), whose exponents are the componentwise minima over
@@ -52,21 +58,20 @@ def _dominates(v: Vector, g: Vector) -> bool:
     return g[0] <= v[0] and g[1] <= v[1] and g[2] <= v[2]
 
 
-def _verify_antichain(gens: frozenset) -> None:
-    # a strict divisor has strictly smaller total degree, so comparing each
-    # vector against the smaller-degree ones only is exact and keeps the
-    # check near-linear for level-set-heavy ideals
+def _minimal(vectors) -> list[Vector]:
+    """The vectors, given without repeats, that no other one divides.
+
+    A strict divisor has strictly smaller total degree, so each vector is
+    compared only against the kept vectors of smaller degree; equal-degree
+    vectors never divide one another.
+    """
     by_degree: dict[int, list[Vector]] = {}
-    for v in gens:
+    for v in vectors:
         by_degree.setdefault(sum(v), []).append(v)
-    smaller: list[Vector] = []
+    kept: list[Vector] = []
     for degree in sorted(by_degree):
-        batch = by_degree[degree]
-        for v in batch:
-            for g in smaller:
-                if _dominates(v, g):
-                    raise ValueError(f"generators are not an antichain: {g} divides {v}")
-        smaller.extend(batch)
+        kept.extend([v for v in by_degree[degree] if not any(_dominates(v, g) for g in kept)])
+    return kept
 
 
 @dataclass(frozen=True)
@@ -77,12 +82,16 @@ class MonomialIdeal:
 
     def __post_init__(self) -> None:
         gens = frozenset(_check_vector(v) for v in self.generators)
+        if len(_minimal(gens)) < len(gens):
+            raise ValueError("generators are not an antichain")
         object.__setattr__(self, "generators", gens)
-        _verify_antichain(gens)
 
     @classmethod
-    def from_gens(cls, gens: Iterable[Vector]) -> MonomialIdeal:
-        return minimalize(gens)
+    def _antichain(cls, gens: Iterable[Vector]) -> MonomialIdeal:
+        """An ideal from vectors already checked and known to be an antichain."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "generators", frozenset(gens))
+        return ideal
 
     @classmethod
     def zero(cls) -> MonomialIdeal:
@@ -94,39 +103,12 @@ class MonomialIdeal:
 
     def contains_monomial(self, v: Vector) -> bool:
         v = _check_vector(tuple(v))
-        return any(_dominates(v, g) for g in self._sorted_gens())
-
-    def _sorted_gens(self) -> tuple:
-        # cached sorted view; lexicographic order puts low-x/low-y (e.g. pure
-        # z-power) generators first, which tends to hit early
-        cached = getattr(self, "_gens_sorted", None)
-        if cached is None:
-            cached = tuple(sorted(self.generators))
-            object.__setattr__(self, "_gens_sorted", cached)
-        return cached
+        return any(_dominates(v, g) for g in self.generators)
 
 
 def minimalize(gens: Iterable[Vector]) -> MonomialIdeal:
-    """Drop every vector componentwise-dominating another generator.
-
-    Vectors are processed by increasing total degree: a dominator has
-    strictly smaller degree, so each vector needs comparing only against
-    already-accepted vectors of smaller degree (equal-degree vectors never
-    divide one another).
-    """
-    unique = {_check_vector(tuple(v)) for v in gens}
-    by_degree: dict[int, list[Vector]] = {}
-    for v in unique:
-        by_degree.setdefault(sum(v), []).append(v)
-    accepted: list[Vector] = []
-    kept: set[Vector] = set()
-    for degree in sorted(by_degree):
-        batch = [
-            v for v in by_degree[degree] if not any(_dominates(v, g) for g in accepted)
-        ]
-        kept.update(batch)
-        accepted.extend(batch)
-    return MonomialIdeal(frozenset(kept))
+    """The ideal generated by `gens`, kept as the vectors no other one divides."""
+    return MonomialIdeal._antichain(_minimal({_check_vector(tuple(v)) for v in gens}))
 
 
 @dataclass(frozen=True)
@@ -175,15 +157,17 @@ def build_In(f: SigmaFiltration, n: int) -> MonomialIdeal:
     Minimal generators: (0, 0, n+2) plus (i, sigma(n)-i, n+1) for
     0 <= i <= sigma(n).  They form an antichain for every sigma(n) >= 1: the
     (x, y)-parts of the last sigma(n)+1 are distinct of one degree, and
-    z^(n+2) divides none of them nor they it.
+    z^(n+2) divides none of them nor they it.  So only the largest
+    exponents, n+2 and sigma(n), are range-checked; nothing is re-verified.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     s = f.sigma(n)
+    if max(n + 2, s) >= _MAX_EXPONENT:
+        raise ValueError(f"exponent out of range [0, 2^63): n={n}, sigma(n)={s}")
     gens = [(0, 0, n + 2)]
     gens.extend((i, s - i, n + 1) for i in range(s + 1))
-    # already an antichain for s >= 1, which MonomialIdeal verifies
-    return MonomialIdeal(frozenset(gens))
+    return MonomialIdeal._antichain(gens)
 
 
 def min_gens_count(ideal: MonomialIdeal) -> int:
@@ -211,8 +195,9 @@ def _failing_pairs(
     none when the floor certificate settles the containment."""
     if _floor_certificate(I, J, K):
         return
-    for g in I._sorted_gens():
-        for h in J._sorted_gens():
+    J_gens = sorted(J.generators)
+    for g in sorted(I.generators):
+        for h in J_gens:
             if not K.contains_monomial((g[0] + h[0], g[1] + h[1], g[2] + h[2])):
                 yield g, h
 

@@ -16,12 +16,14 @@ values at the step, an elliptic divisibility sequence, and q_n is one
 chord step from p.  Every other case (F_p, a non-integral model, a torsion
 step) walks the generic group-law ladder.
 
-The module audits the sequence's pairwise distinctness and q-avoidance
-(collisions certify a torsion relation, which is re-verified on the spot),
-certifies infinite order over Q via the bounded multiple check against the
-uniform rational torsion bound 12 (a general number-theoretic fact, used
-as a design choice; over F_p the verdict is only a bounded check), and
-replays the blowup restriction bookkeeping whose assembled divisor class
+The module audits the sequence's pairwise distinctness and q-avoidance.
+Both verdicts come from the order of q - p: the first n with q_n = p gives
+every collision and every return to q, and the one torsion relation behind
+them is re-verified on the spot.  It also certifies infinite order over Q
+via the bounded multiple check against the uniform rational torsion bound
+12 (a general number-theoretic fact, used as a design choice; over F_p the
+verdict is only a bounded check), and replays the blowup restriction
+bookkeeping whose assembled divisor class
 
     n(q - p) + p - q_n
 
@@ -368,11 +370,14 @@ class QnReport:
 def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> QnReport:
     """q_n = p + [n](q - p) for 1 <= n <= n_max, with distinctness audit.
 
-    Each detected collision q_m = q_n (m < n) implies [n-m](q-p) = O; the
-    implication is re-verified on the spot and reported.  The hit q_1 = q is
-    definitional; `avoids_q` asserts there is no other hit, i.e. the
-    sequence never returns to q (q_n = q for n >= 2 would force a torsion
-    relation [n-1](q-p) = O).
+    The verdicts come from k, the first n <= n_max with q_n = p, that is
+    [n](q - p) = O.  q_m = q_n exactly when k divides n - m, so without
+    such a k the points are distinct and q is hit only at q_1 = q (the
+    definitional hit).  With one, each q_n for n > k collides with the first
+    point of its residue class, q_((n-1) % k + 1), and q_n = q exactly when
+    n = 1 mod k.  `collisions_certified` re-verifies [k](q - p) = O on its
+    own with `E.mul`; every collision follows from that one relation.
+    `avoids_q` asserts there is no hit after q_1.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
@@ -382,27 +387,17 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
         raise ValueError("base points must differ")
     step = E.sub(q, p)
     points = _sequence_points(E, p, step, n_max)
-    seen: dict[CurvePoint, int] = {}
-    collisions = []
-    certified = True
-    q_hits = []
-    for idx, pt in enumerate(points, start=1):
-        if pt in seen:
-            m = seen[pt]
-            collisions.append((m, idx))
-            # q_m = q_n forces [n - m](q - p) = O
-            certified = certified and E.mul(idx - m, step).is_infinity
-        else:
-            seen[pt] = idx
-        if pt == q:
-            q_hits.append(idx)
+    # k = n_max when no q_n is p: then there is no collision and q_hits = (1,)
+    k = next((n for n, pt in enumerate(points, start=1) if pt == p), n_max)
+    collisions = tuple(((n - 1) % k + 1, n) for n in range(k + 1, n_max + 1))
+    q_hits = tuple(range(1, n_max + 1, k))
     return QnReport(
         points=tuple(points),
         all_distinct=not collisions,
-        collisions=tuple(collisions),
-        collisions_certified=certified,
-        avoids_q=all(h == 1 for h in q_hits),
-        q_hits=tuple(q_hits),
+        collisions=collisions,
+        collisions_certified=not collisions or E.mul(k, step).is_infinity,
+        avoids_q=q_hits == (1,),
+        q_hits=q_hits,
     )
 
 

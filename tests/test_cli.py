@@ -448,6 +448,28 @@ def test_curve_ingestion(capsys, tmp_path):
     assert any(f.startswith("discrepancy:torsion-step") for f in doc["audit_flags"])
 
 
+def test_identity_sigma_covers_the_filtration_check(capsys):
+    # the filtration check reads sigma up to 2 * --filtration-max, beyond 2 * --n-max
+    code, out = run_cli(capsys, "monomial-check", "--n-max", "5", "--filtration-max", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["count"] for r in doc["rows"]] == [3, 4, 5, 6, 7]
+    assert doc["filtration"]["ok"] and doc["all_ok"]
+
+
+@pytest.mark.parametrize(
+    "field,a,b,point",
+    [("Q", "0", "-2", {"x": "3", "y": "5"}), ({"p": 1505983}, "400537", "1289995", "O")],
+    ids=["Q", "F_p"],
+)
+def test_curve_with_equal_base_points_exits_three(capsys, tmp_path, field, a, b, point):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"field": field, "A": a, "B": b, "points": {"p": point, "q": point}}))
+    assert main(["elliptic-qn", "--curve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("divfilt: ingestion error:") and "'p' and 'q'" in err
+
+
 # -- exit codes ---------------------------------------------------------------------
 
 

@@ -58,6 +58,7 @@ def test_minimalize_idempotent_and_order_independent():
         ideal = minimalize(gens)
         assert ideal.generators == brute_minimalize(gens)
         assert minimalize(ideal.generators) == ideal
+        assert MonomialIdeal(ideal.generators) == ideal  # built unchecked, passes the check
         shuffled = list(gens)
         rng.shuffle(shuffled)
         assert minimalize(shuffled) == ideal
@@ -70,6 +71,16 @@ def test_antichain_invariant_enforced():
         MonomialIdeal(frozenset({(1, 0)}))
     with pytest.raises(ValueError):
         MonomialIdeal(frozenset({(1, 0, 2**63)}))
+    with pytest.raises(ValueError):
+        minimalize([(0, 0, 1), (1, -1, 0)])
+    with pytest.raises(ValueError):
+        minimalize([(0, 0, 1), [1, 0]])
+    # build_In range-checks its largest exponents, n + 2 and sigma(n)
+    with pytest.raises(ValueError, match="2\\^63"):
+        build_In(SigmaFiltration.from_callable(lambda n: 1), 2**63 - 2)
+    with pytest.raises(ValueError, match="2\\^63"):
+        build_In(SigmaFiltration.from_callable(lambda n: 2**63), 1)
+    assert min_gens_count(build_In(SigmaFiltration.from_callable(lambda n: 1), 2**63 - 3)) == 3
 
 
 # -- build_In ------------------------------------------------------------------
@@ -98,7 +109,7 @@ def test_build_In_matches_enumeration():
 
 
 def test_build_In_is_its_own_minimalization():
-    # build_In hands its generators to MonomialIdeal without minimalize
+    # build_In builds its ideal without minimalize or the antichain check
     rng = random.Random(4242)
     tables = [(1,) * 12] + [tuple(rng.randint(1, 60) for _ in range(12)) for _ in range(10)]
     for table in tables:
@@ -106,7 +117,9 @@ def test_build_In_is_its_own_minimalization():
         for n in range(1, 13):
             s = f.sigma(n)
             gens = [(0, 0, n + 2)] + [(i, s - i, n + 1) for i in range(s + 1)]
-            assert build_In(f, n) == minimalize(gens)
+            ideal = build_In(f, n)
+            assert ideal == minimalize(gens)
+            assert MonomialIdeal(ideal.generators) == ideal
 
 
 def test_generator_count_is_sigma_plus_two():

@@ -13,6 +13,7 @@ from divfilt.picard import (
     DivisorClass,
     EllipticCurve,
     PointNotOnCurveError,
+    QnReport,
     SingularCurveError,
     add_points,
     class_of,
@@ -208,6 +209,28 @@ def _ladder(curve, p, q, n_max):
     return out
 
 
+def _scan_oracle(curve, p, q, points):
+    # the per-index scan: each point against the index where it first appeared
+    step = curve.sub(q, p)
+    seen, collisions, certified, q_hits = {}, [], True, []
+    for idx, pt in enumerate(points, start=1):
+        if pt in seen:
+            collisions.append((seen[pt], idx))
+            certified = certified and curve.mul(idx - seen[pt], step).is_infinity
+        else:
+            seen[pt] = idx
+        if pt == q:
+            q_hits.append(idx)
+    return QnReport(
+        points=tuple(points),
+        all_distinct=not collisions,
+        collisions=tuple(collisions),
+        collisions_certified=certified,
+        avoids_q=all(h == 1 for h in q_hits),
+        q_hits=tuple(q_hits),
+    )
+
+
 E_NON_INTEGRAL = EllipticCurve(F(0), F(-1, 32))  # y^2 = x^3 - 2 scaled by u = 1/2
 E_ORDER_2 = EllipticCurve(F(-1), F(0))
 E_ORDER_3 = EllipticCurve(F(0), F(1))
@@ -247,19 +270,54 @@ def test_qn_matches_ladder_oracle(monkeypatch, curve, p, q, n_max, calls):
 
     monkeypatch.setattr(picard, "_multiples", spy)
     rep = qn_sequence(curve, p, q, n_max)
-    assert rep.points == tuple(_ladder(curve, p, q, n_max))
+    assert rep == _scan_oracle(curve, p, q, _ladder(curve, p, q, n_max))
     assert [r is not None for r in results] == calls
 
 
-def test_qn_torsion_collision_detected():
+def _small_field_case(rng):
+    # a random nonsingular curve over a small F_l with an affine point
+    affine = []
+    while not affine:
+        ell = rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+        a, b = rng.randrange(ell), rng.randrange(ell)
+        if (4 * a**3 + 27 * b**2) % ell == 0:
+            continue
+        roots = {}
+        for y in range(ell):
+            roots.setdefault(y * y % ell, []).append(y)
+        affine = [
+            CurvePoint(x, y) for x in range(ell) for y in roots.get((x**3 + a * x + b) % ell, [])
+        ]
+    curve = EllipticCurve(a, b, ell)
+    p = O if rng.random() < 0.5 else rng.choice(affine)
+    q = rng.choice([pt for pt in affine + [O] if pt != p])
+    return curve, p, q, rng.randint(1, 2 * ell + 4)
+
+
+def test_qn_verdicts_match_scan_oracle_on_small_fields():
+    rng = random.Random(8128)
+    seen = {"p=O": 0, "p!=O": 0, "collisions": 0, "distinct": 0}
+    for _ in range(400):
+        curve, p, q, n_max = _small_field_case(rng)
+        rep = qn_sequence(curve, p, q, n_max)
+        assert rep == _scan_oracle(curve, p, q, _ladder(curve, p, q, n_max)), (curve, p, q, n_max)
+        seen["p=O" if p.is_infinity else "p!=O"] += 1
+        seen["collisions" if rep.collisions else "distinct"] += 1
+    assert min(seen.values()) >= 60, seen
+
+
+def test_qn_torsion_collision_detected(monkeypatch):
     # y^2 = x^3 - x has the 2-torsion point (0, 0)
     Et = EllipticCurve(F(-1), F(0))
     t = CurvePoint(F(0), F(0))
     rep = qn_sequence(Et, O, t, 10)
     assert not rep.all_distinct
     assert rep.collisions  # q_{n+2} = q_n throughout
-    assert rep.collisions_certified  # every collision re-verified as torsion
+    assert rep.collisions_certified  # the torsion relation re-verified
     assert rep.collisions[0] == (1, 3)
+    # the certificate is its own scalar multiplication, not read off the points
+    monkeypatch.setattr(EllipticCurve, "mul", lambda self, k, P: P)
+    assert not qn_sequence(Et, O, t, 10).collisions_certified
 
 
 def test_qn_rejects_equal_base_points():
