@@ -103,7 +103,7 @@ class MonomialIdeal:
 
     def contains_monomial(self, v: Vector) -> bool:
         v = _check_vector(tuple(v))
-        return any(_dominates(v, g) for g in self.generators)
+        return v in self.generators or any(_dominates(v, g) for g in self.generators)
 
 
 def minimalize(gens: Iterable[Vector]) -> MonomialIdeal:

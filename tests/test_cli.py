@@ -470,6 +470,42 @@ def test_curve_with_equal_base_points_exits_three(capsys, tmp_path, field, a, b,
     assert err.startswith("divfilt: ingestion error:") and "'p' and 'q'" in err
 
 
+def test_composite_field_modulus_exits_three(capsys, tmp_path):
+    # psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to the bases 2..37
+    path = tmp_path / "curve.json"
+    path.write_text(
+        json.dumps(
+            {
+                "field": {"p": 318665857834031151167461},
+                "A": "0",
+                "B": "1",
+                "points": {"p": "O", "q": {"x": "0", "y": "1"}},
+            }
+        )
+    )
+    assert main(["elliptic-qn", "--curve", str(path)]) == 3
+    assert "field modulus" in capsys.readouterr().err
+
+
+def fp97_curve(tmp_path, x: str) -> str:
+    path = tmp_path / f"curve-{x.replace('/', '_')}.json"
+    path.write_text(
+        json.dumps(
+            {"field": {"p": 97}, "A": "2", "B": "3", "points": {"p": "O", "q": {"x": x, "y": "10"}}}
+        )
+    )
+    return str(path)
+
+
+def test_fp_point_coordinates_are_integers_reduced_mod_p(capsys, tmp_path):
+    assert main(["elliptic-qn", "--curve", fp97_curve(tmp_path, "1/2")]) == 3
+    assert "integers over a prime field" in capsys.readouterr().err
+    # "97" is 0 in F_97; left unreduced it makes the ladder invert 97 mod 97 by n = 200
+    unreduced = run_cli(capsys, "elliptic-qn", "--curve", fp97_curve(tmp_path, "97"), "--n-max", "200")
+    reduced = run_cli(capsys, "elliptic-qn", "--curve", fp97_curve(tmp_path, "0"), "--n-max", "200")
+    assert unreduced == reduced and reduced[0] == 0
+
+
 # -- exit codes ---------------------------------------------------------------------
 
 

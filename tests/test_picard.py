@@ -129,6 +129,12 @@ def test_finite_field_curve():
     assert Ep.mul(order, pt).is_infinity
     with pytest.raises(ValueError):
         EllipticCurve(1, 1, 15)  # not prime
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the bases 2..37
+    with pytest.raises(ValueError, match="odd prime"):
+        EllipticCurve(0, 1, 318665857834031151167461)
+    assert EllipticCurve(0, 1, 2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError, match="below 3317044064679887385961981"):
+        EllipticCurve(0, 1, 2**89 - 1)  # prime, but above psi_13
 
 
 # -- divisor classes -----------------------------------------------------------
@@ -375,18 +381,41 @@ def test_restriction_n1_trivial():
     assert restriction_class(E, P0, Q0, 1) == DivisorClass(0, O)
 
 
-def test_restriction_perturbed_ledger_flagged():
+def test_restriction_perturbed_ledger_flagged(monkeypatch):
     got = restriction_class(E, P0, Q0, 7, drop_exceptional_term=True)
     assert got.degree == 1
     assert not got.is_trivial
+    # a group law off by one on negative multiples breaks the ledger point
+    # [n]q + [1 - n]p but not q_n, so both verdicts must see it
+    p = scalar_mul(E, 3, Q0)
+    mul = EllipticCurve.mul
+    monkeypatch.setattr(EllipticCurve, "mul", lambda self, k, P: mul(self, k - (k < 0), P))
+    rep = restriction_report(E, p, Q0, 7)
+    assert not rep.abel_jacobi_consistent and not rep.trivial
 
 
-def test_restriction_report_coherence():
-    rep = restriction_report(E, P0, Q0, 13)
-    assert rep.trivial
+Q_FP = CurvePoint(235916, 396205)
+RESTRICTION_CASES = [
+    ("Q,p=O", E, O, Q0),
+    ("Q,p=[3]q", E, scalar_mul(E, 3, Q0), Q0),
+    ("F_p,p=[5]q", E_FP, E_FP.mul(5, Q_FP), Q_FP),
+]
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["full", "dropped"])
+@pytest.mark.parametrize("n", [1, 2, 7, 13])
+@pytest.mark.parametrize(
+    "curve,p,q", [c[1:] for c in RESTRICTION_CASES], ids=[c[0] for c in RESTRICTION_CASES]
+)
+def test_restriction_report_coherence(curve, p, q, n, drop):
+    rep = restriction_report(curve, p, q, n, drop_exceptional_term=drop)
+    qn = curve.add(p, curve.mul(n, curve.sub(q, p)))
+    divisor = [(q, n), (p, 1 - n)] if drop else [(q, n), (p, 1 - n), (qn, -1)]
+    assert rep.qn == qn
+    assert rep.assembled == class_of(curve, divisor)  # the formal divisor, point by point
+    assert rep.trivial is not drop
     assert rep.abel_jacobi_consistent
     assert rep.exceptional_rules_coherent
-    assert rep.qn == scalar_mul(E, 13, Q0)
 
 
 # -- JSON ---------------------------------------------------------------------------
