@@ -11,8 +11,8 @@ Subpackages by topic:
 - ``cli``           deterministic JSON/CSV report front end
 """
 
-from divfilt.quadfield import QuadExt, Rational, RadicandMismatchError
+from divfilt.quadfield import QuadExt, RadicandMismatchError
 
 __version__ = "0.1.0"
 
-__all__ = ["QuadExt", "Rational", "RadicandMismatchError", "__version__"]
+__all__ = ["QuadExt", "RadicandMismatchError", "__version__"]

@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,24 +241,23 @@ class ScanRow:
         return _F(self.delta_num, self.denom * self.n * self.n)
 
 
-class ScanRows(Sequence):
+class ScanRows:
     """The sampled rows, computed on demand.  Rows sit at every `stride`-th
     index of each segment cut at the checkpoints and at n_max, plus each
     segment's last index; the row count follows from that rule, and each row
-    costs one or two integer square roots, so nothing is held.  Indexing
-    builds a `ScanRow`; `ints()` yields the raw (n, sigma, ceil(alpha*n),
-    delta numerator) tuples over the common denominator `denom`."""
+    costs one or two integer square roots, so nothing is held.  Iteration
+    builds a `ScanRow` per row; `ints()` yields the raw (n, sigma,
+    ceil(alpha*n), delta numerator) tuples over the common denominator
+    `denom`."""
 
     def __init__(self, deltas: _Deltas, cuts: Sequence[int], stride: int) -> None:
         self._deltas = deltas
         self.denom = deltas.denom
         self._stride = stride
         self._segments: list[tuple[int, int]] = []
-        self._starts: list[int] = []  # number of rows before each segment
         lo, total = 1, 0
         for hi in cuts:
             self._segments.append((lo, hi))
-            self._starts.append(total)
             total += (hi - lo) // stride + 1 + ((hi - lo) % stride != 0)
             lo = hi + 1
         self._len = total
@@ -267,14 +265,8 @@ class ScanRows(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[i]
-        k = bisect_right(self._starts, i) - 1
-        lo, hi = self._segments[k]
-        n = min(lo + (i - self._starts[k]) * self._stride, hi)
-        return ScanRow(*next(self._deltas.rows((n,))), self.denom)
+    def __iter__(self) -> Iterator[ScanRow]:
+        return (ScanRow(*row, self.denom) for row in self.ints())
 
     def ints(self) -> Iterator[tuple[int, int, int, int]]:
         stride = self._stride

@@ -27,7 +27,6 @@ from divfilt.quadfield import QuadExt, floor_cleared, rational_str
 __all__ = [
     "BeattySequence",
     "PartitionReport",
-    "sigma",
     "partition",
     "value_counts",
     "equidistribution_histogram",
@@ -193,10 +192,6 @@ def _report(seq: BeattySequence, n_max: int, bins: int | None) -> PartitionRepor
         high_value=high,
         max_gap={low: _max_gap(1 - frac, lo_count, n_max), high: _max_gap(frac, hi_count, n_max)},
     )
-
-
-def sigma(seq: BeattySequence, n: int) -> int:
-    return seq.sigma(n)
 
 
 def value_counts(seq: BeattySequence, n_max: int) -> dict[int, int]:

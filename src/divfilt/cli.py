@@ -19,7 +19,7 @@ from math import gcd
 
 from divfilt import asymptotics, beatty, monomial, picard
 from divfilt.intersection import form_from_json
-from divfilt.quadfield import QuadExt, parse_rational, rational_decimal
+from divfilt.quadfield import MAX_DECIMAL_DIGITS, QuadExt, parse_rational, rational_decimal
 
 __all__ = ["main", "ConfigError", "IngestError"]
 
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.digits < 1 or args.digits > 10_000:
-        parser.exit(2, "divfilt: --digits must be in [1, 10000]\n")
+    if args.digits < 1 or args.digits > MAX_DECIMAL_DIGITS:
+        parser.exit(2, f"divfilt: --digits must be in [1, {MAX_DECIMAL_DIGITS}]\n")
     try:
         text, flags = args.func(args)
         _emit(text, args.out)

@@ -40,9 +40,6 @@ __all__ = [
     "POLY_ONE",
     "triple_product",
     "difference_polynomial",
-    "homogeneous_part",
-    "evaluate",
-    "evaluate_at_n",
     "form_from_json",
     "form_to_json",
 ]
@@ -249,10 +246,6 @@ class IntersectionForm:
         for t in _all_triples(cubic):
             if t not in clean:
                 raise ValueError(f"missing triple {t!r} among cubic generators {cubic!r}")
-        object.__setattr__(self, "_cubic", tuple(cubic))
-
-    def cubic_generators(self) -> tuple[DivisorSymbol, ...]:
-        return self._cubic  # type: ignore[attr-defined]
 
     def value(self, s1: DivisorSymbol, s2: DivisorSymbol, s3: DivisorSymbol) -> Fraction:
         t = _sorted_triple((s1, s2, s3))
@@ -328,18 +321,6 @@ def triple_product(
 def difference_polynomial(P: BivariatePolynomial, sigma: int) -> BivariatePolynomial:
     """P(x + sigma, y + 1) - P(x, y), fully expanded."""
     return P.shift(sigma, 1) - P
-
-
-def homogeneous_part(P: BivariatePolynomial, degree: int) -> BivariatePolynomial:
-    return P.homogeneous_part(degree)
-
-
-def evaluate(P: BivariatePolynomial, x, y):
-    return P.evaluate(x, y)
-
-
-def evaluate_at_n(P: BivariatePolynomial, alpha: QuadExt, n: int) -> Fraction:
-    return P.evaluate_at_n(alpha, n)
 
 
 # -- JSON ingestion -----------------------------------------------------------

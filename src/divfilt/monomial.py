@@ -48,8 +48,8 @@ def _check_vector(v) -> Vector:
     if not (isinstance(v, tuple) and len(v) == 3):
         raise ValueError(f"exponent vectors live in N^3, got {v!r}")
     for e in v:
-        if not isinstance(e, int) or e < 0 or e >= _MAX_EXPONENT:
-            raise ValueError(f"exponent out of range [0, 2^63): {v!r}")
+        if type(e) is not int or e < 0 or e >= _MAX_EXPONENT:
+            raise ValueError(f"exponents must be integers in [0, 2^63): {v!r}")
     return v
 
 

@@ -133,11 +133,7 @@ class CurvePoint:
     def to_json(self) -> object:
         if self.is_infinity:
             return "O"
-        return {"x": _coord_str(self.x), "y": _coord_str(self.y)}
-
-
-def _coord_str(c) -> str:
-    return rational_str(c) if isinstance(c, Fraction) else str(c)
+        return {"x": rational_str(self.x), "y": rational_str(self.y)}
 
 
 O = CurvePoint.infinity()
@@ -159,11 +155,8 @@ class EllipticCurve:
                     f"field modulus must be an odd prime below {_MAX_CERTIFIABLE_MODULUS}, "
                     f"where primality can be certified; got {self.p!r}"
                 )
-            object.__setattr__(self, "a", int(self.a) % self.p)
-            object.__setattr__(self, "b", int(self.b) % self.p)
-        else:
-            object.__setattr__(self, "a", Fraction(self.a))
-            object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", self.coord(self.a))
+        object.__setattr__(self, "b", self.coord(self.b))
         disc = 4 * self.a**3 + 27 * self.b**2
         if self._norm(disc) == 0:
             raise SingularCurveError(f"4A^3 + 27B^2 = 0 for A={self.a}, B={self.b}")
@@ -179,10 +172,16 @@ class EllipticCurve:
         return Fraction(u) / v
 
     def coord(self, raw) -> object:
-        """Coerce an ingested coordinate into this curve's field."""
-        if self.p is not None:
-            return int(raw) % self.p
-        return Fraction(raw)
+        """`raw` as an element of this curve's field: a Fraction over Q, an
+        int in [0, p) over F_p.  Only an int or a Fraction is accepted, and
+        over F_p only an integer; anything else raises ValueError."""
+        if type(raw) is not int and not isinstance(raw, Fraction):
+            raise ValueError(f"field elements must be int or Fraction, got {raw!r}")
+        if self.p is None:
+            return Fraction(raw)
+        if raw.denominator != 1:
+            raise ValueError(f"A, B and coordinates must be integers over a prime field, got {raw}")
+        return int(raw) % self.p
 
     def contains(self, pt: CurvePoint) -> bool:
         if pt.is_infinity:
@@ -192,6 +191,15 @@ class EllipticCurve:
         return lhs == rhs
 
     def check(self, pt: CurvePoint) -> CurvePoint:
+        """pt, if it is a point of this curve.  Each coordinate must already be
+        its own `coord` image, and over F_p the int itself (a Fraction breaks
+        the modular inverse); else ValueError, before the equation is tested."""
+        for c in () if pt.is_infinity else (pt.x, pt.y):
+            image = self.coord(c)
+            if image != c or (self.p is not None and type(c) is not int):
+                raise ValueError(
+                    f"coordinate {c!r} of {pt} differs from its field element {image!r} on {self}"
+                )
         if not self.contains(pt):
             raise PointNotOnCurveError(f"{pt} is not on {self}")
         return pt
@@ -529,10 +537,7 @@ def _point_from_json(E: EllipticCurve, doc) -> CurvePoint:
         return O
     if not isinstance(doc, dict) or set(doc) != {"x", "y"}:
         raise ValueError(f"point must be 'O' or an object with keys x, y: {doc!r}")
-    x, y = parse_rational(doc["x"]), parse_rational(doc["y"])
-    if E.p is not None and (x.denominator != 1 or y.denominator != 1):
-        raise ValueError(f"point coordinates must be integers over a prime field: {doc!r}")
-    return E.check(CurvePoint(E.coord(x), E.coord(y)))
+    return E.check(CurvePoint(E.coord(parse_rational(doc["x"])), E.coord(parse_rational(doc["y"]))))
 
 
 def curve_from_json(doc: dict) -> tuple[EllipticCurve, dict]:
@@ -551,14 +556,7 @@ def curve_from_json(doc: dict) -> tuple[EllipticCurve, dict]:
         raise ValueError(f"'field' must be 'Q' or {{'p': prime}}: {field!r}")
     if "A" not in doc or "B" not in doc:
         raise ValueError("curve document needs 'A' and 'B'")
-    a = parse_rational(doc["A"])
-    b = parse_rational(doc["B"])
-    if p is not None:
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError("A and B must be integers over a prime field")
-        E = EllipticCurve(int(a), int(b), p)
-    else:
-        E = EllipticCurve(a, b)
+    E = EllipticCurve(parse_rational(doc["A"]), parse_rational(doc["B"]), p)
     raw = doc.get("points", {})
     if not isinstance(raw, dict):
         raise ValueError("'points' must be an object")
@@ -569,8 +567,8 @@ def curve_from_json(doc: dict) -> tuple[EllipticCurve, dict]:
 def curve_to_json(E: EllipticCurve, points: dict) -> dict:
     return {
         "field": "Q" if E.p is None else {"p": E.p},
-        "A": _coord_str(E.a),
-        "B": _coord_str(E.b),
+        "A": rational_str(E.a),
+        "B": rational_str(E.b),
         "points": {name: pt.to_json() for name, pt in sorted(points.items())},
     }
 

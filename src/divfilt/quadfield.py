@@ -25,22 +25,13 @@ import re
 import sys
 
 __all__ = [
-    "Rational",
     "QuadExt",
     "RadicandMismatchError",
-    "sign",
     "floor_cleared",
-    "floor_scaled",
-    "ceil_scaled",
-    "to_decimal",
     "parse_rational",
     "rational_str",
     "rational_decimal",
 ]
-
-#: Rational numbers are arbitrary-precision, always in lowest terms with a
-#: positive denominator.  ``fractions.Fraction`` satisfies that contract.
-Rational = Fraction
 
 MAX_DECIMAL_DIGITS = 10_000
 
@@ -74,9 +65,8 @@ def _without_digit_limit(render, *args) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def rational_str(value: Fraction) -> str:
+def rational_str(value: Fraction | int) -> str:
     """Render a rational as ``p`` or ``p/q`` (lowest terms, q > 0), at any size."""
-    value = Fraction(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)
@@ -411,23 +401,3 @@ class QuadExt:
             "d": self.d,
             "decimal": self.to_decimal(digits),
         }
-
-
-# Module-level forms of the core operations, for callers that prefer
-# functions over methods.
-
-
-def sign(x: QuadExt) -> int:
-    return x.sign()
-
-
-def floor_scaled(x: QuadExt, n: int) -> int:
-    return x.floor_scaled(n)
-
-
-def ceil_scaled(x: QuadExt, n: int) -> int:
-    return x.ceil_scaled(n)
-
-
-def to_decimal(x: QuadExt, digits: int) -> str:
-    return x.to_decimal(digits)

@@ -19,7 +19,6 @@ from divfilt.beatty import (
     equidistribution_histogram,
     floor_sum,
     partition,
-    sigma,
     value_counts,
     window_constant,
 )
@@ -47,10 +46,10 @@ def test_rational_alpha_rejected():
 
 
 def test_sigma_small_values():
-    assert sigma(SEQ, 1) == 0  # 2*alpha ~ 0.826
-    assert sigma(SEQ, 2) == 1  # 3*alpha ~ 1.238
+    assert SEQ.sigma(1) == 0  # 2*alpha ~ 0.826
+    assert SEQ.sigma(2) == 1  # 3*alpha ~ 1.238
     with pytest.raises(ValueError):
-        sigma(SEQ, 0)
+        SEQ.sigma(0)
 
 
 def test_sigma_matches_mpmath_oracle():

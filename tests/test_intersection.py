@@ -21,11 +21,8 @@ from divfilt.intersection import (
     POLY_Y,
     UnknownSymbolError,
     difference_polynomial,
-    evaluate,
-    evaluate_at_n,
     form_from_json,
     form_to_json,
-    homogeneous_part,
     triple_product,
 )
 from divfilt.quadfield import QuadExt
@@ -185,9 +182,9 @@ def test_difference_of_pure_x_cube_sigma_zero():
 
 def test_difference_degree_two_part(form):
     p3 = triple_product(form, dn_expr(), dn_expr(), dn_expr())
-    part0 = homogeneous_part(difference_polynomial(p3, 0), 2)
+    part0 = difference_polynomial(p3, 0).homogeneous_part(2)
     assert part0 == BivariatePolynomial({(2, 0): F(-486), (1, 1): F(324), (0, 2): F(162)})
-    part1 = homogeneous_part(difference_polynomial(p3, 1), 2)
+    part1 = difference_polynomial(p3, 1).homogeneous_part(2)
     assert part1 == BivariatePolynomial({(2, 0): F(918), (1, 1): F(-648), (0, 2): F(324)})
 
 
@@ -214,9 +211,9 @@ def test_difference_drops_top_degree():
 
 def test_homogeneous_part_basics():
     p = BivariatePolynomial({(0, 2): F(3), (0, 1): F(3), (0, 0): F(1)})
-    assert homogeneous_part(p, 2) == BivariatePolynomial.monomial(0, 2, 3)
+    assert p.homogeneous_part(2) == BivariatePolynomial.monomial(0, 2, 3)
     cubic = BivariatePolynomial({(3, 0): F(468), (2, 1): F(-486), (1, 2): F(162), (0, 3): F(54)})
-    assert homogeneous_part(cubic, 3) == cubic
+    assert cubic.homogeneous_part(3) == cubic
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -224,18 +221,18 @@ def test_homogeneous_part_basics():
 
 def test_evaluate_cubic_at_alpha(form):
     p3 = triple_product(form, dn_expr(), dn_expr(), dn_expr())
-    assert evaluate(p3, ALPHA, 1) == QuadExt(F(12042, 169), F(-27, 169), 3)
+    assert p3.evaluate(ALPHA, 1) == QuadExt(F(12042, 169), F(-27, 169), 3)
 
 
 def test_evaluate_constant_term():
     p = BivariatePolynomial({(0, 0): F(7), (2, 1): F(3)})
-    assert evaluate(p, 0, 0) == 7
+    assert p.evaluate(0, 0) == 7
 
 
 def test_evaluate_canonical_quadratic(form):
     ky = DivisorExpr.single("K")
     p2 = triple_product(form, dn_expr(), dn_expr(), ky)
-    got = evaluate(p2, ALPHA, 1)
+    got = p2.evaluate(ALPHA, 1)
     assert got == -792 * ALPHA**2 + 564 * ALPHA - 175
     assert got == QuadExt(F(-13213, 169), F(102, 169), 3)
     assert got.to_decimal(3) == "-77.138"
@@ -246,17 +243,17 @@ def test_evaluate_radicand_mismatch():
 
     p = BivariatePolynomial({(1, 1): F(1)})
     with pytest.raises(RadicandMismatchError):
-        evaluate(p, QuadExt.sqrt(2), QuadExt.sqrt(3))
+        p.evaluate(QuadExt.sqrt(2), QuadExt.sqrt(3))
     # a rational second argument adopts the first argument's field
-    assert evaluate(p, QuadExt.sqrt(2), QuadExt(F(2), F(0), 3)) == 2 * QuadExt.sqrt(2)
+    assert p.evaluate(QuadExt.sqrt(2), QuadExt(F(2), F(0), 3)) == 2 * QuadExt.sqrt(2)
 
 
 def test_evaluate_at_n(form):
     p3 = triple_product(form, dn_expr(), dn_expr(), dn_expr())
-    assert evaluate_at_n(p3, ALPHA, 0) == 0
-    assert evaluate_at_n(p3, ALPHA, 1) == 198
+    assert p3.evaluate_at_n(ALPHA, 0) == 0
+    assert p3.evaluate_at_n(ALPHA, 1) == 198
     # at n = 3 the ceiling is 2: 468*8 - 486*4*3 + 162*2*9 + 54*27
-    assert evaluate_at_n(p3, ALPHA, 3) == 468 * 8 - 486 * 12 + 162 * 18 + 54 * 27 == 2286
+    assert p3.evaluate_at_n(ALPHA, 3) == 468 * 8 - 486 * 12 + 162 * 18 + 54 * 27 == 2286
 
 
 def test_telescoping_against_difference(form):
@@ -265,11 +262,11 @@ def test_telescoping_against_difference(form):
     p3 = triple_product(form, dn_expr(), dn_expr(), dn_expr())
     diffs = {s: difference_polynomial(p3, s) for s in (0, 1)}
     prev_ceil = 0
-    prev_val = evaluate_at_n(p3, ALPHA, 0)
+    prev_val = p3.evaluate_at_n(ALPHA, 0)
     for n in range(0, 10_000):
         cur_ceil = ALPHA.ceil_scaled(n + 1)
         sigma = cur_ceil - prev_ceil
-        nxt = evaluate_at_n(p3, ALPHA, n + 1)
+        nxt = p3.evaluate_at_n(ALPHA, n + 1)
         assert nxt - prev_val == diffs[sigma].evaluate(F(prev_ceil), F(n))
         prev_ceil, prev_val = cur_ceil, nxt
 

@@ -75,6 +75,10 @@ def test_antichain_invariant_enforced():
         minimalize([(0, 0, 1), (1, -1, 0)])
     with pytest.raises(ValueError):
         minimalize([(0, 0, 1), [1, 0]])
+    with pytest.raises(ValueError):  # bool is an int, but not an exponent
+        MonomialIdeal(frozenset({(True, 0, 0)}))
+    with pytest.raises(ValueError):
+        minimalize([(0, True, 3)])
     # build_In range-checks its largest exponents, n + 2 and sigma(n)
     with pytest.raises(ValueError, match="2\\^63"):
         build_In(SigmaFiltration.from_callable(lambda n: 1), 2**63 - 2)

@@ -42,6 +42,15 @@ def test_points_validated():
     with pytest.raises(PointNotOnCurveError):
         add_points(E, CurvePoint(F(1), F(1)), Q0)
     assert E.contains(O)
+    # field elements are int or Fraction: a float or bool is rejected where it enters
+    with pytest.raises(ValueError):
+        EllipticCurve(0, -2).check(CurvePoint(3.0, 5.0))
+    with pytest.raises(ValueError):
+        qn_sequence(E, O, CurvePoint(3.0, 5.0), 5)
+    with pytest.raises(ValueError):
+        EllipticCurve(0.5, 1)
+    with pytest.raises(ValueError):
+        EllipticCurve(True, 1)
 
 
 def test_identity_and_inverse():
@@ -135,6 +144,15 @@ def test_finite_field_curve():
     assert EllipticCurve(0, 1, 2**61 - 1).p == 2**61 - 1
     with pytest.raises(ValueError, match="below 3317044064679887385961981"):
         EllipticCurve(0, 1, 2**89 - 1)  # prime, but above psi_13
+    # over F_p, A, B and coordinates are integers, and a checked coordinate is already reduced
+    with pytest.raises(ValueError, match="integers over a prime field"):
+        EllipticCurve(F(1, 2), 3, 97)
+    assert Ep.check(CurvePoint(0, 10)) == CurvePoint(0, 10)
+    for unreduced in (CurvePoint(97, 10), CurvePoint(F(0), F(10))):
+        with pytest.raises(ValueError):
+            Ep.check(unreduced)
+        with pytest.raises(ValueError):
+            qn_sequence(Ep, O, unreduced, 5)
 
 
 # -- divisor classes -----------------------------------------------------------

@@ -15,13 +15,9 @@ import pytest
 from divfilt.quadfield import (
     QuadExt,
     RadicandMismatchError,
-    ceil_scaled,
-    floor_scaled,
     parse_rational,
     rational_decimal,
     rational_str,
-    sign,
-    to_decimal,
 )
 
 mpmath.mp.dps = 60
@@ -124,13 +120,13 @@ def test_defining_relation():
 
 
 def test_sign_zero():
-    assert sign(QuadExt(F(0), F(0), 3)) == 0
+    assert QuadExt(F(0), F(0), 3).sign() == 0
 
 
 def test_sign_mixed():
-    assert sign(QuadExt(F(-5), F(3), 3)) == 1  # 27 > 25
-    assert sign(QuadExt(F(5), F(-3), 3)) == -1
-    assert sign(ALPHA - 1) == -1  # 9 + sqrt(3) < 26
+    assert QuadExt(F(-5), F(3), 3).sign() == 1  # 27 > 25
+    assert QuadExt(F(5), F(-3), 3).sign() == -1
+    assert (ALPHA - 1).sign() == -1  # 9 + sqrt(3) < 26
 
 
 def test_sign_matches_decimal_oracle():
@@ -151,7 +147,7 @@ def test_order_matches_decimal_rendering():
     for _ in range(200):
         x, y = random_quad(rng), random_quad(rng)
         dx, dy = Decimal(x.to_decimal(50)), Decimal(y.to_decimal(50))
-        s = sign(x - y)
+        s = (x - y).sign()
         if s > 0:
             assert dx > dy
         elif s < 0:
@@ -182,9 +178,9 @@ def test_field_axioms():
 
 
 def test_floor_scaled_basics():
-    assert floor_scaled(ALPHA, 0) == 0
-    assert floor_scaled(ALPHA, 1) == 0 and ceil_scaled(ALPHA, 1) == 1
-    assert ceil_scaled(ALPHA, 3) == 2  # 3*alpha ~ 1.238
+    assert ALPHA.floor_scaled(0) == 0
+    assert ALPHA.floor_scaled(1) == 0 and ALPHA.ceil_scaled(1) == 1
+    assert ALPHA.ceil_scaled(3) == 2  # 3*alpha ~ 1.238
 
 
 def test_floor_negative_values():
@@ -197,17 +193,17 @@ def test_floor_negative_values():
 def test_floor_rational_integral():
     # rational x with integral n*x returns that integer exactly
     x = QuadExt(F(7, 3), F(0), 3)
-    assert floor_scaled(x, 3) == 7
-    assert ceil_scaled(x, 3) == 7
+    assert x.floor_scaled(3) == 7
+    assert x.ceil_scaled(3) == 7
 
 
 def test_floor_bracket_invariant():
     # floor(n*alpha) <= n*alpha < floor(n*alpha) + 1, checked by exact sign
     for n in range(0, 10_001):
-        f = floor_scaled(ALPHA, n)
+        f = ALPHA.floor_scaled(n)
         v = ALPHA * n
-        assert sign(v - f) >= 0
-        assert sign(v - (f + 1)) < 0
+        assert (v - f).sign() >= 0
+        assert (v - (f + 1)).sign() < 0
 
 
 def test_floor_bracket_full_sweep_integer_oracle():
@@ -217,7 +213,7 @@ def test_floor_bracket_full_sweep_integer_oracle():
         return c <= 0 or c * c <= 3 * n * n
 
     for n in range(1, 100_001):
-        f = floor_scaled(ALPHA, n)
+        f = ALPHA.floor_scaled(n)
         # 26f <= 9n + n*sqrt(3) < 26(f+1)
         assert leq_n_sqrt3(26 * f - 9 * n, n)
         assert not leq_n_sqrt3(26 * (f + 1) - 9 * n, n)
@@ -228,7 +224,7 @@ def test_floor_matches_mpmath_oracle():
     for _ in range(300):
         x = random_quad(rng, d=rng.choice([2, 3, 5, 7]))
         n = rng.randint(0, 10_000)
-        got = floor_scaled(x, n)
+        got = x.floor_scaled(n)
         expect = int(mpmath.floor(mp_value(x) * n))
         assert got == expect
 
@@ -237,26 +233,26 @@ def test_floor_matches_mpmath_oracle():
 
 
 def test_to_decimal_alpha():
-    assert to_decimal(ALPHA, 6) == "0.412771"
+    assert ALPHA.to_decimal(6) == "0.412771"
 
 
 def test_to_decimal_zero():
-    assert to_decimal(QuadExt(F(0), F(0), 3), 3) == "0.000"
+    assert QuadExt(F(0), F(0), 3).to_decimal(3) == "0.000"
 
 
 def test_to_decimal_multiplicity_value():
     # correctly rounded rendering of 72252/169 - (162/169) sqrt(3)
     x = QuadExt(F(72252, 169), F(-162, 169), 3)
-    assert to_decimal(x, 4) == "425.8663"
+    assert x.to_decimal(4) == "425.8663"
     want = mpmath.nstr(mp_value(x), 20)
     assert want.startswith("425.86631")
 
 
 def test_to_decimal_negative_and_rational_ties():
-    assert to_decimal(QuadExt(F(-1, 2), F(0), 3), 1) == "-0.5"  # tie -> even
-    assert to_decimal(QuadExt(F(1, 4), F(0), 3), 1) == "0.2"  # 0.25 -> 0.2 (half-even)
-    assert to_decimal(QuadExt(F(3, 4), F(0), 3), 1) == "0.8"
-    assert to_decimal(QuadExt(F(0), F(-1), 3), 4) == "-1.7321"
+    assert QuadExt(F(-1, 2), F(0), 3).to_decimal(1) == "-0.5"  # tie -> even
+    assert QuadExt(F(1, 4), F(0), 3).to_decimal(1) == "0.2"  # 0.25 -> 0.2 (half-even)
+    assert QuadExt(F(3, 4), F(0), 3).to_decimal(1) == "0.8"
+    assert QuadExt(F(0), F(-1), 3).to_decimal(4) == "-1.7321"
 
 
 def test_rational_decimal_matches_fraction_round():
@@ -288,9 +284,9 @@ def test_to_decimal_matches_mpmath():
 
 def test_to_decimal_digit_bounds():
     with pytest.raises(ValueError):
-        to_decimal(ALPHA, 0)
+        ALPHA.to_decimal(0)
     with pytest.raises(ValueError):
-        to_decimal(ALPHA, 10_001)
+        ALPHA.to_decimal(10_001)
 
 
 # -- misc -------------------------------------------------------------------------
