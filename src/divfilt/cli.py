@@ -15,11 +15,12 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
+from itertools import islice
 from math import gcd
 
 from divfilt import asymptotics, beatty, monomial, picard
 from divfilt.intersection import form_from_json
-from divfilt.quadfield import MAX_DECIMAL_DIGITS, QuadExt, parse_rational, rational_decimal
+from divfilt.quadfield import MAX_DECIMAL_DIGITS, QuadExt, decimal_renderer, parse_rational
 
 __all__ = ["main", "ConfigError", "IngestError"]
 
@@ -157,14 +158,27 @@ def _cmd_example_scan(args) -> tuple[Iterable[str], list[str]]:
     return scan_csv_lines(scan.rows, args.digits), []
 
 
+# lines per write: few enough that memory stays flat, enough that the
+# per-write cost does not show
+_CSV_CHUNK_LINES = 1024
+
+
 def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
-    """The `example-scan` CSV, line by line, rendered from the rows' ints."""
+    """The `example-scan` CSV rendered from the rows' ints: the header line,
+    then the rows in chunks of up to `_CSV_CHUNK_LINES` lines each."""
     yield "n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal\n"
+    decimal = decimal_renderer(digits)
     denom = rows.denom
-    for n, s, x, num in rows.ints():
-        g = gcd(num, denom)
-        delta = str(num // g) if g == denom else f"{num // g}/{denom // g}"
-        yield f"{n},{s},{x},{delta},{rational_decimal(num, denom * n * n, digits)}\n"
+    ints = rows.ints()
+    while True:
+        lines = []
+        for n, s, x, num in islice(ints, _CSV_CHUNK_LINES):
+            g = gcd(num, denom)
+            delta = str(num // g) if g == denom else f"{num // g}/{denom // g}"
+            lines.append(f"{n},{s},{x},{delta},{decimal(num, denom * n * n)}\n")
+        if not lines:
+            return
+        yield "".join(lines)
 
 
 def _cmd_monomial_check(args) -> tuple[str, list[str]]:

@@ -18,6 +18,7 @@ for integers A, B, q > 0, with floor(B*sqrt(d)) computed by isqrt(B^2*d).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -31,6 +32,7 @@ __all__ = [
     "parse_rational",
     "rational_str",
     "rational_decimal",
+    "decimal_renderer",
 ]
 
 MAX_DECIMAL_DIGITS = 10_000
@@ -75,23 +77,40 @@ def rational_str(value: Fraction | int) -> str:
         return _without_digit_limit(rational_str, value)
 
 
+def decimal_renderer(digits: int) -> Callable[..., str]:
+    """The decimal renderer with `digits` fractional digits, in integer
+    arithmetic only: render(num, den) is num/den (den > 0) rounded half-even,
+    render(m) is m / 10**digits exactly.
+
+    10**digits and the padding width are computed here once, so a caller
+    that renders many values builds one renderer and calls it per value.
+    Each call is at most one exact divmod and the half-even fix-up, then one
+    padded ``str`` cut into integer and fractional part."""
+    if not isinstance(digits, int) or not 1 <= digits <= MAX_DECIMAL_DIGITS:
+        raise ValueError(f"digits must be in [1, {MAX_DECIMAL_DIGITS}], got {digits!r}")
+    scale, width, cut = 10**digits, digits + 1, -digits
+
+    def render(num: int, den: int | None = None) -> str:
+        if den is None:
+            m = num
+        else:
+            m, r = divmod(num * scale, den)
+            r += r
+            if r > den or (r == den and m & 1):
+                m += 1
+        try:
+            text = str(abs(m)).rjust(width, "0")
+        except ValueError:  # past the int-to-str digit limit
+            return _without_digit_limit(render, num, den)
+        return f"{'-' if m < 0 else ''}{text[:cut]}.{text[cut:]}"
+
+    return render
+
+
 def rational_decimal(num: int, den: int, digits: int) -> str:
-    """num/den (den > 0) as a decimal string with `digits` >= 1 fractional
-    digits, rounded half-even; integer arithmetic only."""
-    scale = 10**digits
-    m, r = divmod(num * scale, den)
-    if 2 * r > den or (2 * r == den and m & 1):
-        m += 1
-    return _fixed_point(m, digits)
-
-
-def _fixed_point(m: int, digits: int) -> str:
-    """The decimal string of m / 10^digits."""
-    ip, fp = divmod(abs(m), 10**digits)
-    try:
-        return f"{'-' if m < 0 else ''}{ip}.{str(fp).zfill(digits)}"
-    except ValueError:  # past the int-to-str digit limit
-        return _without_digit_limit(_fixed_point, m, digits)
+    """num/den (den > 0) as a decimal string with `digits` fractional digits
+    in [1, MAX_DECIMAL_DIGITS], rounded half-even; see `decimal_renderer`."""
+    return decimal_renderer(digits)(num, den)
 
 
 _validated_radicands: set[int] = set()
@@ -357,13 +376,12 @@ class QuadExt:
 
         Rounding is half-even; ties can only occur for rational values,
         since an irrational value times a power of ten is never a
-        half-integer.
+        half-integer, so rounding it half up gives the digits exactly.
         """
-        if not isinstance(digits, int) or not 1 <= digits <= MAX_DECIMAL_DIGITS:
-            raise ValueError(f"digits must be in [1, {MAX_DECIMAL_DIGITS}], got {digits!r}")
+        render = decimal_renderer(digits)
         if self.b == 0:
-            return rational_decimal(self.a.numerator, self.a.denominator, digits)
-        return _fixed_point((self * 10**digits + Fraction(1, 2)).floor(), digits)
+            return render(self.a.numerator, self.a.denominator)
+        return render((self * 10**digits + Fraction(1, 2)).floor())
 
     # -- auxiliary -----------------------------------------------------------
 

@@ -311,6 +311,17 @@ def _decimal(value, digits=30):
     return f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
 
 
+CSV_HEADER = "n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal\n"
+
+
+def _csv_oracle(rows, digits):
+    """The `example-scan` CSV lines of per-index oracle rows."""
+    return [CSV_HEADER] + [
+        f"{n},{s},{x},{rational_str(delta)},{_decimal(ratio, digits)}\n"
+        for n, s, x, delta, ratio in rows
+    ]
+
+
 ORACLE_MODELS = {
     # negative first differences up to n ~ 100: negative decimals and monotone_from
     "heavy-negative": ExampleModel(ALPHA, Y3, BivariatePolynomial.monomial(0, 2, -100)),
@@ -332,7 +343,7 @@ def test_scan_matches_per_index_oracle(name):
     assert scan.monotone_from == monotone_from
     assert scan.telescoping_ok
     lines = list(scan_csv_lines(scan.rows, 30))
-    assert lines[1:] == [
+    assert "".join(lines).splitlines(keepends=True)[1:] == [
         f"{n},{s},{x},{rational_str(delta)},{_decimal(ratio)}\n" for n, s, x, delta, ratio in rows
     ]
     # sampled rows: every stride-th index of each segment cut at the
@@ -444,6 +455,18 @@ for _seed in range(30):
             tuple(sorted(_rng.sample(range(1, _n_max + 1), _rng.randint(0, 3)))),
         )
     )
+# a p2 coefficient over the prime 999983: the common denominator of the
+# first differences is 12 * 999983, so most rows reduce to neither an
+# integer nor a denominator of 12
+SCAN_CASES.append(
+    (
+        "prime-denominator",
+        ExampleModel(ALPHA, MODEL.p3, MODEL.p2 + BivariatePolynomial.monomial(2, 0, F(1, 999983))),
+        2000,
+        1,
+        (1000,),
+    )
+)
 
 
 @pytest.mark.parametrize("case", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
@@ -465,6 +488,10 @@ def test_scan_matches_oracle_on_seeded_models(case):
     assert [(n, s, x, F(num, scan.rows.denom)) for n, s, x, num in scan.rows.ints()] == [
         row[:4] for row in want
     ]
+    # at 1 to 3 digits some seeded rows are exact ties, which go to even
+    for digits in (1, 2, 3, 30):
+        csv = "".join(scan_csv_lines(scan.rows, digits))
+        assert csv.splitlines(keepends=True) == _csv_oracle(want, digits)
 
 
 @pytest.mark.parametrize("case", SCAN_CASES[:12], ids=[c[0] for c in SCAN_CASES[:12]])

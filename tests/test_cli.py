@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -117,6 +118,41 @@ def test_example_scan_bytes_pinned(tmp_path, argv, csv_sha, summary_sha):
     assert main(["example-scan", *argv, "--out", str(csv), "--summary-out", str(summary)]) == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
+
+
+@pytest.mark.parametrize("digits", [5000, 10_000])
+def test_example_scan_decimals_beyond_int_digit_limit(tmp_path, digits):
+    # every decimal has more than the default 4300 digits; each must match
+    # round() on the row's exact ratio, rendered with the limit lifted
+    csv = tmp_path / "scan.csv"
+    limit = sys.get_int_max_str_digits()
+    assert main(["example-scan", "--n-max", "12", "--digits", str(digits), "--out", str(csv)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    _, *rows = csv.read_text().splitlines()
+    assert len(rows) == 12
+    sys.set_int_max_str_digits(0)
+    try:
+        for row in rows:
+            n, _, _, delta, decimal = row.split(",")
+            m = round(Fraction(delta) / int(n) ** 2 * 10**digits)
+            ip, fp = divmod(abs(m), 10**digits)
+            assert decimal == f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("n_max", [cli._CSV_CHUNK_LINES + k for k in (-1, 0, 1)])
+def test_example_scan_chunk_boundary(capsys, tmp_path, n_max):
+    # stride 1 gives one row per index: one row short of a chunk, exactly
+    # one chunk, and one row past it
+    csv = tmp_path / "scan.csv"
+    code, out = run_cli(capsys, "example-scan", "--n-max", str(n_max), "--stride", "1")
+    assert code == 0
+    assert main(["example-scan", "--n-max", str(n_max), "--stride", "1", "--out", str(csv)]) == 0
+    assert csv.read_bytes() == out.encode()
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == n_max + 1 and all(line.endswith("\n") for line in lines)
+    assert [int(line.split(",", 1)[0]) for line in lines[1:]] == list(range(1, n_max + 1))
 
 
 def bundled_table_with(change) -> dict:

@@ -287,6 +287,9 @@ def test_to_decimal_digit_bounds():
         ALPHA.to_decimal(0)
     with pytest.raises(ValueError):
         ALPHA.to_decimal(10_001)
+    for digits in (0, 10_001):
+        with pytest.raises(ValueError):
+            rational_decimal(1, 3, digits)
 
 
 # -- misc -------------------------------------------------------------------------
