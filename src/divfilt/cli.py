@@ -21,6 +21,7 @@ from math import gcd
 from divfilt import asymptotics, beatty, monomial, picard
 from divfilt.intersection import form_from_json
 from divfilt.quadfield import MAX_DECIMAL_DIGITS, QuadExt, decimal_renderer, parse_rational
+from divfilt.quadfield import _without_digit_limit
 
 __all__ = ["main", "ConfigError", "IngestError"]
 
@@ -34,7 +35,8 @@ class IngestError(ValueError):
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; integers of any size are written in full."""
+    return _without_digit_limit(json.JSONEncoder(indent=2, sort_keys=True).encode, payload) + "\n"
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -42,19 +44,22 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
-def _load_json(path: str):
+def _read(path: str, parse):
+    """parse(doc) for the UTF-8 JSON document at `path`.  A file that cannot
+    be read, decoded or parsed, or that `parse` rejects, is an IngestError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path} is not valid JSON: {exc}") from exc
+            return parse(json.load(handle))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise IngestError(f"{path}: {exc}") from exc
 
 
 def _positive(kind: str, value: int) -> int:
@@ -63,30 +68,18 @@ def _positive(kind: str, value: int) -> int:
     return value
 
 
-def _parse_quad(args) -> QuadExt:
+def _quad(a: str, b: str, d: int) -> QuadExt:
     try:
-        a = parse_rational(args.a)
-        b = parse_rational(args.b)
-        return QuadExt(a, b, args.d)
+        return QuadExt(parse_rational(a), parse_rational(b), d)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _alpha_from_args(args) -> QuadExt:
-    try:
-        alpha = QuadExt(parse_rational(args.alpha_a), parse_rational(args.alpha_b), args.alpha_d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if alpha.is_rational() or alpha.sign() <= 0:
-        raise ConfigError("alpha must be a positive irrational")
-    return alpha
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def _cmd_quad_eval(args) -> tuple[str, list[str]]:
-    x = _parse_quad(args)
+    x = _quad(args.a, args.b, args.d)
     payload = {
         "value": x.to_json(args.digits),
         "sign": x.sign(),
@@ -103,7 +96,9 @@ def _cmd_quad_eval(args) -> tuple[str, list[str]]:
 
 
 def _cmd_beatty_scan(args) -> tuple[str, list[str]]:
-    alpha = _alpha_from_args(args)
+    alpha = _quad(args.alpha_a, args.alpha_b, args.alpha_d)
+    if alpha.is_rational() or alpha.sign() <= 0:
+        raise ConfigError("alpha must be a positive irrational")
     n_max = _positive("--n-max", args.n_max)
     seq = beatty.BeattySequence(alpha)
     if args.bins is not None:
@@ -129,11 +124,7 @@ def _cmd_beatty_scan(args) -> tuple[str, list[str]]:
 def _example_model_from_args(args) -> asymptotics.ExampleModel:
     if args.table is None:
         return asymptotics.example_model()
-    doc = _load_json(args.table)
-    try:
-        return asymptotics.model_from_form(form_from_json(doc))
-    except ValueError as exc:
-        raise IngestError(f"bad intersection table: {exc}") from exc
+    return _read(args.table, lambda doc: asymptotics.model_from_form(form_from_json(doc)))
 
 
 def _cmd_example_limits(args) -> tuple[str, list[str]]:
@@ -187,11 +178,7 @@ def _cmd_monomial_check(args) -> tuple[str, list[str]]:
         f = monomial.SigmaFiltration.from_callable(lambda n: n)
         source = "identity"
     else:
-        doc = _load_json(args.sigma)
-        try:
-            f = monomial.SigmaFiltration.from_json(doc)
-        except ValueError as exc:
-            raise IngestError(f"bad sigma table: {exc}") from exc
+        f = _read(args.sigma, monomial.SigmaFiltration.from_json)
         source = args.sigma
         if len(f.table) < n_max:
             raise IngestError(
@@ -242,11 +229,7 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         curve, p, q = picard.default_curve()
         points = {"p": p, "q": q}
     else:
-        doc = _load_json(args.curve)
-        try:
-            curve, points = picard.curve_from_json(doc)
-        except ValueError as exc:
-            raise IngestError(f"bad curve document: {exc}") from exc
+        curve, points = _read(args.curve, picard.curve_from_json)
         if "p" not in points or "q" not in points:
             raise IngestError("curve document must name points 'p' and 'q'")
         p, q = points["p"], points["q"]

@@ -121,9 +121,9 @@ class SigmaFiltration:
     def __post_init__(self) -> None:
         if (self.func is None) == (not self.table):
             raise ValueError("provide exactly one of table or func")
-        for v in self.table:
-            if type(v) is not int or v < 1:  # type(), not isinstance: bool is an int
-                raise ValueError(f"sigma values must be positive integers, got {v!r}")
+        for v in self.table:  # the bound build_In applies, checked here once
+            if type(v) is not int or not 0 < v < _MAX_EXPONENT:  # type(): bool is an int
+                raise ValueError(f"sigma values must be positive integers below 2^63, got {v!r}")
         object.__setattr__(self, "table", tuple(self.table))
 
     @classmethod
@@ -140,12 +140,11 @@ class SigmaFiltration:
     def sigma(self, n: int) -> int:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        if self.func is not None:
-            value = self.func(n)
-        else:
+        if self.func is None:
             if n > len(self.table):
                 raise ValueError(f"sigma table has {len(self.table)} entries; n={n}")
-            value = self.table[n - 1]
+            return self.table[n - 1]
+        value = self.func(n)
         if type(value) is not int or value < 1:
             raise ValueError(f"sigma({n}) must be a positive integer, got {value!r}")
         return value

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from importlib import resources
 
 import jsonschema
@@ -408,6 +409,35 @@ def test_elliptic_qn_beyond_int_digit_limit(capsys):
     assert max(len(p["x"]) for p in doc["qn"]["points"] if isinstance(p, dict)) > 4300
 
 
+def loads_any_size(text: str):
+    """json.loads with the int-from-str digit limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_quad_eval_reports_integers_past_the_digit_limit(capsys):
+    # a^2 has about 1.2 times the limit in digits; the report holds it in full
+    limit = sys.get_int_max_str_digits()
+    a = 10 ** (limit * 6 // 10) - 1
+    code, out = run_cli(capsys, "quad-eval", "--a", str(a), "--b", "1", "--d", "2")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    assert loads_any_size(out)["minimal_quadratic"] == [1, -2 * a, a * a - 2]
+
+
+def test_quad_eval_scale_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    n = 10**limit - 1
+    code, out = run_cli(capsys, "quad-eval", "--a", "100", "--b", "1", "--d", "2", "--scale", str(n))
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    doc = loads_any_size(out)
+    assert doc["floor_scaled"] == 100 * n + isqrt(2 * n * n)
+    assert doc["ceil_scaled"] == doc["floor_scaled"] + 1
+
+
 def test_bundled_table_matches_schema():
     doc = json.loads(
         resources.files("divfilt").joinpath("data/intersection_table.json").read_text()
@@ -586,6 +616,51 @@ def test_ingestion_errors_exit_three(capsys, tmp_path):
     no_k_rows = tmp_path / "no_k_rows.json"
     no_k_rows.write_text(json.dumps({"generators": ["S", "F", "K"], "triples": cubic_rows}))
     assert run_cli(capsys, "example-limits", "--table", str(no_k_rows))[0] == 3
+
+
+UNREADABLE = ["missing", "directory", "not-utf8", "malformed", "nested-100000", "int-past-limit"]
+READERS = [
+    ("example-limits", "--table"),
+    ("monomial-check", "--n-max", "1", "--sigma"),
+    ("elliptic-qn", "--curve"),
+]
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+@pytest.mark.parametrize("argv", READERS, ids=lambda a: a[0])
+def test_unreadable_documents_exit_three(capsys, tmp_path, argv, case):
+    contents = {
+        "not-utf8": b"\xff\xfe",
+        "malformed": b"{not json",
+        "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+        "int-past-limit": b"[" + b"9" * (sys.get_int_max_str_digits() + 1) + b"]",
+    }
+    path = tmp_path / f"{case}.json"
+    if case == "directory":
+        path.mkdir()
+    elif case in contents:
+        path.write_bytes(contents[case])
+    assert main([*argv, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("divfilt: ingestion error:") and str(path) in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--filtration-max", "1")], ids=["rows", "filtration"])
+def test_sigma_values_past_2_63_exit_three(capsys, tmp_path, extra):
+    path = tmp_path / "sigma.json"
+    path.write_text(f"[{2**63}]")
+    assert main(["monomial-check", "--sigma", str(path), "--n-max", "1", *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("divfilt: ingestion error:") and "2^63" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--summary-out"])
+def test_unwritable_output_exits_two(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "report"
+    assert main(["example-scan", "--n-max", "10", flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("divfilt: configuration error:") and str(target) in err
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):

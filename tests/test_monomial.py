@@ -164,6 +164,10 @@ def test_sigma_table_bounds():
         SigmaFiltration(table=(1, 0, 3))
     with pytest.raises(ValueError):
         SigmaFiltration.from_json([])
+    # table values get build_In's exponent bound where they are read
+    with pytest.raises(ValueError, match="2\\^63"):
+        SigmaFiltration.from_json([2**63])
+    assert SigmaFiltration.from_json([2**63 - 1]).sigma(1) == 2**63 - 1
 
 
 def test_sigma_rejects_bools():
