@@ -6,7 +6,8 @@ keys, exact rational strings, correctly rounded decimals, no timestamps).
 Commands attach audit flags to their reports; ``--strict`` turns any
 ``discrepancy:`` flag into exit status 1.  Exit status 2 marks a
 configuration error, 3 an ingestion error, 4 an internal error (any other
-exception, reported in one line on stderr).
+exception, reported in one line on stderr).  A reader that closes stdout
+early ends the report there; the exit status stays what the run computed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write a report, or its chunks in order as they are produced."""
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            pass  # the reader closed the pipe early: a short read, not a fault
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
@@ -250,12 +255,11 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         flags.append("discrepancy:qn-returns-to-q")
     restriction = []
     all_trivial = True
-    for n in range(1, restrict_max + 1):
-        rep = picard.restriction_report(curve, p, q, n)
+    for rep in picard.restriction_replay(curve, p, q, restrict_max, seq.points):
         ok = rep.trivial and rep.abel_jacobi_consistent and rep.exceptional_rules_coherent
         all_trivial = all_trivial and ok
         if not ok:
-            flags.append(f"discrepancy:restriction-nontrivial n={n}")
+            flags.append(f"discrepancy:restriction-nontrivial n={rep.n}")
             restriction.append(rep.to_json())
     payload = {
         "curve": picard.curve_to_json(curve, {"p": p, "q": q}),

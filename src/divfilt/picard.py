@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from divfilt.quadfield import parse_rational, rational_str
 
@@ -58,6 +58,7 @@ __all__ = [
     "WitnessVerdict",
     "restriction_class",
     "restriction_report",
+    "restriction_replay",
     "RestrictionReport",
     "RATIONAL_TORSION_BOUND",
     "curve_from_json",
@@ -505,6 +506,46 @@ def restriction_report(
     E.check(q)
     qn = E.add(p, E.mul(n, E.sub(q, p)))
     ledger = E.add(E.mul(n, q), E.mul(1 - n, p))  # class(n q + (1 - n) p) = (1, ledger)
+    return _restriction_verdicts(E, p, n, qn, ledger, drop_exceptional_term)
+
+
+def restriction_replay(
+    E: EllipticCurve, p: CurvePoint, q: CurvePoint, levels: int, points: Sequence[CurvePoint]
+) -> list[RestrictionReport]:
+    """`restriction_report(E, p, q, n)` for 1 <= n <= levels, in one pass.
+
+    q_n is read off `points`, which holds q_1, q_2, ... as
+    `qn_sequence(...).points` gives them; past its end each level takes one
+    chord step q_n = q_(n-1) + (q - p).  The ledger point [n]q + [1 - n]p is
+    kept as two running sums, [n]q += q and [1 - n]p += -p, so a level costs
+    O(1) group-law additions, and the verdicts are read off as
+    `restriction_report` reads them.  The ledger never touches `points`, so
+    over Q the Abel-Jacobi verdict compares a running chord sum with the
+    division-polynomial point.
+    """
+    if not isinstance(levels, int) or levels < 1:
+        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+    E.check(p)
+    E.check(q)
+    step, neg_p = E.sub(q, p), E.neg(p)
+    qn, nq, mp = p, O, p  # q_0, [0]q and [1 - 0]p
+    reports = []
+    for n in range(1, levels + 1):
+        qn = points[n - 1] if n <= len(points) else E.add(qn, step)
+        nq, mp = E.add(nq, q), E.add(mp, neg_p)
+        reports.append(_restriction_verdicts(E, p, n, qn, E.add(nq, mp), False))
+    return reports
+
+
+def _restriction_verdicts(
+    E: EllipticCurve,
+    p: CurvePoint,
+    n: int,
+    qn: CurvePoint,
+    ledger: CurvePoint,
+    drop_exceptional_term: bool,
+) -> RestrictionReport:
+    """The level-n report read off q_n and the ledger point [n]q + [1 - n]p."""
     assembled = DivisorClass(1, ledger) if drop_exceptional_term else DivisorClass(0, E.sub(ledger, qn))
     # class(-p - q_n) + class(q_n) = class(-p): after and before the blowup
     rules = E.add(E.sub(E.neg(p), qn), qn) == E.neg(p)

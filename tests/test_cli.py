@@ -12,7 +12,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from divfilt import cli
+from divfilt import cli, picard
 from divfilt.cli import main
 
 
@@ -295,6 +295,15 @@ FP_CURVE = {
     "B": "1289995",
     "points": {"p": "O", "q": {"x": "235916", "y": "396205"}},
 }
+# p = -[2]q on the default curve, so p is affine and q_n is one chord step from p
+NEG_2Q_CURVE = {
+    "field": "Q",
+    "A": "0",
+    "B": "-2",
+    "points": {"p": {"x": "129/100", "y": "383/1000"}, "q": {"x": "3", "y": "5"}},
+}
+# y^2 = x^3 + 1 with q = (2, 3) of order 6: the generic ladder, with collisions
+TORSION_CURVE = {"field": "Q", "A": "0", "B": "1", "points": {"p": "O", "q": {"x": "2", "y": "3"}}}
 REPORT_BYTES = [
     (
         "monomial-identity",
@@ -326,6 +335,22 @@ REPORT_BYTES = [
         ("elliptic-qn", "--n-max", "200", "--restriction-max", "50"),
         "6992221180750b0ed7ce00c7048b742bd8a40a8be21c565b4e120cdc4c9db4b9",
     ),
+    # recorded before the restriction replay read q_n off the sequence
+    (
+        "elliptic-restriction-past-sequence",
+        ("elliptic-qn", "--n-max", "10", "--restriction-max", "30"),
+        "34a40d5f0b69e111b0266d4ad4d40265bddca54a2fa43832f1c26c672375225f",
+    ),
+    (
+        "elliptic-affine-p",
+        ("elliptic-qn", "--curve", "neg2q.json", "--n-max", "12", "--restriction-max", "12"),
+        "323a3337bc1278bc579debdc1c03c8d0dc0163f3fc603a4b0f081e69df27c295",
+    ),
+    (
+        "elliptic-torsion-step",
+        ("elliptic-qn", "--curve", "torsion.json", "--n-max", "20", "--restriction-max", "20"),
+        "409493899543c16808bf3ae5f5ba12d4263fa74e7bdf8c3d28bba642acff4425",
+    ),
 ]
 
 
@@ -334,6 +359,8 @@ def test_monomial_and_elliptic_bytes_pinned(tmp_path, monkeypatch, argv, sha):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sigma.json").write_text(json.dumps(SEEDED_SIGMA))
     (tmp_path / "curve.json").write_text(json.dumps(FP_CURVE))
+    (tmp_path / "neg2q.json").write_text(json.dumps(NEG_2Q_CURVE))
+    (tmp_path / "torsion.json").write_text(json.dumps(TORSION_CURVE))
     assert main([*argv, "--out", "report.json"]) == 0
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == sha
 
@@ -661,6 +688,37 @@ def test_unwritable_output_exits_two(capsys, tmp_path, flag):
     assert main(["example-scan", "--n-max", "10", flag, str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("divfilt: configuration error:") and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("example-scan", "--n-max", "100000", "--stride", "1"), 0),
+        (("elliptic-qn", "--curve", "{torsion}", "--n-max", "5000", "--strict"), 1),
+    ],
+    ids=["example-scan", "elliptic-qn-strict"],
+)
+def test_reader_closing_stdout_early_is_not_an_error(tmp_path, argv, code):
+    torsion = tmp_path / "torsion.json"
+    torsion.write_text(json.dumps(TORSION_CURVE))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "divfilt", *(a.format(torsion=torsion) for a in argv)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()  # the report is far longer than the pipe holds
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == code
+    assert err == b""
+
+
+def test_elliptic_default_runs_no_scalar_ladder(capsys, monkeypatch):
+    calls = []
+    mul = picard.EllipticCurve.mul
+    monkeypatch.setattr(picard.EllipticCurve, "mul", lambda self, k, P: calls.append(k) or mul(self, k, P))
+    assert main(["elliptic-qn"]) == 0
+    assert calls == []
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):

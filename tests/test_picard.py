@@ -23,6 +23,7 @@ from divfilt.picard import (
     infinite_order_witness,
     qn_sequence,
     restriction_class,
+    restriction_replay,
     restriction_report,
     scalar_mul,
 )
@@ -434,6 +435,45 @@ def test_restriction_report_coherence(curve, p, q, n, drop):
     assert rep.trivial is not drop
     assert rep.abel_jacobi_consistent
     assert rep.exceptional_rules_coherent
+
+
+E_TORSION = EllipticCurve(F(0), F(1))
+Q_TORSION = CurvePoint(F(2), F(3))  # order 6 on y^2 = x^3 + 1
+REPLAY_CASES = RESTRICTION_CASES + [("Q,torsion", E_TORSION, O, Q_TORSION)]
+
+
+@pytest.mark.parametrize("known", [20, 6, 0], ids=["from-sequence", "past-sequence", "no-points"])
+@pytest.mark.parametrize("curve,p,q", [c[1:] for c in REPLAY_CASES], ids=[c[0] for c in REPLAY_CASES])
+def test_restriction_replay_matches_per_level_reports(curve, p, q, known):
+    points = qn_sequence(curve, p, q, 20).points[:known]
+    got = restriction_replay(curve, p, q, 20, points)
+    assert got == [restriction_report(curve, p, q, n) for n in range(1, 21)]
+
+
+def test_restriction_replay_perturbed_group_law_flagged(monkeypatch):
+    # a group law wrong on one input, the ledger's last addition
+    # [n]q + [1 - n]p at level 7, breaks that level's ledger in the replay
+    # as it does in the per-level report
+    p = scalar_mul(E, 3, Q0)
+    points = qn_sequence(E, p, Q0, 10).points
+    wrong = (E.mul(7, Q0), E.mul(-6, p))
+    add = EllipticCurve.add
+
+    def perturbed(self, P, Q):
+        return add(self, add(self, P, Q), Q0) if (P, Q) == wrong else add(self, P, Q)
+
+    monkeypatch.setattr(EllipticCurve, "add", perturbed)
+    oracle = restriction_report(E, p, Q0, 7)
+    assert not oracle.abel_jacobi_consistent and not oracle.trivial
+    replay = restriction_replay(E, p, Q0, 10, points)
+    assert replay[6] == oracle
+    assert [r.n for r in replay if not r.abel_jacobi_consistent] == [7]
+
+
+@pytest.mark.parametrize("levels", [0, -1, 2.0])
+def test_restriction_replay_rejects_bad_levels(levels):
+    with pytest.raises(ValueError):
+        restriction_replay(E, P0, Q0, levels, ())
 
 
 # -- JSON ---------------------------------------------------------------------------
