@@ -13,10 +13,10 @@ from divfilt.picard import (
     O,
     CurvePoint,
     EllipticCurve,
+    class_of,
     default_curve,
     infinite_order_witness,
     qn_sequence,
-    restriction_class,
     restriction_report,
 )
 
@@ -38,9 +38,10 @@ print()
 
 print("restriction classes (must all be trivial):")
 for n in (1, 5, 25, 50):
-    cls = restriction_class(E, p, q, n)
+    cls = restriction_report(E, p, q, n).assembled
     print(f"  n={n:>2}: degree={cls.degree} point={cls.point}  trivial={cls.is_trivial}")
-perturbed = restriction_class(E, p, q, 5, drop_exceptional_term=True)
+# the same divisor n q + (1 - n) p without the exceptional term -q_n
+perturbed = class_of(E, [(q, 5), (p, -4)])
 print(f"  n= 5 without the exceptional term: degree={perturbed.degree}  (load-bearing!)")
 detail = restriction_report(E, p, q, 5)
 print(f"  coherence: abel_jacobi={detail.abel_jacobi_consistent} "

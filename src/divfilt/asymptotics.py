@@ -61,7 +61,6 @@ __all__ = [
     "ExampleModel",
     "LimitReport",
     "CesaroResult",
-    "ScanRow",
     "ScanRows",
     "SigmaStats",
     "ScanResult",
@@ -221,34 +220,13 @@ def cesaro_consistency(model: ExampleModel, L0: QuadExt, L1: QuadExt) -> CesaroR
 # -- empirical scan ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One sampled index; delta = delta_num / denom exactly."""
-
-    n: int
-    sigma: int
-    ceil_alpha_n: int
-    delta_num: int
-    denom: int
-
-    @property
-    def delta(self) -> Fraction:
-        return _F(self.delta_num, self.denom)
-
-    @property
-    def ratio(self) -> Fraction:
-        """delta / n^2"""
-        return _F(self.delta_num, self.denom * self.n * self.n)
-
-
 class ScanRows:
     """The sampled rows, computed on demand.  Rows sit at every `stride`-th
     index of each segment cut at the checkpoints and at n_max, plus each
     segment's last index; the row count follows from that rule, and each row
     costs one or two integer square roots, so nothing is held.  Iteration
-    builds a `ScanRow` per row; `ints()` yields the raw (n, sigma,
-    ceil(alpha*n), delta numerator) tuples over the common denominator
-    `denom`."""
+    yields (n, sigma, ceil(alpha*n), delta numerator) tuples; delta is the
+    numerator over the common denominator `denom`."""
 
     def __init__(self, deltas: _Deltas, cuts: Sequence[int], stride: int) -> None:
         self._deltas = deltas
@@ -265,10 +243,7 @@ class ScanRows:
     def __len__(self) -> int:
         return self._len
 
-    def __iter__(self) -> Iterator[ScanRow]:
-        return (ScanRow(*row, self.denom) for row in self.ints())
-
-    def ints(self) -> Iterator[tuple[int, int, int, int]]:
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
         stride = self._stride
         return self._deltas.rows(
             n

@@ -160,12 +160,12 @@ _CSV_CHUNK_LINES = 1024
 
 
 def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
-    """The `example-scan` CSV rendered from the rows' ints: the header line,
+    """The `example-scan` CSV rendered from the rows: the header line,
     then the rows in chunks of up to `_CSV_CHUNK_LINES` lines each."""
     yield "n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal\n"
     decimal = decimal_renderer(digits)
     denom = rows.denom
-    ints = rows.ints()
+    ints = iter(rows)
     while True:
         lines = []
         for n, s, x, num in islice(ints, _CSV_CHUNK_LINES):
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     eq = add("elliptic-qn", "elliptic point sequence and restriction audit")
     eq.add_argument("--curve", help="curve JSON (default: y^2 = x^3 - 2 over Q, p=O, q=(3,5))")
     eq.add_argument("--n-max", type=int, default=60)
-    eq.add_argument("--witness-bound", type=int, default=12)
+    eq.add_argument("--witness-bound", type=int, default=picard.RATIONAL_TORSION_BOUND)
     eq.add_argument("--restriction-max", type=int, default=50)
     eq.set_defaults(func=_cmd_elliptic_qn)
 

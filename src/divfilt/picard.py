@@ -56,7 +56,6 @@ __all__ = [
     "QnReport",
     "infinite_order_witness",
     "WitnessVerdict",
-    "restriction_class",
     "restriction_report",
     "restriction_replay",
     "RestrictionReport",
@@ -479,20 +478,15 @@ class RestrictionReport:
         }
 
 
-def restriction_report(
-    E: EllipticCurve,
-    p: CurvePoint,
-    q: CurvePoint,
-    n: int,
-    drop_exceptional_term: bool = False,
-) -> RestrictionReport:
+def restriction_report(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n: int) -> RestrictionReport:
     """Replay the blowup restriction bookkeeping at level n.
 
     The assembled class is that of (n(q - p) + p) - q_n, i.e. the formal
     divisor [(q, n), (p, 1 - n), (q_n, -1)]; it must be trivial, which is
-    exactly the statement that q_n represents the restricted bundle.  With
-    `drop_exceptional_term` the -q_n term (the exceptional-curve pairing) is
-    omitted, leaving a degree-1 class: the term is load-bearing.
+    exactly the statement that q_n represents the restricted bundle.
+    Without the -q_n term (the exceptional-curve pairing) the class is
+    `class_of(E, [(q, n), (p, 1 - n)])`, of degree 1: the term is
+    load-bearing.
 
     Two coherence checks ride along: the Abel-Jacobi identification
     class(n(q-p) + p) = (1, q_n), and the exceptional pairing rules
@@ -506,7 +500,7 @@ def restriction_report(
     E.check(q)
     qn = E.add(p, E.mul(n, E.sub(q, p)))
     ledger = E.add(E.mul(n, q), E.mul(1 - n, p))  # class(n q + (1 - n) p) = (1, ledger)
-    return _restriction_verdicts(E, p, n, qn, ledger, drop_exceptional_term)
+    return _restriction_verdicts(E, p, n, qn, ledger)
 
 
 def restriction_replay(
@@ -514,39 +508,36 @@ def restriction_replay(
 ) -> list[RestrictionReport]:
     """`restriction_report(E, p, q, n)` for 1 <= n <= levels, in one pass.
 
-    q_n is read off `points`, which holds q_1, q_2, ... as
-    `qn_sequence(...).points` gives them; past its end each level takes one
-    chord step q_n = q_(n-1) + (q - p).  The ledger point [n]q + [1 - n]p is
-    kept as two running sums, [n]q += q and [1 - n]p += -p, so a level costs
-    O(1) group-law additions, and the verdicts are read off as
-    `restriction_report` reads them.  The ledger never touches `points`, so
-    over Q the Abel-Jacobi verdict compares a running chord sum with the
-    division-polynomial point.
+    q_n is read off a sequence: `points`, which holds q_1, q_2, ... as
+    `qn_sequence(...).points` gives them, when it reaches level `levels`,
+    else the sequence recomputed to that level.  The ledger point
+    [n]q + [1 - n]p is kept as two running sums, [n]q += q and
+    [1 - n]p += -p, so a level costs O(1) group-law additions, and the
+    verdicts are read off as `restriction_report` reads them.  The ledger
+    never touches the sequence, so over Q on an integral model with a step
+    of infinite order the Abel-Jacobi verdict compares a running chord sum
+    with a division-polynomial point.
     """
     if not isinstance(levels, int) or levels < 1:
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
     E.check(p)
     E.check(q)
-    step, neg_p = E.sub(q, p), E.neg(p)
-    qn, nq, mp = p, O, p  # q_0, [0]q and [1 - 0]p
+    if len(points) < levels:
+        points = _sequence_points(E, p, E.sub(q, p), levels)
+    neg_p = E.neg(p)
+    nq, mp = O, p  # [0]q and [1 - 0]p
     reports = []
     for n in range(1, levels + 1):
-        qn = points[n - 1] if n <= len(points) else E.add(qn, step)
         nq, mp = E.add(nq, q), E.add(mp, neg_p)
-        reports.append(_restriction_verdicts(E, p, n, qn, E.add(nq, mp), False))
+        reports.append(_restriction_verdicts(E, p, n, points[n - 1], E.add(nq, mp)))
     return reports
 
 
 def _restriction_verdicts(
-    E: EllipticCurve,
-    p: CurvePoint,
-    n: int,
-    qn: CurvePoint,
-    ledger: CurvePoint,
-    drop_exceptional_term: bool,
+    E: EllipticCurve, p: CurvePoint, n: int, qn: CurvePoint, ledger: CurvePoint
 ) -> RestrictionReport:
     """The level-n report read off q_n and the ledger point [n]q + [1 - n]p."""
-    assembled = DivisorClass(1, ledger) if drop_exceptional_term else DivisorClass(0, E.sub(ledger, qn))
+    assembled = DivisorClass(0, E.sub(ledger, qn))
     # class(-p - q_n) + class(q_n) = class(-p): after and before the blowup
     rules = E.add(E.sub(E.neg(p), qn), qn) == E.neg(p)
     return RestrictionReport(
@@ -557,17 +548,6 @@ def _restriction_verdicts(
         abel_jacobi_consistent=ledger == qn,
         exceptional_rules_coherent=rules,
     )
-
-
-def restriction_class(
-    E: EllipticCurve,
-    p: CurvePoint,
-    q: CurvePoint,
-    n: int,
-    drop_exceptional_term: bool = False,
-) -> DivisorClass:
-    """The assembled restriction class; trivial iff the bookkeeping closes."""
-    return restriction_report(E, p, q, n, drop_exceptional_term).assembled
 
 
 # -- JSON ingestion ------------------------------------------------------------------

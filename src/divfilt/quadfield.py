@@ -31,7 +31,6 @@ __all__ = [
     "floor_cleared",
     "parse_rational",
     "rational_str",
-    "rational_decimal",
     "decimal_renderer",
 ]
 
@@ -105,12 +104,6 @@ def decimal_renderer(digits: int) -> Callable[..., str]:
         return f"{'-' if m < 0 else ''}{text[:cut]}.{text[cut:]}"
 
     return render
-
-
-def rational_decimal(num: int, den: int, digits: int) -> str:
-    """num/den (den > 0) as a decimal string with `digits` fractional digits
-    in [1, MAX_DECIMAL_DIGITS], rounded half-even; see `decimal_renderer`."""
-    return decimal_renderer(digits)(num, den)
 
 
 _validated_radicands: set[int] = set()

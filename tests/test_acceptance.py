@@ -23,7 +23,7 @@ from divfilt.asymptotics import (
 from divfilt.beatty import BeattySequence, partition, value_counts, window_constant
 from divfilt.cli import main as cli_main
 from divfilt.monomial import SigmaFiltration, build_In, min_gens_count
-from divfilt.picard import default_curve, infinite_order_witness, qn_sequence, restriction_class
+from divfilt.picard import default_curve, infinite_order_witness, qn_sequence, restriction_report
 from divfilt.quadfield import QuadExt
 
 ALPHA = example_alpha()
@@ -141,7 +141,7 @@ def test_criterion_10_picard_suite():
     assert rep.q_hits == (1,)  # q_1 = q definitionally; no later returns
     assert rep.avoids_q
     for n in range(1, 51):
-        assert restriction_class(E, p, q, n).is_trivial
+        assert restriction_report(E, p, q, n).assembled.is_trivial
     note(10, "witness certified; q_n distinct to 200 with no returns; restriction trivial to 50")
 
 

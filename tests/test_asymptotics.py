@@ -220,11 +220,10 @@ def test_scan_telescoping(scan100k):
 def test_scan_rows_match_direct_lengths():
     scan = empirical_scan(MODEL, 200, sample_stride=7)
     seq = BeattySequence(ALPHA)
-    for row in scan.rows:
-        assert row.delta == model_length(MODEL, row.n + 1) - model_length(MODEL, row.n)
-        assert row.ratio == row.delta / row.n**2
-        assert row.sigma == seq.sigma(row.n)
-        assert row.ceil_alpha_n == ALPHA.ceil_scaled(row.n)
+    for n, s, x, num in scan.rows:
+        assert F(num, scan.rows.denom) == model_length(MODEL, n + 1) - model_length(MODEL, n)
+        assert s == seq.sigma(n)
+        assert x == ALPHA.ceil_scaled(n)
 
 
 def test_scan_sigma_ratios_near_limits(scan100k):
@@ -314,6 +313,11 @@ def _decimal(value, digits=30):
 CSV_HEADER = "n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal\n"
 
 
+def _exact_rows(rows):
+    """(n, sigma, ceil(alpha*n), delta, delta/n^2) of each scan row, exactly."""
+    return [(n, s, x, F(num, rows.denom), F(num, rows.denom * n * n)) for n, s, x, num in rows]
+
+
 def _csv_oracle(rows, digits):
     """The `example-scan` CSV lines of per-index oracle rows."""
     return [CSV_HEADER] + [
@@ -336,7 +340,7 @@ def test_scan_matches_per_index_oracle(name):
     n_max, checkpoints = 2000, (3, 400, 1999)
     rows, stats, best, best_at, cp, monotone_from = _scan_oracle(model, n_max, checkpoints)
     scan = empirical_scan(model, n_max, 1, checkpoints)
-    assert [(r.n, r.sigma, r.ceil_alpha_n, r.delta, r.ratio) for r in scan.rows] == rows
+    assert _exact_rows(scan.rows) == rows
     assert scan.per_sigma == stats
     assert scan.checkpoint_max == cp
     assert (scan.max_ratio, scan.max_ratio_at) == (best, best_at)
@@ -353,10 +357,8 @@ def test_scan_matches_per_index_oracle(name):
     for hi in (3, 400, 1999, 2000):
         want += [n for n in range(lo, hi + 1) if (n - lo) % 7 == 0 or n == hi]
         lo = hi + 1
-    assert [r.n for r in sampled.rows] == want
-    assert [(r.n, r.sigma, r.ceil_alpha_n, r.delta, r.ratio) for r in sampled.rows] == [
-        rows[n - 1] for n in want
-    ]
+    assert [n for n, _, _, _ in sampled.rows] == want
+    assert _exact_rows(sampled.rows) == [rows[n - 1] for n in want]
     assert sampled.per_sigma == stats and sampled.checkpoint_max == cp
 
 
@@ -484,10 +486,7 @@ def test_scan_matches_oracle_on_seeded_models(case):
     assert scan.estimated_remainder_slope == _slope_oracle(model, rows, n_max)
     want = [rows[n - 1] for n in _sampled_indices(n_max, stride, checkpoints)]
     assert len(scan.rows) == len(want)
-    assert [(r.n, r.sigma, r.ceil_alpha_n, r.delta, r.ratio) for r in scan.rows] == want
-    assert [(n, s, x, F(num, scan.rows.denom)) for n, s, x, num in scan.rows.ints()] == [
-        row[:4] for row in want
-    ]
+    assert _exact_rows(scan.rows) == want
     # at 1 to 3 digits some seeded rows are exact ties, which go to even
     for digits in (1, 2, 3, 30):
         csv = "".join(scan_csv_lines(scan.rows, digits))
@@ -548,7 +547,7 @@ def test_window_certificates_settle_early_and_cover_all(monkeypatch):
 def test_scan_ties_go_to_the_earliest_index():
     ties = empirical_scan(TIES, 3000)
     assert ties.max_ratio_at == ties.per_sigma[0].max_at == 5
-    assert ties.max_ratio == list(ties.rows)[5].ratio
+    assert ties.max_ratio == _exact_rows(ties.rows)[5][4]
     across = empirical_scan(TIES_ACROSS, 500)
     assert (across.per_sigma[0].max_at, across.per_sigma[1].max_at) == (1, 2)
     assert across.max_ratio_at == 1 and across.max_ratio == 22

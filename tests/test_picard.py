@@ -22,7 +22,6 @@ from divfilt.picard import (
     default_curve,
     infinite_order_witness,
     qn_sequence,
-    restriction_class,
     restriction_replay,
     restriction_report,
     scalar_mul,
@@ -387,21 +386,22 @@ def test_witness_finite_field_bounded_only():
 
 def test_restriction_trivial_to_50():
     for n in range(1, 51):
-        assert restriction_class(E, P0, Q0, n).is_trivial
+        assert restriction_report(E, P0, Q0, n).assembled.is_trivial
 
 
 def test_restriction_trivial_affine_p():
     p = scalar_mul(E, 3, Q0)
     for n in (1, 2, 5, 17):
-        assert restriction_class(E, p, Q0, n).is_trivial
+        assert restriction_report(E, p, Q0, n).assembled.is_trivial
 
 
 def test_restriction_n1_trivial():
-    assert restriction_class(E, P0, Q0, 1) == DivisorClass(0, O)
+    assert restriction_report(E, P0, Q0, 1).assembled == DivisorClass(0, O)
 
 
 def test_restriction_perturbed_ledger_flagged(monkeypatch):
-    got = restriction_class(E, P0, Q0, 7, drop_exceptional_term=True)
+    # without the exceptional term -q_7 the divisor has degree 1
+    got = class_of(E, [(Q0, 7), (P0, -6)])
     assert got.degree == 1
     assert not got.is_trivial
     # a group law off by one on negative multiples breaks the ledger point
@@ -427,12 +427,16 @@ RESTRICTION_CASES = [
     "curve,p,q", [c[1:] for c in RESTRICTION_CASES], ids=[c[0] for c in RESTRICTION_CASES]
 )
 def test_restriction_report_coherence(curve, p, q, n, drop):
-    rep = restriction_report(curve, p, q, n, drop_exceptional_term=drop)
+    rep = restriction_report(curve, p, q, n)
     qn = curve.add(p, curve.mul(n, curve.sub(q, p)))
-    divisor = [(q, n), (p, 1 - n)] if drop else [(q, n), (p, 1 - n), (qn, -1)]
     assert rep.qn == qn
-    assert rep.assembled == class_of(curve, divisor)  # the formal divisor, point by point
-    assert rep.trivial is not drop
+    # the formal divisor, point by point; without the -q_n term it is the
+    # degree-1 class (1, q_n), never trivial
+    divisor = [(q, n), (p, 1 - n)] if drop else [(q, n), (p, 1 - n), (qn, -1)]
+    cls = class_of(curve, divisor)
+    assert cls == (DivisorClass(1, qn) if drop else rep.assembled)
+    assert cls.is_trivial is not drop
+    assert rep.trivial
     assert rep.abel_jacobi_consistent
     assert rep.exceptional_rules_coherent
 
@@ -468,6 +472,23 @@ def test_restriction_replay_perturbed_group_law_flagged(monkeypatch):
     replay = restriction_replay(E, p, Q0, 10, points)
     assert replay[6] == oracle
     assert [r.n for r in replay if not r.abel_jacobi_consistent] == [7]
+
+
+def test_restriction_replay_past_sequence_flags_wrong_chord_step(monkeypatch):
+    # a group law wrong on the step of q that lands on [11]q: past the end of
+    # `points` the replay must not take q_n from a chord step, which for p = O
+    # is the same addition as the ledger's running sum [n]q += q
+    points = qn_sequence(E, P0, Q0, 10).points
+    q10, q11 = E.mul(10, Q0), E.mul(11, Q0)
+    add = EllipticCurve.add
+
+    def perturbed(self, P, Q):
+        return add(self, q11, q11) if (P, Q) == (q10, Q0) else add(self, P, Q)
+
+    monkeypatch.setattr(EllipticCurve, "add", perturbed)
+    replay = restriction_replay(E, P0, Q0, 15, points)
+    flagged = [r.n for r in replay if not r.abel_jacobi_consistent and not r.trivial]
+    assert flagged == [11, 12, 13, 14, 15]
 
 
 @pytest.mark.parametrize("levels", [0, -1, 2.0])

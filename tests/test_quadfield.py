@@ -15,8 +15,8 @@ import pytest
 from divfilt.quadfield import (
     QuadExt,
     RadicandMismatchError,
+    decimal_renderer,
     parse_rational,
-    rational_decimal,
     rational_str,
 )
 
@@ -258,17 +258,17 @@ def test_to_decimal_negative_and_rational_ties():
 def test_rational_decimal_matches_fraction_round():
     # half-even ties on both signs, and random values against round() on
     # Fraction, which rounds half to even
-    assert rational_decimal(1, 4, 1) == "0.2"
-    assert rational_decimal(-1, 4, 1) == "-0.2"
-    assert rational_decimal(-3, 4, 1) == "-0.8"
-    assert rational_decimal(-1, 200, 2) == "0.00"  # rounds to zero: no sign
+    assert decimal_renderer(1)(1, 4) == "0.2"
+    assert decimal_renderer(1)(-1, 4) == "-0.2"
+    assert decimal_renderer(1)(-3, 4) == "-0.8"
+    assert decimal_renderer(2)(-1, 200) == "0.00"  # rounds to zero: no sign
     rng = random.Random(4242)
     for _ in range(500):
         num, den, digits = rng.randint(-10**9, 10**9), rng.randint(1, 10**6), rng.randint(1, 12)
         m = round(F(num, den) * 10**digits)
         ip, fp = divmod(abs(m), 10**digits)
         want = f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
-        assert rational_decimal(num, den, digits) == want
+        assert decimal_renderer(digits)(num, den) == want
         assert QuadExt(F(num, den), F(0), 2).to_decimal(digits) == want
 
 
@@ -289,7 +289,7 @@ def test_to_decimal_digit_bounds():
         ALPHA.to_decimal(10_001)
     for digits in (0, 10_001):
         with pytest.raises(ValueError):
-            rational_decimal(1, 3, digits)
+            decimal_renderer(digits)(1, 3)
 
 
 # -- misc -------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def test_decimals_beyond_int_digit_limit():
     limit = sys.get_int_max_str_digits()
     text = ALPHA.to_decimal(10_000)  # the largest --digits the CLI accepts
     assert text.startswith("0.41277118490649528052") and len(text) == 10_002
-    assert rational_decimal(-1, 3, 5000) == "-0." + "3" * 5000
+    assert decimal_renderer(5000)(-1, 3) == "-0." + "3" * 5000
     assert sys.get_int_max_str_digits() == limit
 
 
