@@ -56,6 +56,8 @@ for s in (0, 1):
     st = scan.per_sigma[s]
     print(f"  sigma={s}: last ratio at n={st.last_n} ~ "
           f"{float(st.last_ratio):.6f} (derived limit ~ {L0.to_decimal(6)})")
+bound = scan.remainder_bound
+print(f"  n*|delta(n)/n^2 - L_sigma| <= {bound} ~ {bound.to_decimal(6)} for every n >= 1")
 print()
 
 print("assembled audit flags:")

@@ -55,7 +55,7 @@ from divfilt.intersection import (
     form_from_json,
     triple_product,
 )
-from divfilt.quadfield import QuadExt, _sign_of_pair, floor_cleared, rational_str
+from divfilt.quadfield import QuadExt, floor_cleared, rational_str
 
 __all__ = [
     "ExampleModel",
@@ -158,7 +158,7 @@ def _as_quad(value, d: int) -> QuadExt:
 
 def model_length(model: ExampleModel, n: int) -> Fraction:
     """(1/6) p3 + (1/4) p2 at (ceil(alpha*n), n), exact rational."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     return _F(1, 6) * model.p3.evaluate_at_n(model.alpha, n) + _F(1, 4) * model.p2.evaluate_at_n(
         model.alpha, n
@@ -287,6 +287,9 @@ class ScanResult:
     `monotone_from` is the smallest index from which the model length never
     decreases again up to n_max (the true lengths are nondecreasing; the
     model may dip at small n where the dropped O(n) remainder dominates).
+    `remainder_bound` is a constant C, read off the class envelopes, with
+    |delta(n)/n^2 - L_sigma| <= C/n for every n >= 1; it does not depend on
+    n_max.
     """
 
     n_max: int
@@ -299,7 +302,7 @@ class ScanResult:
     telescoping_ok: bool
     monotone_from: int
     checkpoint_max: dict
-    estimated_remainder_slope: QuadExt
+    remainder_bound: QuadExt
 
     def to_json(self, digits: int = 30) -> dict:
         return {
@@ -314,7 +317,7 @@ class ScanResult:
             "checkpoint_max": {
                 str(k): rational_str(v) for k, v in sorted(self.checkpoint_max.items())
             },
-            "estimated_remainder_slope": self.estimated_remainder_slope.to_json(digits),
+            "remainder_bound": self.remainder_bound.to_json(digits),
         }
 
 
@@ -483,29 +486,6 @@ def _better(p: _Extreme, q: _Extreme) -> _Extreme:
     return p if lhs > rhs or (lhs == rhs and p.at < q.at) else q
 
 
-def _remainder_slope(model: ExampleModel, deltas: _Deltas, n_max: int) -> QuadExt:
-    """max |delta(n) - n^2 L_sigma| / n over 513 sampled indices, exactly.
-
-    With L_sigma = (u + v*sqrt(d))/w, each deviation is |P + Q*sqrt(d)| over
-    n*denom*w for integers P = dnum*w - denom*n^2*u and Q = -denom*n^2*v;
-    deviations are compared by cross-multiplying, signs from squares."""
-    d, denom = model.alpha.d, deltas.denom
-    limits = [subsequence_limit(model, s)._cleared() for s in (0, 1)]
-    best = (0, 0, 1)  # (P, Q, n*denom*w): zero
-    sample_step = max(1, n_max // 512)
-    samples = list(range(1, n_max + 1, sample_step)) + [n_max]
-    for n, s, _, dnum in deltas.rows(samples):
-        u, v, w = limits[s]
-        P, Q, scale = dnum * w - denom * n * n * u, -denom * n * n * v, n * denom * w
-        if _sign_of_pair(P, Q, d) < 0:
-            P, Q = -P, -Q
-        bP, bQ, bscale = best
-        if _sign_of_pair(P * bscale - bP * scale, Q * bscale - bQ * scale, d) > 0:
-            best = (P, Q, scale)
-    P, Q, scale = best
-    return QuadExt(_F(P, scale), _F(Q, scale), d)
-
-
 def empirical_scan(
     model: ExampleModel,
     n_max: int,
@@ -529,12 +509,12 @@ def empirical_scan(
     at every `sample_stride`-th index of each segment cut at the checkpoints
     and at n_max, plus its last index, and computed on demand.
     """
-    if not isinstance(n_max, int) or n_max < 10:
+    if type(n_max) is not int or n_max < 10:
         raise ValueError(f"n_max must be an integer >= 10, got {n_max!r}")
-    if not isinstance(sample_stride, int) or sample_stride < 1:
+    if type(sample_stride) is not int or sample_stride < 1:
         raise ValueError(f"sample_stride must be a positive integer, got {sample_stride!r}")
     for c in checkpoints:
-        if not isinstance(c, int) or not 1 <= c <= n_max:
+        if type(c) is not int or not 1 <= c <= n_max:
             raise ValueError(f"checkpoint {c!r} outside [1, {n_max}]")
 
     deltas = _Deltas(model)
@@ -577,6 +557,10 @@ def empirical_scan(
         _F(deltas.N.evaluate(deltas.ceil(n), n), denom) == model_length(model, n)
         for n in (1, n_max + 1)
     )
+    # k/denom is L_s, so sign * n * (delta(n)/n^2 - L_s) <= (r1 + r0/n)/denom
+    # <= (r1 + max(r0, 0))/denom on class s; over both signs and classes this
+    # bounds n * |delta(n)/n^2 - L_sigma| for every n >= 1, not only to n_max
+    remainder_bound = max(r1 + max(r0, 0) for _, r1, r0 in envelopes.values()) / denom
 
     return ScanResult(
         n_max=n_max,
@@ -589,7 +573,7 @@ def empirical_scan(
         telescoping_ok=telescoping_ok,
         monotone_from=last_negative.at + 1,
         checkpoint_max={c: ratio(tops[c].num, tops[c].nn) for c in checkpoints},
-        estimated_remainder_slope=_remainder_slope(model, deltas, n_max),
+        remainder_bound=remainder_bound,
     )
 
 

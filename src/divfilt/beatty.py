@@ -55,7 +55,7 @@ class BeattySequence:
 
     def sigma(self, n: int) -> int:
         """floor(alpha*(n+1)) - floor(alpha*n), exact; requires n >= 1."""
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         return self.alpha.floor_scaled(n + 1) - self.alpha.floor_scaled(n)
 
@@ -176,7 +176,7 @@ def _report(seq: BeattySequence, n_max: int, bins: int | None) -> PartitionRepor
     and, since 1 - sigma is the same difference for 1 - frac, the low value
     at floor(k/(1 - frac)).  The high count telescopes to floor(frac*(n_max+1)).
     """
-    if not isinstance(n_max, int) or n_max < 1:
+    if type(n_max) is not int or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     low, high = seq.low_value(), seq.high_value()
     frac = seq.alpha.fractional_part()
@@ -215,7 +215,7 @@ def partition(seq: BeattySequence, n_max: int) -> PartitionReport:
 
 def equidistribution_histogram(seq: BeattySequence, n_max: int, bins: int) -> PartitionReport:
     """Partition report plus exact bin counts of the fractional parts."""
-    if not isinstance(bins, int) or bins < 2:
+    if type(bins) is not int or bins < 2:
         raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
     return _report(seq, n_max, bins)
 

@@ -207,6 +207,16 @@ def _cmd_monomial_check(args) -> tuple[str, list[str]]:
                 "ok": ok,
             }
         )
+    filtration = None
+    if args.filtration_max is not None:
+        m = _positive("--filtration-max", args.filtration_max)
+        if args.sigma is not None and len(f.table) < 2 * m:
+            raise IngestError(f"filtration check up to {m} needs {2 * m} sigma entries")
+        filtration = monomial.filtration_check(f, m, m)
+        flags.extend(
+            f"discrepancy:filtration-containment m={m_} n={n_}"
+            for m_, n_, _, _ in filtration.failures
+        )
     payload = {
         "sigma_source": source,
         "n_max": n_max,
@@ -214,18 +224,8 @@ def _cmd_monomial_check(args) -> tuple[str, list[str]]:
         "all_ok": not flags,
         "audit_flags": flags,
     }
-    if args.filtration_max is not None:
-        m = _positive("--filtration-max", args.filtration_max)
-        if args.sigma is not None and len(f.table) < 2 * m:
-            raise IngestError(f"filtration check up to {m} needs {2 * m} sigma entries")
-        rep = monomial.filtration_check(f, m, m)
-        payload["filtration"] = rep.to_json()
-        if not rep.ok:
-            flags.extend(
-                f"discrepancy:filtration-containment m={m_} n={n_}" for m_, n_, _, _ in rep.failures
-            )
-            payload["audit_flags"] = flags
-            payload["all_ok"] = False
+    if filtration is not None:
+        payload["filtration"] = filtration.to_json()
     return _dumps(payload), flags
 
 
@@ -241,11 +241,10 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         if p == q:
             raise IngestError("curve document names the same point as 'p' and 'q'")
     n_max = _positive("--n-max", args.n_max)
-    bound = _positive("--witness-bound", args.witness_bound)
     restrict_max = _positive("--restriction-max", args.restriction_max)
     flags: list[str] = []
     step = curve.sub(q, p)
-    witness = picard.infinite_order_witness(curve, step, bound)
+    witness = picard.infinite_order_witness(curve, step, picard.RATIONAL_TORSION_BOUND)
     if not witness.passed:
         flags.append(f"discrepancy:torsion-step order={witness.failed_at}")
     seq = picard.qn_sequence(curve, p, q, n_max)
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     eq = add("elliptic-qn", "elliptic point sequence and restriction audit")
     eq.add_argument("--curve", help="curve JSON (default: y^2 = x^3 - 2 over Q, p=O, q=(3,5))")
     eq.add_argument("--n-max", type=int, default=60)
-    eq.add_argument("--witness-bound", type=int, default=picard.RATIONAL_TORSION_BOUND)
     eq.add_argument("--restriction-max", type=int, default=50)
     eq.set_defaults(func=_cmd_elliptic_qn)
 

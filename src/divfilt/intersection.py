@@ -72,7 +72,7 @@ class BivariatePolynomial:
     def __post_init__(self) -> None:
         clean = {}
         for (i, j), c in self.terms.items():
-            if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+            if not (type(i) is int and type(j) is int and i >= 0 and j >= 0):
                 raise ValueError(f"bad exponent pair {(i, j)!r}")
             c = _as_fraction(c)
             if c != 0:
@@ -174,7 +174,7 @@ class BivariatePolynomial:
         """Exact rational value at x = ceil(alpha*n), y = n."""
         if alpha.is_rational():
             raise ValueError("alpha must be irrational")
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n!r}")
         x = alpha.ceil_scaled(n)
         acc = Fraction(0)

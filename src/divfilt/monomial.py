@@ -138,7 +138,7 @@ class SigmaFiltration:
         return cls(func=func)
 
     def sigma(self, n: int) -> int:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         if self.func is None:
             if n > len(self.table):
@@ -159,7 +159,7 @@ def build_In(f: SigmaFiltration, n: int) -> MonomialIdeal:
     z^(n+2) divides none of them nor they it.  So only the largest
     exponents, n+2 and sigma(n), are range-checked; nothing is re-verified.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     s = f.sigma(n)
     if max(n + 2, s) >= _MAX_EXPONENT:

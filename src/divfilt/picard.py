@@ -230,7 +230,7 @@ class EllipticCurve:
         return self.add(P, self.neg(Q))
 
     def mul(self, k: int, P: CurvePoint) -> CurvePoint:
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise TypeError("scalar must be an integer")
         if k < 0:
             return self.mul(-k, self.neg(P))
@@ -388,7 +388,7 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
     own with `E.mul`; every collision follows from that one relation.
     `avoids_q` asserts there is no hit after q_1.
     """
-    if not isinstance(n_max, int) or n_max < 1:
+    if type(n_max) is not int or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     E.check(p)
     E.check(q)
@@ -435,7 +435,7 @@ def infinite_order_witness(E: EllipticCurve, P: CurvePoint, bound: int) -> Witne
     are at most 12).  Over a finite field every point is torsion, so the
     verdict is labeled a bounded check only.
     """
-    if not isinstance(bound, int) or bound < 1:
+    if type(bound) is not int or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
     E.check(P)
     acc = O
@@ -494,7 +494,7 @@ def restriction_report(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n: int) -
     sums formed once, q_n and the ledger point [n]q + [1 - n]p, by the same
     additions `class_of` makes on the formal divisors.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     E.check(p)
     E.check(q)
@@ -518,7 +518,7 @@ def restriction_replay(
     of infinite order the Abel-Jacobi verdict compares a running chord sum
     with a division-polynomial point.
     """
-    if not isinstance(levels, int) or levels < 1:
+    if type(levels) is not int or levels < 1:
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
     E.check(p)
     E.check(q)

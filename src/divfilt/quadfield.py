@@ -85,7 +85,7 @@ def decimal_renderer(digits: int) -> Callable[..., str]:
     that renders many values builds one renderer and calls it per value.
     Each call is at most one exact divmod and the half-even fix-up, then one
     padded ``str`` cut into integer and fractional part."""
-    if not isinstance(digits, int) or not 1 <= digits <= MAX_DECIMAL_DIGITS:
+    if type(digits) is not int or not 1 <= digits <= MAX_DECIMAL_DIGITS:
         raise ValueError(f"digits must be in [1, {MAX_DECIMAL_DIGITS}], got {digits!r}")
     scale, width, cut = 10**digits, digits + 1, -digits
 
@@ -111,7 +111,7 @@ _validated_radicands: set[int] = set()
 
 def _validate_radicand(d: int) -> None:
     # type first: 3.0 hashes like 3 and would pass the cache lookup
-    if not isinstance(d, int) or d < 2:
+    if type(d) is not int or d < 2:
         raise ValueError(f"radicand must be an integer >= 2, got {d!r}")
     if d in _validated_radicands:
         return
@@ -275,7 +275,7 @@ class QuadExt:
         return rhs * self.inverse()
 
     def __pow__(self, k: int) -> QuadExt:
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
         base = self
         if k < 0:
@@ -351,13 +351,13 @@ class QuadExt:
 
     def floor_scaled(self, n: int) -> int:
         """Exact floor(n * self) for a nonnegative integer n."""
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"scale must be a nonnegative integer, got {n!r}")
         return (self * n).floor()
 
     def ceil_scaled(self, n: int) -> int:
         """Exact ceil(n * self) for a nonnegative integer n."""
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"scale must be a nonnegative integer, got {n!r}")
         return -((-self * n).floor())
 

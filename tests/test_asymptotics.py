@@ -368,20 +368,6 @@ def test_oracle_models_cover_their_branches():
     assert ORACLE_MODELS["negative-sqrt"].alpha._cleared()[1] < 0
 
 
-def _slope_oracle(model, rows, n_max):
-    """The remainder-slope sample in Fraction and QuadExt arithmetic:
-    max |delta(n) - n^2 L_sigma| / n over 513 sampled indices, first wins."""
-    limits = {s: subsequence_limit(model, s) for s in (0, 1)}
-    slope = QuadExt.from_rational(0, model.alpha.d)
-    step = max(1, n_max // 512)
-    for n in list(range(1, n_max + 1, step)) + [n_max]:
-        _, s, _, delta, _ = rows[n - 1]
-        dev = abs(delta - (n * n) * limits[s]) / n
-        if dev > slope:
-            slope = dev
-    return slope
-
-
 def _sampled_indices(n_max, stride, checkpoints):
     want, lo = [], 1
     for hi in sorted({n_max, *checkpoints}):
@@ -483,7 +469,9 @@ def test_scan_matches_oracle_on_seeded_models(case):
     assert scan.telescoping_ok
     assert scan.monotone_from == monotone_from
     assert scan.checkpoint_max == cp
-    assert scan.estimated_remainder_slope == _slope_oracle(model, rows, n_max)
+    # the envelope constant bounds the remainder on every index, exactly
+    limits = {s: subsequence_limit(model, s) for s in (0, 1)}
+    assert all(n * abs(ratio - limits[s]) <= scan.remainder_bound for n, s, _, _, ratio in rows)
     want = [rows[n - 1] for n in _sampled_indices(n_max, stride, checkpoints)]
     assert len(scan.rows) == len(want)
     assert _exact_rows(scan.rows) == want
@@ -553,10 +541,17 @@ def test_scan_ties_go_to_the_earliest_index():
     assert across.max_ratio_at == 1 and across.max_ratio == 22
 
 
-def test_scan_remainder_slope_bounded(scan100k):
-    # |delta(n) - n^2 * L_sigma| grows at most linearly; the sampled
-    # estimate is a modest constant for the bundled model
-    assert scan100k.estimated_remainder_slope < 100
+def test_scan_remainder_bound_covers_small_n_and_ignores_n_max():
+    # n = 2 is of class 1 and deviates by 2 |delta(2)/4 - L_1| from its
+    # limit; a 513-index sample of [1, n_max] skips it once n_max >= 1024.
+    # The bound is the model's, the same at n_max = 10 and 10^9
+    delta2 = model_length(MODEL, 3) - model_length(MODEL, 2)
+    deviation = 2 * abs(delta2 / 4 - subsequence_limit(MODEL, 1))
+    assert deviation == QuadExt(F(71831, 1352), F(-27, 169), 3)
+    bound = empirical_scan(MODEL, 10).remainder_bound
+    assert bound >= deviation
+    assert bound == QuadExt(F(69789, 676), F(2679, 338), 3)
+    assert empirical_scan(MODEL, 10**9, 10**8).remainder_bound == bound
 
 
 def test_scan_validation():
