@@ -15,6 +15,7 @@ from divfilt.picard import (
     EllipticCurve,
     class_of,
     default_curve,
+    exceptional_pairing_holds,
     infinite_order_witness,
     qn_sequence,
     restriction_report,
@@ -43,9 +44,9 @@ for n in (1, 5, 25, 50):
 # the same divisor n q + (1 - n) p without the exceptional term -q_n
 perturbed = class_of(E, [(q, 5), (p, -4)])
 print(f"  n= 5 without the exceptional term: degree={perturbed.degree}  (load-bearing!)")
-detail = restriction_report(E, p, q, 5)
-print(f"  coherence: abel_jacobi={detail.abel_jacobi_consistent} "
-      f"exceptional_rules={detail.exceptional_rules_coherent}")
+detail = restriction_report(E, p, q, 50)
+print(f"  coherence: trivial at n=50 = {detail.trivial}  "
+      f"exceptional pairing at q_50 = {exceptional_pairing_holds(E, p, detail.qn)}")
 print()
 
 # what failure looks like: a 2-torsion step point on y^2 = x^3 - x

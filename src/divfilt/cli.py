@@ -252,22 +252,20 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         flags.append(f"discrepancy:qn-collisions count={len(seq.collisions)}")
     if not seq.avoids_q:
         flags.append("discrepancy:qn-returns-to-q")
-    restriction = []
-    all_trivial = True
-    for rep in picard.restriction_replay(curve, p, q, restrict_max, seq.points):
-        ok = rep.trivial and rep.abel_jacobi_consistent and rep.exceptional_rules_coherent
-        all_trivial = all_trivial and ok
-        if not ok:
-            flags.append(f"discrepancy:restriction-nontrivial n={rep.n}")
-            restriction.append(rep.to_json())
+    replay = picard.restriction_replay(curve, p, q, restrict_max, seq.points)
+    failures = [rep for rep in replay if not rep.trivial]
+    flags.extend(f"discrepancy:restriction-nontrivial n={rep.n}" for rep in failures)
+    pairing = picard.exceptional_pairing_holds(curve, p, replay[-1].qn)
+    if not pairing:
+        flags.append(f"discrepancy:exceptional-pairing n={restrict_max}")
     payload = {
         "curve": picard.curve_to_json(curve, {"p": p, "q": q}),
         "witness": witness.to_json(),
         "qn": seq.to_json(),
         "restriction": {
             "max_n": restrict_max,
-            "all_trivial": all_trivial,
-            "failures": restriction,
+            "all_trivial": pairing and not failures,
+            "failures": [rep.to_json() for rep in failures],
         },
         "audit_flags": flags,
     }

@@ -93,14 +93,6 @@ class MonomialIdeal:
         object.__setattr__(ideal, "generators", frozenset(gens))
         return ideal
 
-    @classmethod
-    def zero(cls) -> MonomialIdeal:
-        return cls(frozenset())
-
-    @classmethod
-    def unit(cls) -> MonomialIdeal:
-        return cls(frozenset({(0, 0, 0)}))
-
     def contains_monomial(self, v: Vector) -> bool:
         v = _check_vector(tuple(v))
         return v in self.generators or any(_dominates(v, g) for g in self.generators)

@@ -723,6 +723,33 @@ def test_elliptic_default_runs_no_scalar_ladder(capsys, monkeypatch):
     assert calls == []
 
 
+def test_elliptic_exceptional_pairing_checked_once_per_run(tmp_path, capsys, monkeypatch):
+    # a group law wrong only on the pairing's last addition (-p - q_L) + q_L,
+    # at the deepest level L, fails the run's one identity check
+    path = tmp_path / "neg2q.json"
+    path.write_text(json.dumps(NEG_2Q_CURVE))
+    argv = ("elliptic-qn", "--curve", str(path), "--n-max", "12", "--restriction-max", "12")
+    code, out = run_cli(capsys, *argv, "--strict")
+    doc = json.loads(out)
+    assert code == 0 and doc["restriction"]["all_trivial"] and doc["audit_flags"] == []
+    curve, points = picard.curve_from_json(NEG_2Q_CURVE)
+    p, q = points["p"], points["q"]
+    qL = picard.qn_sequence(curve, p, q, 12).points[-1]
+    last = (curve.sub(curve.neg(p), qL), qL)
+    add = picard.EllipticCurve.add
+
+    def perturbed(self, P, Q):
+        return add(self, add(self, P, Q), q) if (P, Q) == last else add(self, P, Q)
+
+    monkeypatch.setattr(picard.EllipticCurve, "add", perturbed)
+    code, out = run_cli(capsys, *argv, "--strict")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["audit_flags"] == ["discrepancy:exceptional-pairing n=12"]
+    assert doc["restriction"] == {"max_n": 12, "all_trivial": False, "failures": []}
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_internal_error_exits_four(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("kernel fault\nsecond line")

@@ -20,6 +20,9 @@ from divfilt.monomial import (
     product_contained_in,
 )
 
+ZERO = MonomialIdeal(frozenset())  # the zero ideal: no generator
+UNIT = MonomialIdeal(frozenset({(0, 0, 0)}))  # the unit ideal: generated by 1
+
 
 def brute_minimalize(gens):
     gens = {tuple(v) for v in gens}
@@ -147,7 +150,7 @@ def test_count_square_sigma():
 
 
 def test_min_gens_count_zero_ideal():
-    assert min_gens_count(MonomialIdeal.zero()) == 0
+    assert min_gens_count(ZERO) == 0
 
 
 # -- sigma filtration ---------------------------------------------------------
@@ -187,7 +190,7 @@ def test_sigma_rejects_bools():
 def test_unit_ideal_containment():
     f = SigmaFiltration.from_callable(lambda n: n)
     I = build_In(f, 3)
-    assert product_contained_in(I, MonomialIdeal.unit(), I)
+    assert product_contained_in(I, UNIT, I)
 
 
 def test_pure_z_powers():
@@ -220,9 +223,9 @@ def brute_failures(I, J, K):
 
 def _random_ideal(rng, max_gens=5, max_exp=4):
     if rng.random() < 0.08:
-        return MonomialIdeal.zero()
+        return ZERO
     if rng.random() < 0.08:
-        return MonomialIdeal.unit()
+        return UNIT
     k = rng.randint(1, max_gens)
     return minimalize(tuple(rng.randint(0, max_exp) for _ in range(3)) for _ in range(k))
 
@@ -241,11 +244,11 @@ def test_containment_matches_brute_force_oracle():
     fixed = [
         (MonomialIdeal(frozenset(x)), MonomialIdeal(frozenset(y)), MonomialIdeal(frozenset(z))),
         (xy, xy, minimalize([(2, 0, 0), (1, 1, 0), (0, 2, 0)])),  # holds, floor 1 not in K
-        (xy, xy, MonomialIdeal.unit()),
-        (MonomialIdeal.zero(), xy, MonomialIdeal.zero()),
-        (xy, MonomialIdeal.zero(), MonomialIdeal.zero()),
-        (MonomialIdeal.unit(), xy, MonomialIdeal.zero()),
-        (MonomialIdeal.unit(), MonomialIdeal.unit(), MonomialIdeal.unit()),
+        (xy, xy, UNIT),
+        (ZERO, xy, ZERO),
+        (xy, ZERO, ZERO),
+        (UNIT, xy, ZERO),
+        (UNIT, UNIT, UNIT),
     ]
     cases = list(fixed)
     for _ in range(400):

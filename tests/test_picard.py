@@ -15,16 +15,15 @@ from divfilt.picard import (
     PointNotOnCurveError,
     QnReport,
     SingularCurveError,
-    add_points,
     class_of,
     curve_from_json,
     curve_to_json,
     default_curve,
+    exceptional_pairing_holds,
     infinite_order_witness,
     qn_sequence,
     restriction_replay,
     restriction_report,
-    scalar_mul,
 )
 
 E, P0, Q0 = default_curve()  # y^2 = x^3 - 2, p = O, q = (3, 5)
@@ -40,7 +39,7 @@ def test_singular_curve_rejected():
 
 def test_points_validated():
     with pytest.raises(PointNotOnCurveError):
-        add_points(E, CurvePoint(F(1), F(1)), Q0)
+        E.add(E.check(CurvePoint(F(1), F(1))), Q0)
     assert E.contains(O)
     # field elements are int or Fraction: a float or bool is rejected where it enters
     with pytest.raises(ValueError):
@@ -54,28 +53,26 @@ def test_points_validated():
 
 
 def test_identity_and_inverse():
-    assert add_points(E, Q0, O) == Q0
-    assert add_points(E, O, Q0) == Q0
-    assert add_points(E, Q0, E.neg(Q0)) == O
+    assert E.add(Q0, O) == Q0
+    assert E.add(O, Q0) == Q0
+    assert E.add(Q0, E.neg(Q0)) == O
 
 
 def test_doubling_by_hand():
-    assert add_points(E, Q0, Q0) == DOUBLE_Q
-    assert scalar_mul(E, 2, Q0) == DOUBLE_Q
+    assert E.add(Q0, Q0) == DOUBLE_Q
+    assert E.mul(2, Q0) == DOUBLE_Q
 
 
 def test_scalar_mul_basics():
-    assert scalar_mul(E, 0, Q0) == O
-    assert scalar_mul(E, 1, Q0) == Q0
-    assert scalar_mul(E, -1, Q0) == E.neg(Q0)
-    assert scalar_mul(E, 5, Q0) == E.add(
-        scalar_mul(E, 2, Q0), scalar_mul(E, 3, Q0)
-    )
+    assert E.mul(0, Q0) == O
+    assert E.mul(1, Q0) == Q0
+    assert E.mul(-1, Q0) == E.neg(Q0)
+    assert E.mul(5, Q0) == E.add(E.mul(2, Q0), E.mul(3, Q0))
 
 
 def test_group_axioms_spot_checks():
     rng = random.Random(11)
-    pts = [scalar_mul(E, k, Q0) for k in range(-6, 7)]
+    pts = [E.mul(k, Q0) for k in range(-6, 7)]
     for _ in range(60):
         A, B, C = (rng.choice(pts) for _ in range(3))
         assert E.add(E.add(A, B), C) == E.add(A, E.add(B, C))
@@ -87,7 +84,7 @@ def test_scalar_mul_homomorphism():
     rng = random.Random(22)
     for _ in range(30):
         m, n = rng.randint(-8, 8), rng.randint(-8, 8)
-        assert E.add(scalar_mul(E, m, Q0), scalar_mul(E, n, Q0)) == scalar_mul(E, m + n, Q0)
+        assert E.add(E.mul(m, Q0), E.mul(n, Q0)) == E.mul(m + n, Q0)
 
 
 def test_mul_matches_repeated_addition(monkeypatch):
@@ -165,7 +162,7 @@ def test_class_of_empty_and_cancellation():
 
 def test_class_of_homomorphism():
     rng = random.Random(33)
-    pts = [scalar_mul(E, k, Q0) for k in range(1, 6)]
+    pts = [E.mul(k, Q0) for k in range(1, 6)]
     for _ in range(20):
         d1 = [(rng.choice(pts), rng.randint(-3, 3)) for _ in range(3)]
         d2 = [(rng.choice(pts), rng.randint(-3, 3)) for _ in range(2)]
@@ -178,7 +175,7 @@ def test_class_of_qn_shape():
     for n in (1, 2, 7):
         got = class_of(E, [(Q0, n), (P0, 1 - n)])
         assert got.degree == 1
-        assert got.point == scalar_mul(E, n, Q0)  # p = O here
+        assert got.point == E.mul(n, Q0)  # p = O here
 
 
 # -- q_n sequence ------------------------------------------------------------------
@@ -202,12 +199,12 @@ def test_qn_matches_generic_group_law():
     # the division-polynomial multiples must agree with the group law
     rep = qn_sequence(E, P0, Q0, 25)
     for n, pt in enumerate(rep.points, start=1):
-        assert pt == scalar_mul(E, n, Q0)  # p = O here
+        assert pt == E.mul(n, Q0)  # p = O here
 
 
 def test_qn_avoids_q_with_affine_p():
     # with p = [2]q the sequence p + n(q - p) never returns to q after n = 1
-    p = scalar_mul(E, 2, Q0)
+    p = E.mul(2, Q0)
     rep = qn_sequence(E, p, Q0, 120)
     assert rep.all_distinct
     assert rep.q_hits == (1,)
@@ -266,10 +263,10 @@ E_FP = EllipticCurve(400537, 1289995, 1505983)
 PSI, TORSION, LADDER = [True], [False], []
 QN_ORACLE_CASES = [
     ("p=O", E, O, Q0, 40, PSI),
-    ("p=[2]q", E, scalar_mul(E, 2, Q0), Q0, 30, PSI),
-    ("p=-[2]q", E, scalar_mul(E, -2, Q0), Q0, 20, PSI),
+    ("p=[2]q", E, E.mul(2, Q0), Q0, 30, PSI),
+    ("p=-[2]q", E, E.mul(-2, Q0), Q0, 20, PSI),
     ("negative-y-step", E, O, E.neg(Q0), 30, PSI),
-    ("non-integral-step", E, O, scalar_mul(E, 3, Q0), 20, PSI),
+    ("non-integral-step", E, O, E.mul(3, Q0), 20, PSI),
     ("non-integral-model", E_NON_INTEGRAL, O, CurvePoint(F(3, 4), F(5, 8)), 20, LADDER),
     ("order-2", E_ORDER_2, O, CurvePoint(F(0), F(0)), 10, TORSION),
     ("order-3", E_ORDER_3, O, CurvePoint(F(0), F(1)), 10, TORSION),
@@ -390,7 +387,7 @@ def test_restriction_trivial_to_50():
 
 
 def test_restriction_trivial_affine_p():
-    p = scalar_mul(E, 3, Q0)
+    p = E.mul(3, Q0)
     for n in (1, 2, 5, 17):
         assert restriction_report(E, p, Q0, n).assembled.is_trivial
 
@@ -405,18 +402,18 @@ def test_restriction_perturbed_ledger_flagged(monkeypatch):
     assert got.degree == 1
     assert not got.is_trivial
     # a group law off by one on negative multiples breaks the ledger point
-    # [n]q + [1 - n]p but not q_n, so both verdicts must see it
-    p = scalar_mul(E, 3, Q0)
+    # [n]q + [1 - n]p but not q_n, so the verdict must see it
+    p = E.mul(3, Q0)
     mul = EllipticCurve.mul
     monkeypatch.setattr(EllipticCurve, "mul", lambda self, k, P: mul(self, k - (k < 0), P))
     rep = restriction_report(E, p, Q0, 7)
-    assert not rep.abel_jacobi_consistent and not rep.trivial
+    assert not rep.trivial
 
 
 Q_FP = CurvePoint(235916, 396205)
 RESTRICTION_CASES = [
     ("Q,p=O", E, O, Q0),
-    ("Q,p=[3]q", E, scalar_mul(E, 3, Q0), Q0),
+    ("Q,p=[3]q", E, E.mul(3, Q0), Q0),
     ("F_p,p=[5]q", E_FP, E_FP.mul(5, Q_FP), Q_FP),
 ]
 
@@ -437,8 +434,7 @@ def test_restriction_report_coherence(curve, p, q, n, drop):
     assert cls == (DivisorClass(1, qn) if drop else rep.assembled)
     assert cls.is_trivial is not drop
     assert rep.trivial
-    assert rep.abel_jacobi_consistent
-    assert rep.exceptional_rules_coherent
+    assert exceptional_pairing_holds(curve, p, qn)
 
 
 E_TORSION = EllipticCurve(F(0), F(1))
@@ -458,7 +454,7 @@ def test_restriction_replay_perturbed_group_law_flagged(monkeypatch):
     # a group law wrong on one input, the ledger's last addition
     # [n]q + [1 - n]p at level 7, breaks that level's ledger in the replay
     # as it does in the per-level report
-    p = scalar_mul(E, 3, Q0)
+    p = E.mul(3, Q0)
     points = qn_sequence(E, p, Q0, 10).points
     wrong = (E.mul(7, Q0), E.mul(-6, p))
     add = EllipticCurve.add
@@ -468,16 +464,17 @@ def test_restriction_replay_perturbed_group_law_flagged(monkeypatch):
 
     monkeypatch.setattr(EllipticCurve, "add", perturbed)
     oracle = restriction_report(E, p, Q0, 7)
-    assert not oracle.abel_jacobi_consistent and not oracle.trivial
+    assert not oracle.trivial
     replay = restriction_replay(E, p, Q0, 10, points)
     assert replay[6] == oracle
-    assert [r.n for r in replay if not r.abel_jacobi_consistent] == [7]
+    assert [r.n for r in replay if not r.trivial] == [7]
 
 
 def test_restriction_replay_past_sequence_flags_wrong_chord_step(monkeypatch):
     # a group law wrong on the step of q that lands on [11]q: past the end of
     # `points` the replay must not take q_n from a chord step, which for p = O
-    # is the same addition as the ledger's running sum [n]q += q
+    # is the ledger's addition [10]q + q.  From level 12 on the ledger's
+    # double-and-add chain goes round the wrong step, so only level 11 is off
     points = qn_sequence(E, P0, Q0, 10).points
     q10, q11 = E.mul(10, Q0), E.mul(11, Q0)
     add = EllipticCurve.add
@@ -487,8 +484,27 @@ def test_restriction_replay_past_sequence_flags_wrong_chord_step(monkeypatch):
 
     monkeypatch.setattr(EllipticCurve, "add", perturbed)
     replay = restriction_replay(E, P0, Q0, 15, points)
-    flagged = [r.n for r in replay if not r.abel_jacobi_consistent and not r.trivial]
-    assert flagged == [11, 12, 13, 14, 15]
+    assert [r.n for r in replay if not r.trivial] == [11]
+
+
+def test_restriction_replay_ledger_differs_from_the_ladder(monkeypatch):
+    # over F_p with p = O the sequence is the ladder q_n = q_(n-1) + q.  A
+    # group law wrong on [10]q + q breaks q_11 and every later q_n; a ledger
+    # kept as the same running sum would break with it and flag nothing,
+    # while the double-and-add ledger recovers at [12]q = [2]([6]q)
+    Ep = EllipticCurve(2, 3, 97)
+    q = Ep.check(CurvePoint(0, 10))
+    q10, q11 = Ep.mul(10, q), Ep.mul(11, q)
+    add = EllipticCurve.add
+
+    def perturbed(self, P, Q):
+        return add(self, q11, q11) if (P, Q) == (q10, q) else add(self, P, Q)
+
+    monkeypatch.setattr(EllipticCurve, "add", perturbed)
+    points = qn_sequence(Ep, O, q, 15).points
+    assert points[10] != q11
+    replay = restriction_replay(Ep, O, q, 15, points)
+    assert [r.n for r in replay if not r.trivial] == [12, 13, 14, 15]
 
 
 @pytest.mark.parametrize("levels", [0, -1, 2.0])
