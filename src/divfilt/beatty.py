@@ -11,8 +11,8 @@ Reports on [1, n_max] come from closed forms, not from a scan, so n_max may
 be any size: the counts telescope, the positions of each value form a
 Beatty sequence whose gaps take two adjacent values (Fraenkel 1969; the
 three-distance theorem, Sos 1958), and each histogram bin is a difference of
-two floor sums evaluated by an O(log n_max) reciprocity recursion (or, when
-the bins outnumber the points, each point is binned by its own floors).  Every
+two floor sums evaluated by an O(log n_max) reciprocity recursion (or, past
+about n_max/64 bins, each point is binned by its own floors).  Every
 floor is exact: one integer square root on cleared denominators.
 """
 
@@ -151,10 +151,10 @@ def _max_gap(frac: QuadExt, count: int, n_max: int) -> int:
 
 def _histogram(alpha: QuadExt, n_max: int, bins: int) -> tuple[int, ...]:
     """Bin counts of {alpha*n}, n <= n_max, from #{n : {alpha*n} < t} =
-    sum floor(alpha*n) - sum floor(alpha*n - t) at t = j/bins.  With more
-    bins than points, one floor sum per bin costs more than binning each
-    point at floor(bins*alpha*n) - bins*floor(alpha*n)."""
-    if bins > n_max:
+    sum floor(alpha*n) - sum floor(alpha*n - t) at t = j/bins.  Past about
+    n_max/64 bins (measured), one floor sum per bin costs more than binning
+    each point at floor(bins*alpha*n) - bins*floor(alpha*n)."""
+    if 64 * bins > n_max:
         (A, B, q), d = alpha._cleared(), alpha.d
         counts = [0] * bins
         for n in range(1, n_max + 1):

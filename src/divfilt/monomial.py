@@ -1,10 +1,14 @@
 """Monomial-ideal arithmetic in three variables for graded filtration checks.
 
 An ideal is stored by its minimal monomial generators, an antichain of
-exponent vectors in N^3 under componentwise <=.  The number of minimal
-generators equals the length of I/mI (Nakayama), which is the quantity the
-filtration I_n = (z^(n+2)) + z^(n+1) (x, y)^sigma(n) is built to control:
-it always has exactly sigma(n) + 2 minimal generators.
+exponent vectors in N^3 under componentwise <=.  The filtration
+I_n = (z^(n+2)) + z^(n+1) (x, y)^sigma(n) is known in closed form from n
+and sigma(n): x^a y^b z^c lies in I_n iff c >= n + 2, or both c >= n + 1
+and a + b >= sigma(n) (`in_In`).  Its count of minimal generators, the
+length of I_n/mI_n (Nakayama), is sigma(n) + 2, an identity of the
+construction.  u = x^(sigma(n)-1) z^(n+1) is a socle witness: u is not in
+I_n while xu, yu and zu are, so m is an associated prime of R/I_n for
+every n (`socle_certificate`).  `build_In` is the generator-level oracle.
 
 Vectors are validated once, where they enter: the `MonomialIdeal`
 constructor checks its vectors and rejects a non-antichain, `minimalize`
@@ -24,6 +28,7 @@ z^(m+n+2), which lies in I_(m+n): the filtration is graded for every sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -32,6 +37,8 @@ __all__ = [
     "SigmaFiltration",
     "minimalize",
     "build_In",
+    "in_In",
+    "socle_certificate",
     "min_gens_count",
     "product_contained_in",
     "containment_failures",
@@ -92,6 +99,11 @@ class MonomialIdeal:
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "generators", frozenset(gens))
         return ideal
+
+    @cached_property
+    def gcd(self) -> Vector:
+        """The gcd of the generators, their componentwise minima; () if none."""
+        return tuple(min(e) for e in zip(*self.generators))
 
     def contains_monomial(self, v: Vector) -> bool:
         v = _check_vector(tuple(v))
@@ -166,25 +178,27 @@ def min_gens_count(ideal: MonomialIdeal) -> int:
     return len(ideal.generators)
 
 
-def _floor_certificate(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) -> bool:
-    """True when one monomial proves I*J within K.
+def in_In(n: int, s: int, v: Vector) -> bool:
+    """True iff x^a y^b z^c, v = (a, b, c), lies in I_n, where s = sigma(n);
+    a closed form, with `build_In(f, n).contains_monomial` as its oracle."""
+    return v[2] >= n + 2 or (v[2] >= n + 1 and v[0] + v[1] >= s)
 
-    Every generator product g*h is divisible by f = gcd(I) * gcd(J), the
-    componentwise minima of I's and of J's generators added; so f in K puts
-    every product in K.  False only means the certificate does not apply.
-    """
-    if not I.generators or not J.generators:
-        return False
-    f = tuple(min(a) + min(b) for a, b in zip(zip(*I.generators), zip(*J.generators)))
-    return K.contains_monomial(f)
+
+def socle_certificate(n: int, s: int) -> tuple[Vector, bool]:
+    """The socle witness u = x^(s-1) z^(n+1) of I_n, s = sigma(n) >= 1, and
+    whether `in_In` certifies it: u is not in I_n, and xu, yu, zu are."""
+    a, b, c = u = (s - 1, 0, n + 1)
+    shifts = ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))
+    return u, not in_In(n, s, u) and all(in_In(n, s, w) for w in shifts)
 
 
 def _failing_pairs(
     I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal
 ) -> Iterator[tuple[Vector, Vector]]:
     """Generator pairs (g, h) of I x J whose product lies outside K, lazily;
-    none when the floor certificate settles the containment."""
-    if _floor_certificate(I, J, K):
+    none when gcd(I) * gcd(J), which divides every product, lies in K."""
+    floor = tuple(a + b for a, b in zip(I.gcd, J.gcd))  # () when I or J is zero
+    if floor and K.contains_monomial(floor):
         return
     J_gens = sorted(J.generators)
     for g in sorted(I.generators):
@@ -228,14 +242,12 @@ def filtration_check(f: SigmaFiltration, m_max: int, n_max: int) -> FiltrationRe
     """Verify I_m * I_n within I_(m+n) for all m <= m_max, n <= n_max.
 
     The sigma source must cover indices up to m_max + n_max.  Each pair is
-    decided by `containment_failures`, the floor certificate first and the
-    generator-by-generator test as the fallback.  Every product of generators
-    of I_m and I_n is divisible by z^(m+n+2), which lies in I_(m+n), so the
-    certificate settles each pair of this filtration; it is read off the
-    built generators, so a wrongly built ideal would still show.
-    Counterexample pairs are reported verbatim, never suppressed.  The check
-    is symmetric in (m, n), so a pair with n < m is skipped when (n, m) is in
-    range too.
+    decided by `containment_failures`, whose floor certificate z^(m+n+2)
+    settles every pair of this filtration.  It is read off the built
+    generators, each ideal's gcd once, so a wrongly built ideal would still
+    show.  Counterexample pairs are reported verbatim, never suppressed.  The
+    check is symmetric in (m, n), so a pair with n < m is skipped when (n, m)
+    is in range too.
     """
     ideals = {k: build_In(f, k) for k in range(1, m_max + n_max + 1)}
     failures = []

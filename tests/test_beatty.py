@@ -323,7 +323,7 @@ def test_beatty_scan_at_1e18(capsys):
 
 @pytest.mark.parametrize("alpha", ORACLE_ALPHAS[:8], ids=str)
 def test_histogram_bins_beyond_points_binned_per_point(monkeypatch, alpha):
-    # more bins than points: each point is binned by its own floors, so a
+    # more than n_max/64 bins: each point is binned by its own floors, so a
     # wide histogram costs O(n_max), not one floor sum per bin
     from divfilt import beatty
 
@@ -331,13 +331,14 @@ def test_histogram_bins_beyond_points_binned_per_point(monkeypatch, alpha):
     real = beatty.floor_sum
     monkeypatch.setattr(beatty, "floor_sum", lambda *a: calls.append(a) or real(*a))
     seq = BeattySequence(alpha)
-    for n_max, bins in ((1, 2), (37, 38), (1000, 20_000)):
+    for n_max, bins in ((1, 2), (37, 38), (1000, 20_000), (40, 40), (1000, 100), (640, 11)):
         calls.clear()
         rep = equidistribution_histogram(seq, n_max, bins)
         assert list(rep.histogram) == scan_oracle(alpha, n_max, bins)[2]
         assert len(calls) <= 1
-    # at n_max = bins the floor-sum path stays, one sum per bin
-    calls.clear()
-    rep = equidistribution_histogram(seq, 40, 40)
-    assert list(rep.histogram) == scan_oracle(alpha, 40, 40)[2]
-    assert len(calls) == 40
+    # at n_max/64 bins or fewer the floor-sum path stays, one sum per bin
+    for n_max, bins in ((4000, 40), (640, 10)):
+        calls.clear()
+        rep = equidistribution_histogram(seq, n_max, bins)
+        assert list(rep.histogram) == scan_oracle(alpha, n_max, bins)[2]
+        assert len(calls) == bins

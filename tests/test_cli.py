@@ -284,12 +284,14 @@ def test_beatty_scan_bytes_pinned(tmp_path, argv, sha):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == sha
 
 
-# sha256 of `monomial-check` and `elliptic-qn` reports, recorded before the
-# filtration check gained its floor certificate and `EllipticCurve.mul` its
-# shorter ladder (the README's `elliptic-qn` call: before q_n came from
-# division-polynomial values); the bytes must never change.  Input documents are written
-# to the working directory and named by a relative path, because
-# `monomial-check` echoes its `--sigma` path in `sigma_source`.
+# sha256 of `monomial-check` and `elliptic-qn` reports.  The elliptic ones
+# were recorded before `EllipticCurve.mul` gained its shorter ladder (the
+# README's `elliptic-qn` call: before q_n came from division-polynomial
+# values); the monomial ones when each row traded its generator list for a
+# socle witness, with the `filtration` blocks kept byte for byte.  The bytes
+# must never change.  Input documents are written to the working directory
+# and named by a relative path, because `monomial-check` echoes its
+# `--sigma` path in `sigma_source`.
 SEEDED_SIGMA = [1 + (41 * k + 7) % 60 for k in range(100)]
 FP_CURVE = {
     "field": {"p": 1505983},
@@ -310,12 +312,12 @@ REPORT_BYTES = [
     (
         "monomial-identity",
         ("monomial-check", "--n-max", "20", "--filtration-max", "8"),
-        "242bcef83014dd6a6d6e49d2de499971837fefbc80cb337b7b21288d54ac6b3b",
+        "9c795f7fd1f887b22f1dd75c4cf67e3d07b16bc145ddfc45bd844ce0e5a8d038",
     ),
     (
         "monomial-seeded",
         ("monomial-check", "--sigma", "sigma.json", "--n-max", "100", "--filtration-max", "30"),
-        "19b65bc27cd5eb6e3785ff54b279b95f136417963804dfa1a9203269c0c530eb",
+        "9fe38adde47dc92b6bd1b07b9b2f5e5cbb4940a3070e74cdd0cca1cf97ac2fc1",
     ),
     (
         "elliptic-default",

@@ -1,23 +1,28 @@
 """Tests for monomial ideals and the sigma filtration generator counts.
 
-Oracles: brute-force O(g^2) antichain filtering for minimalize, and direct
-monomial enumeration of (x, y)^s for the ideal construction.
+Oracles: brute-force O(g^2) antichain filtering for minimalize, direct
+monomial enumeration of (x, y)^s for the ideal construction, and the built
+generators of I_n for the closed-form membership and the socle witness.
 """
 
+import json
 import random
 
 import pytest
 
 from divfilt import monomial
+from divfilt.cli import main
 from divfilt.monomial import (
     MonomialIdeal,
     SigmaFiltration,
     build_In,
     containment_failures,
     filtration_check,
+    in_In,
     min_gens_count,
     minimalize,
     product_contained_in,
+    socle_certificate,
 )
 
 ZERO = MonomialIdeal(frozenset())  # the zero ideal: no generator
@@ -151,6 +156,55 @@ def test_count_square_sigma():
 
 def test_min_gens_count_zero_ideal():
     assert min_gens_count(ZERO) == 0
+
+
+# -- closed forms ----------------------------------------------------------------
+
+
+def _boundary_vectors(rng, n, s):
+    # c in {n, n+1, n+2} against a + b in {s-1, s}, split at both ends and once between
+    for c in (n, n + 1, n + 2):
+        for t in (s - 1, s):
+            for a in sorted({0, t, rng.randint(0, t)}):
+                yield (a, t - a, c)
+
+
+def test_closed_forms_match_build_In_seeded_sweep():
+    rng = random.Random(1717)
+    pairs = [(1, 1), (1, 2), (2, 1)]
+    for _ in range(197):
+        s = rng.randint(1, 9) if rng.random() < 0.5 else rng.randint(10, 300)
+        pairs.append((rng.randint(1, 10**6), s))
+    for n, s in pairs:
+        ideal = build_In(SigmaFiltration.from_callable(lambda k, s=s: s), n)
+        for v in _boundary_vectors(rng, n, s):
+            assert in_In(n, s, v) == ideal.contains_monomial(v), (n, s, v)
+        u, ok = socle_certificate(n, s)
+        a, b, c = u
+        assert ok and u == (s - 1, 0, n + 1), (n, s)
+        assert not ideal.contains_monomial(u), (n, s)
+        for w in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)):
+            assert ideal.contains_monomial(w), (n, s, w)
+
+
+def test_cli_socle_witness_at_sigma_1e9(capsys, tmp_path):
+    # one row from (n, sigma(n)) alone: no generator of I_1 is listed
+    path = tmp_path / "sigma.json"
+    path.write_text("[1000000000]")
+    assert main(["monomial-check", "--sigma", str(path), "--n-max", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"] == [
+        {"n": 1, "count": 10**9 + 2, "expected": 10**9 + 2, "socle": [999999999, 0, 2], "ok": True}
+    ]
+    assert doc["all_ok"] and doc["audit_flags"] == []
+
+
+def test_cli_flags_a_failing_socle_witness(capsys, monkeypatch):
+    monkeypatch.setattr(monomial, "in_In", lambda n, s, v: True)  # u itself would lie in I_n
+    assert main(["monomial-check", "--n-max", "2", "--strict"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["ok"] for r in doc["rows"]] == [False, False] and not doc["all_ok"]
+    assert doc["audit_flags"] == ["discrepancy:socle-witness n=1", "discrepancy:socle-witness n=2"]
 
 
 # -- sigma filtration ---------------------------------------------------------
