@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import chain, islice
-from math import isqrt, lcm
+from math import lcm
 
 from divfilt.intersection import (
     BivariatePolynomial,
@@ -223,33 +223,30 @@ def cesaro_consistency(model: ExampleModel, L0: QuadExt, L1: QuadExt) -> CesaroR
 class ScanRows:
     """The sampled rows, computed on demand.  Rows sit at every `stride`-th
     index of each segment cut at the checkpoints and at n_max, plus each
-    segment's last index; the row count follows from that rule, and each row
-    costs one or two integer square roots, so nothing is held.  Iteration
-    yields (n, sigma, ceil(alpha*n), delta numerator) tuples; delta is the
-    numerator over the common denominator `denom`."""
+    segment's last index; the row count follows from that rule, and the
+    rows come from the `_Deltas.chunks` kernel, so nothing is held.
+    `chunks(size)` yields (n, sigma, ceil(alpha*n), delta numerator)
+    columns, iteration the same rows as tuples; delta is the numerator over
+    the common denominator `denom`."""
 
     def __init__(self, deltas: _Deltas, cuts: Sequence[int], stride: int) -> None:
         self._deltas = deltas
         self.denom = deltas.denom
-        self._stride = stride
-        self._segments: list[tuple[int, int]] = []
-        lo, total = 1, 0
+        self._pieces: list = []  # per segment: its strided range, then its last index if skipped
+        lo = 1
         for hi in cuts:
-            self._segments.append((lo, hi))
-            total += (hi - lo) // stride + 1 + ((hi - lo) % stride != 0)
+            self._pieces += [range(lo, hi + 1, stride), (hi,) if (hi - lo) % stride else ()]
             lo = hi + 1
-        self._len = total
+        self._len = sum(map(len, self._pieces))
 
     def __len__(self) -> int:
         return self._len
 
+    def chunks(self, size: int) -> Iterator[tuple[list[int], ...]]:
+        return self._deltas.chunks(chain.from_iterable(self._pieces), size)
+
     def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        stride = self._stride
-        return self._deltas.rows(
-            n
-            for lo, hi in self._segments
-            for n in chain(range(lo, hi + 1, stride), (hi,) if (hi - lo) % stride else ())
-        )
+        return self._deltas.rows(chain.from_iterable(self._pieces))
 
 
 @dataclass
@@ -343,8 +340,8 @@ class _Deltas:
     """First differences of the scaled integer model, index by index.
 
     delta(n) = D_sigma(x, n) / denom with x = ceil(alpha*n) and
-    sigma = ceil(alpha*(n+1)) - x, all in integers; each ceiling is one
-    integer square root on cleared denominators.
+    sigma = ceil(alpha*(n+1)) - x, all in integers; `chunks` is the one
+    row kernel.
     """
 
     def __init__(self, model: ExampleModel) -> None:
@@ -357,22 +354,35 @@ class _Deltas:
         """ceil(alpha*n) for n >= 1."""
         return -floor_cleared(-self.A * n, -self.B * n, self.q, self.d)
 
-    def rows(self, ns: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
-        """(n, sigma, ceil(alpha*n), numerator of delta(n)) for each index n
-        of `ns`; along a run of consecutive indices the ceiling carries over,
-        one square root per index."""
-        A, q, coeffs = self.A, self.q, self.coeffs
-        dbb, neg = self.B * self.B * self.d, self.B < 0
+    def chunks(self, ns: Iterable[int], size: int) -> Iterator[tuple[list[int], ...]]:
+        """The columns (n, sigma, ceil(alpha*n), numerator of delta(n)) of
+        the indices `ns`, up to `size` indices at a time.  A run's first
+        ceiling is one square root; then, as 0 < alpha < 1, x = ceil(alpha*n)
+        gives ceil(alpha*(n+1)) = x iff B*(n+1)*sqrt(d) < t = q*x - A*(n+1),
+        which for B > 0 is t > 0 and t^2 > B^2*d*(n+1)^2 and for B < 0
+        fails iff -t > 0 and t^2 > B^2*d*(n+1)^2: one exact comparison."""
+        sg = 1 if self.B > 0 else -1
+        A, q, coeffs = sg * self.A, sg * self.q, self.coeffs
+        dbb, pos = self.B * self.B * self.d, int(sg > 0)
+        ns = iter(ns)
         prev, x1 = -1, 0  # no index follows -1
-        for n in ns:
-            x = x1 if n == prev + 1 else self.ceil(n)
-            n1 = n + 1
-            r = isqrt(dbb * n1 * n1)
-            x1 = (A * n1 + (-r - 1 if neg else r)) // q + 1  # ceil(alpha*(n+1))
-            s = x1 - x
-            a, b1, b0, c2, c1, c0 = coeffs[s]
-            yield n, s, x, (a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0
-            prev = n
+        while col := list(islice(ns, size)):
+            ss, xs, nums = [], [], []
+            for n in col:
+                x = x1 if n == prev + 1 else self.ceil(n)
+                n1 = n + 1
+                t = q * x - A * n1  # sg * t: the B < 0 case flips its sign
+                s = pos ^ (t > 0 and t * t > dbb * n1 * n1)
+                a, b1, b0, c2, c1, c0 = coeffs[s]
+                ss.append(s)
+                xs.append(x)
+                nums.append((a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0)
+                x1, prev = x + s, n
+            yield col, ss, xs, nums
+
+    def rows(self, ns: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+        """The rows of `chunks` as (n, sigma, ceil(alpha*n), numerator)."""
+        return chain.from_iterable(zip(*cols) for cols in self.chunks(ns, _CHUNK))
 
 
 # -- certified head/tail windows ---------------------------------------------
@@ -387,6 +397,7 @@ class _Deltas:
 # worse than the best index already found.
 
 _FIRST_WINDOW = 64
+_CHUNK = 4096  # indices per kernel chunk, so that memory stays flat
 
 
 def _envelope(coeffs: tuple[int, ...], alpha: QuadExt, s: int, sign: int) -> tuple:
@@ -425,10 +436,10 @@ class _Extreme:
         self.envelope, self.s, self.sign = envelope, s, sign
         self.num = self.nn = self.at = 0  # best as sign*dnum / n^2; nn = 0: none yet
 
-    def fold(self, rows: list) -> None:
+    def fold(self, ns: list, ss: list, xs: list, nums: list) -> None:
         s, sign = self.s, self.sign
         num, nn, at = self.num, self.nn, self.at
-        for n, t, _, dnum in rows:
+        for n, t, dnum in zip(ns, ss, nums):
             if t == s:
                 v, n2 = sign * dnum, n * n
                 lhs, rhs = v * nn, num * n2
@@ -447,20 +458,19 @@ class _LastNegative:
         self.envelopes = envelopes  # lower bounds of delta/n^2, one per class
         self.at = 0
 
-    def fold(self, rows: list) -> None:
-        self.at = max([self.at] + [n for n, _, _, dnum in rows if dnum < 0])
+    def fold(self, ns: list, ss: list, xs: list, nums: list) -> None:
+        self.at = max([self.at] + [n for n, dnum in zip(ns, nums) if dnum < 0])
 
     def settled(self, lo: int, hi: int) -> bool:
         return self.at > hi or all(_envelope_max(e, lo, hi) <= 0 for e in self.envelopes)
 
 
 def _fold(deltas: _Deltas, queries: list, ns: Iterable[int]) -> None:
-    """Fold the rows of the indices `ns` into every query, a chunk at a
-    time, so that memory stays flat in the window size."""
-    rows = deltas.rows(ns)
-    while chunk := list(islice(rows, 4096)):
+    """Fold the rows of the indices `ns` into every query, a chunk of
+    columns at a time, so that memory stays flat in the window size."""
+    for cols in deltas.chunks(ns, _CHUNK):
         for query in queries:
-            query.fold(chunk)
+            query.fold(*cols)
 
 
 def _windows(deltas: _Deltas, m: int, queries: list) -> list:

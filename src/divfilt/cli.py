@@ -16,12 +16,11 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from itertools import islice
 from math import gcd
 
 from divfilt import asymptotics, beatty, monomial, picard
 from divfilt.intersection import form_from_json
-from divfilt.quadfield import MAX_DECIMAL_DIGITS, QuadExt, decimal_renderer, parse_rational
+from divfilt.quadfield import MAX_DECIMAL_DIGITS, QuadExt, decimal_column, parse_rational
 from divfilt.quadfield import _without_digit_limit
 
 __all__ = ["main", "ConfigError", "IngestError"]
@@ -159,22 +158,38 @@ def _cmd_example_scan(args) -> tuple[Iterable[str], list[str]]:
 _CSV_CHUNK_LINES = 1024
 
 
+class _LowestTerms(dict):
+    """Residue r -> (g, tail) with num/denom = f"{num // g}{tail}" in lowest
+    terms for every num = r (mod denom), as gcd(num, denom) = gcd(r, denom);
+    at most 1024 residues are kept, so memory stays bounded."""
+
+    def __init__(self, denom: int) -> None:
+        self.denom = denom
+
+    def __missing__(self, r: int) -> tuple[int, str]:
+        g = gcd(r, self.denom)
+        entry = (g, "" if g == self.denom else f"/{self.denom // g}")
+        if len(self) < 1024:
+            self[r] = entry
+        return entry
+
+
 def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
     """The `example-scan` CSV rendered from the rows: the header line,
     then the rows in chunks of up to `_CSV_CHUNK_LINES` lines each."""
     yield "n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal\n"
-    decimal = decimal_renderer(digits)
+    decimals = decimal_column(digits)
     denom = rows.denom
-    ints = iter(rows)
-    while True:
-        lines = []
-        for n, s, x, num in islice(ints, _CSV_CHUNK_LINES):
-            g = gcd(num, denom)
-            delta = str(num // g) if g == denom else f"{num // g}/{denom // g}"
-            lines.append(f"{n},{s},{x},{delta},{decimal(num, denom * n * n)}\n")
-        if not lines:
-            return
-        yield "".join(lines)
+    terms = _LowestTerms(denom)
+    for ns, ss, xs, nums in rows.chunks(_CSV_CHUNK_LINES):
+        decs = decimals(nums, [denom * n * n for n in ns])
+        yield "".join(
+            [
+                f"{n},{s},{x},{num // g}{tail},{dec}\n"
+                for n, s, x, num, dec in zip(ns, ss, xs, nums, decs)
+                for g, tail in (terms[num % denom],)
+            ]
+        )
 
 
 def _cmd_monomial_check(args) -> tuple[str, list[str]]:

@@ -41,7 +41,6 @@ __all__ = [
     "triple_product",
     "difference_polynomial",
     "form_from_json",
-    "form_to_json",
 ]
 
 #: Divisor symbols are bare identifier strings, unique within a lattice.
@@ -352,12 +351,3 @@ def form_from_json(doc: dict) -> IntersectionForm:
         table[key] = value
     return IntersectionForm(tuple(gens), table)
 
-
-def form_to_json(form: IntersectionForm) -> dict:
-    return {
-        "generators": list(form.generators),
-        "triples": [
-            {"d": list(key), "v": rational_str(value)}
-            for key, value in sorted(form.table.items())
-        ],
-    }

@@ -18,7 +18,7 @@ for integers A, B, q > 0, with floor(B*sqrt(d)) computed by isqrt(B^2*d).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -32,6 +32,7 @@ __all__ = [
     "parse_rational",
     "rational_str",
     "decimal_renderer",
+    "decimal_column",
 ]
 
 MAX_DECIMAL_DIGITS = 10_000
@@ -77,33 +78,42 @@ def rational_str(value: Fraction | int) -> str:
 
 
 def decimal_renderer(digits: int) -> Callable[..., str]:
-    """The decimal renderer with `digits` fractional digits, in integer
-    arithmetic only: render(num, den) is num/den (den > 0) rounded half-even,
-    render(m) is m / 10**digits exactly.
+    """`decimal_column(digits)` on a column of one: render(num, den) is
+    num/den (den > 0) rounded half-even, render(m) is m / 10**digits."""
+    column = decimal_column(digits)
+    return lambda num, den=None: column((num,), None if den is None else (den,))[0]
 
-    10**digits and the padding width are computed here once, so a caller
-    that renders many values builds one renderer and calls it per value.
-    Each call is at most one exact divmod and the half-even fix-up, then one
-    padded ``str`` cut into integer and fractional part."""
+
+def decimal_column(digits: int) -> Callable[..., list[str]]:
+    """The decimal renderer with `digits` fractional digits, in integer
+    arithmetic only and a column at a time: column(nums, dens) is each
+    num/den (den > 0) rounded half-even, column(ms) each m / 10**digits.
+    10**digits and the pad width are computed once per renderer; each value
+    is at most one exact divmod and the half-even fix-up, then one padded
+    ``str`` cut into integer and fractional part."""
     if type(digits) is not int or not 1 <= digits <= MAX_DECIMAL_DIGITS:
         raise ValueError(f"digits must be in [1, {MAX_DECIMAL_DIGITS}], got {digits!r}")
     scale, width, cut = 10**digits, digits + 1, -digits
 
-    def render(num: int, den: int | None = None) -> str:
-        if den is None:
-            m = num
-        else:
-            m, r = divmod(num * scale, den)
-            r += r
-            if r > den or (r == den and m & 1):
-                m += 1
-        try:
-            text = str(abs(m)).rjust(width, "0")
-        except ValueError:  # past the int-to-str digit limit
-            return _without_digit_limit(render, num, den)
-        return f"{'-' if m < 0 else ''}{text[:cut]}.{text[cut:]}"
+    def text(ms: Sequence[int]) -> list[str]:
+        return [
+            f"{'-' if m < 0 else ''}{t[:cut]}.{t[cut:]}"
+            for m in ms
+            for t in (str(abs(m)).rjust(width, "0"),)
+        ]
 
-    return render
+    def column(nums: Sequence[int], dens: Sequence[int] | None = None) -> list[str]:
+        ms = nums if dens is None else [
+            m + (r + r > den or (r + r == den and m & 1))
+            for num, den in zip(nums, dens)
+            for m, r in (divmod(num * scale, den),)
+        ]
+        try:
+            return text(ms)
+        except ValueError:  # past the int-to-str digit limit
+            return _without_digit_limit(text, ms)
+
+    return column
 
 
 _validated_radicands: set[int] = set()

@@ -532,6 +532,38 @@ def test_window_certificates_settle_early_and_cover_all(monkeypatch):
     assert sum(settled.values()) > 0 and sum(covered.values()) > 0
 
 
+KERNEL_MODELS = ("bundled", "negative-sqrt", "tiny-alpha")
+
+
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_chunk_kernel_matches_per_index_formula(name):
+    # index sets shaped like the scan's: a head plus a tail window, a strided
+    # segment with its last index appended, and a lone index; chunks of 7
+    # split runs of consecutive indices, so the ceiling carries across chunk
+    # ends and restarts wherever n != prev + 1
+    model = next(case[1] for case in SCAN_CASES if case[0] == name)
+    deltas = asymptotics._Deltas(model)
+    m = 3000
+    index_sets = [
+        list(range(1, 65)) + list(range(m - 63, m + 1)),
+        list(range(101, 2001, 37)) + [2000],
+        [1234],
+        list(range(1, 300)),
+    ]
+    for ns in index_sets:
+        cols = list(deltas.chunks(iter(ns), 7))
+        assert all(0 < len(c[0]) <= 7 and len({len(col) for col in c}) == 1 for c in cols)
+        rows = [row for c in cols for row in zip(*c)]
+        assert [n for n, _, _, _ in rows] == ns
+        for n, s, x, num in rows:
+            assert x == deltas.ceil(n) == model.alpha.ceil_scaled(n)
+            assert s == model.alpha.ceil_scaled(n + 1) - x
+            assert F(num, deltas.denom) == model_length(model, n + 1) - model_length(model, n)
+        assert list(deltas.rows(ns)) == rows
+    # the B < 0 branch of the ceiling comparison runs for negative-sqrt only
+    assert (deltas.B < 0) == (name == "negative-sqrt")
+
+
 def test_scan_ties_go_to_the_earliest_index():
     ties = empirical_scan(TIES, 3000)
     assert ties.max_ratio_at == ties.per_sigma[0].max_at == 5

@@ -22,10 +22,9 @@ from divfilt.intersection import (
     UnknownSymbolError,
     difference_polynomial,
     form_from_json,
-    form_to_json,
     triple_product,
 )
-from divfilt.quadfield import QuadExt
+from divfilt.quadfield import QuadExt, rational_str
 
 X, Y = sympy.symbols("x y")
 
@@ -272,6 +271,17 @@ def test_telescoping_against_difference(form):
 
 
 # -- JSON ingestion -----------------------------------------------------------
+
+
+def form_to_json(form: IntersectionForm) -> dict:
+    """The JSON document form of a table, the inverse of `form_from_json`."""
+    return {
+        "generators": list(form.generators),
+        "triples": [
+            {"d": list(key), "v": rational_str(value)}
+            for key, value in sorted(form.table.items())
+        ],
+    }
 
 
 def test_json_roundtrip(form):

@@ -15,6 +15,7 @@ import pytest
 from divfilt.quadfield import (
     QuadExt,
     RadicandMismatchError,
+    decimal_column,
     decimal_renderer,
     parse_rational,
     rational_str,
@@ -270,6 +271,44 @@ def test_rational_decimal_matches_fraction_round():
         want = f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
         assert decimal_renderer(digits)(num, den) == want
         assert QuadExt(F(num, den), F(0), 2).to_decimal(digits) == want
+
+
+def _round_half_even(num, den, digits):
+    m = round(F(num, den) * 10**digits)  # round() on a Fraction is half-even
+    ip, fp = divmod(abs(m), 10**digits)
+    return f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 30])
+def test_decimal_column_matches_per_value_render(digits):
+    # half-even ties at 1 to 3 digits on both signs, negatives that round to
+    # zero (no sign), values in (-1, 1), then seeded pairs; the column must
+    # agree with the per-value renderer and with round() on a Fraction
+    pairs = [(1, 4), (-1, 4), (3, 4), (5, 8), (-5, 8), (1, 16), (3, 16), (-3, 16)]
+    pairs += [(1, 2000), (3, 2000), (-3, 2000), (-1, 200), (-1, 300), (-1, 3), (2, 3), (0, 7)]
+    rng = random.Random(1000 + digits)
+    pairs += [(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) for _ in range(300)]
+    nums, dens = [p for p, _ in pairs], [q for _, q in pairs]
+    column, render = decimal_column(digits), decimal_renderer(digits)
+    got = column(nums, dens)
+    assert got == [render(num, den) for num, den in pairs]
+    assert got == [_round_half_even(num, den, digits) for num, den in pairs]
+    ms = [rng.randint(-10**40, 10**40) for _ in range(50)] + [0, -1, 1]
+    assert column(ms) == [render(m) for m in ms] == [_round_half_even(m, 10**digits, digits) for m in ms]
+
+
+def test_decimal_column_ties_and_signs():
+    assert decimal_column(1)([1, -1, 3, -3], [4, 4, 4, 4]) == ["0.2", "-0.2", "0.8", "-0.8"]
+    assert decimal_column(2)([5, -5, -1, -1], [8, 8, 200, 300]) == ["0.62", "-0.62", "0.00", "0.00"]
+    assert decimal_column(3)([1, 3, 3, -3], [2000, 2000, 16, 16]) == ["0.000", "0.002", "0.188", "-0.188"]
+
+
+def test_decimal_column_beyond_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    got = decimal_column(5000)([-1, 2, -1, 7], [3, 3, 200, 1])
+    assert got == ["-0." + "3" * 5000, "0." + "6" * 4999 + "7", "-0.005" + "0" * 4997, "7." + "0" * 5000]
+    assert got == [decimal_renderer(5000)(num, den) for num, den in ((-1, 3), (2, 3), (-1, 200), (7, 1))]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_to_decimal_matches_mpmath():
