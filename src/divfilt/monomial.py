@@ -1,35 +1,37 @@
 """Monomial-ideal arithmetic in three variables for graded filtration checks.
 
-An ideal is stored by its minimal monomial generators, an antichain of
-exponent vectors in N^3 under componentwise <=.  The filtration
-I_n = (z^(n+2)) + z^(n+1) (x, y)^sigma(n) is known in closed form from n
-and sigma(n): x^a y^b z^c lies in I_n iff c >= n + 2, or both c >= n + 1
-and a + b >= sigma(n) (`in_In`).  Its count of minimal generators, the
-length of I_n/mI_n (Nakayama), is sigma(n) + 2, an identity of the
-construction.  u = x^(sigma(n)-1) z^(n+1) is a socle witness: u is not in
-I_n while xu, yu and zu are, so m is an associated prime of R/I_n for
-every n (`socle_certificate`).  `build_In` is the generator-level oracle.
+The filtration I_n = (z^(n+2)) + z^(n+1) (x, y)^sigma(n) is known in closed
+form from n and sigma(n): x^a y^b z^c lies in I_n iff c >= n + 2, or both
+c >= n + 1 and a + b >= sigma(n) (`in_In`).  Its count of minimal
+generators, the length of I_n/mI_n (Nakayama), is sigma(n) + 2, an identity
+of the construction.  u = x^(sigma(n)-1) z^(n+1) is a socle witness: u is
+not in I_n while xu, yu and zu are, so m is an associated prime of R/I_n for
+every n (`socle_certificate`).  The graded condition I_m * I_n within
+I_(m+n) is decided by one monomial per pair (`filtration_check`): since
+sigma(k) >= 1, gcd(I_k) = z^(k+1), so every generator product of I_m and
+I_n is divisible by the floor z^(m+n+2), which lies in I_(m+n) by `in_In`.
+The filtration is graded for every sigma.  None of these lists a generator.
+
+An explicit ideal is stored by its minimal monomial generators, an
+antichain of exponent vectors in N^3 under componentwise <=.  The names that
+build one stay for three reasons.  `build_In` is the generator-level oracle
+that the tests check the closed forms against.  `MonomialIdeal` (with
+`contains_monomial`) and `minimalize` are the public constructors for an
+arbitrary generator set.  `perfbench/spans.py` wraps `build_In` and
+`min_gens_count` by name.
 
 Vectors are validated once, where they enter: the `MonomialIdeal`
 constructor checks its vectors and rejects a non-antichain, `minimalize`
-checks its vectors, and `build_In` checks its two largest exponents.  The
+checks its vectors, and `build_In` checks its z-exponent n + 2.  The
 ideals that `minimalize` and `build_In` return are antichains by proof and
-are built without a second check.
-
-The graded condition I * J within K is verified on the actual ideals rather
-than assumed, certificate first: every generator product is divisible by the
-monomial gcd(I) * gcd(J), whose exponents are the componentwise minima over
-the generators, so if it lies in K then so does I * J.  Otherwise every
-generator product is tested and failures are reported as explicit
-counterexample pairs.  For the filtration above gcd(I_m) * gcd(I_n) is
-z^(m+n+2), which lies in I_(m+n): the filtration is graded for every sigma.
+are built without a second check.  Every sigma value, from a table or a
+callable, is checked once against 0 < sigma < 2^63 where it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
     "Vector",
@@ -40,8 +42,6 @@ __all__ = [
     "in_In",
     "socle_certificate",
     "min_gens_count",
-    "product_contained_in",
-    "containment_failures",
     "FiltrationReport",
     "filtration_check",
 ]
@@ -100,11 +100,6 @@ class MonomialIdeal:
         object.__setattr__(ideal, "generators", frozenset(gens))
         return ideal
 
-    @cached_property
-    def gcd(self) -> Vector:
-        """The gcd of the generators, their componentwise minima; () if none."""
-        return tuple(min(e) for e in zip(*self.generators))
-
     def contains_monomial(self, v: Vector) -> bool:
         v = _check_vector(tuple(v))
         return v in self.generators or any(_dominates(v, g) for g in self.generators)
@@ -125,7 +120,7 @@ class SigmaFiltration:
     def __post_init__(self) -> None:
         if (self.func is None) == (not self.table):
             raise ValueError("provide exactly one of table or func")
-        for v in self.table:  # the bound build_In applies, checked here once
+        for v in self.table:  # the bound sigma() applies to callable values
             if type(v) is not int or not 0 < v < _MAX_EXPONENT:  # type(): bool is an int
                 raise ValueError(f"sigma values must be positive integers below 2^63, got {v!r}")
         object.__setattr__(self, "table", tuple(self.table))
@@ -149,8 +144,8 @@ class SigmaFiltration:
                 raise ValueError(f"sigma table has {len(self.table)} entries; n={n}")
             return self.table[n - 1]
         value = self.func(n)
-        if type(value) is not int or value < 1:
-            raise ValueError(f"sigma({n}) must be a positive integer, got {value!r}")
+        if type(value) is not int or not 0 < value < _MAX_EXPONENT:
+            raise ValueError(f"sigma({n}) must be a positive integer below 2^63, got {value!r}")
         return value
 
 
@@ -161,13 +156,14 @@ def build_In(f: SigmaFiltration, n: int) -> MonomialIdeal:
     0 <= i <= sigma(n).  They form an antichain for every sigma(n) >= 1: the
     (x, y)-parts of the last sigma(n)+1 are distinct of one degree, and
     z^(n+2) divides none of them nor they it.  So only the largest
-    exponents, n+2 and sigma(n), are range-checked; nothing is re-verified.
+    exponents, n+2 and sigma(n), are range-checked (sigma(n) by `f.sigma`);
+    nothing is re-verified.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     s = f.sigma(n)
-    if max(n + 2, s) >= _MAX_EXPONENT:
-        raise ValueError(f"exponent out of range [0, 2^63): n={n}, sigma(n)={s}")
+    if n + 2 >= _MAX_EXPONENT:
+        raise ValueError(f"exponent out of range [0, 2^63): n={n}")
     gens = [(0, 0, n + 2)]
     gens.extend((i, s - i, n + 1) for i in range(s + 1))
     return MonomialIdeal._antichain(gens)
@@ -192,33 +188,6 @@ def socle_certificate(n: int, s: int) -> tuple[Vector, bool]:
     return u, not in_In(n, s, u) and all(in_In(n, s, w) for w in shifts)
 
 
-def _failing_pairs(
-    I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal
-) -> Iterator[tuple[Vector, Vector]]:
-    """Generator pairs (g, h) of I x J whose product lies outside K, lazily;
-    none when gcd(I) * gcd(J), which divides every product, lies in K."""
-    floor = tuple(a + b for a, b in zip(I.gcd, J.gcd))  # () when I or J is zero
-    if floor and K.contains_monomial(floor):
-        return
-    J_gens = sorted(J.generators)
-    for g in sorted(I.generators):
-        for h in J_gens:
-            if not K.contains_monomial((g[0] + h[0], g[1] + h[1], g[2] + h[2])):
-                yield g, h
-
-
-def containment_failures(
-    I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal
-) -> list[tuple[Vector, Vector]]:
-    """Generator pairs (g, h) of I x J whose product lies outside K."""
-    return list(_failing_pairs(I, J, K))
-
-
-def product_contained_in(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) -> bool:
-    """True iff I*J is contained in K (checked on generator products)."""
-    return next(_failing_pairs(I, J, K), None) is None
-
-
 @dataclass(frozen=True)
 class FiltrationReport:
     m_max: int
@@ -232,7 +201,7 @@ class FiltrationReport:
             "n_max": self.n_max,
             "ok": self.ok,
             "failures": [
-                {"m": m, "n": n, "gen_m": list(g), "gen_n": list(h)}
+                {"m": m, "n": n, "gcd_m": list(g), "gcd_n": list(h)}
                 for m, n, g, h in self.failures
             ],
         }
@@ -241,18 +210,18 @@ class FiltrationReport:
 def filtration_check(f: SigmaFiltration, m_max: int, n_max: int) -> FiltrationReport:
     """Verify I_m * I_n within I_(m+n) for all m <= m_max, n <= n_max.
 
-    The sigma source must cover indices up to m_max + n_max.  Each pair is
-    decided by `containment_failures`, whose floor certificate z^(m+n+2)
-    settles every pair of this filtration.  It is read off the built
-    generators, each ideal's gcd once, so a wrongly built ideal would still
-    show.  Counterexample pairs are reported verbatim, never suppressed.  The
-    check is symmetric in (m, n), so a pair with n < m is skipped when (n, m)
-    is in range too.
+    The sigma source must cover indices up to m_max + n_max; each sigma(k) is
+    read once, so a short or invalid source raises.  Each pair is decided by
+    the floor certificate: gcd(I_m) * gcd(I_n) = z^(m+1) * z^(n+1) divides
+    every generator product, and `in_In` tests it against I_(m+n).  No ideal
+    is built.  A pair whose floor is not in I_(m+n) is reported as
+    (m, n, gcd(I_m), gcd(I_n)), never suppressed.  The check is symmetric in
+    (m, n), so a pair with n < m is skipped when (n, m) is in range too.
     """
-    ideals = {k: build_In(f, k) for k in range(1, m_max + n_max + 1)}
+    sigma = {k: f.sigma(k) for k in range(1, m_max + n_max + 1)}
     failures = []
     for m in range(1, m_max + 1):
         for n in range(m if m <= n_max else 1, n_max + 1):
-            for g, h in containment_failures(ideals[m], ideals[n], ideals[m + n]):
-                failures.append((m, n, g, h))
+            if not in_In(m + n, sigma[m + n], (0, 0, m + n + 2)):
+                failures.append((m, n, (0, 0, m + 1), (0, 0, n + 1)))
     return FiltrationReport(m_max, n_max, not failures, tuple(failures))

@@ -31,7 +31,6 @@ __all__ = [
     "floor_cleared",
     "parse_rational",
     "rational_str",
-    "decimal_renderer",
     "decimal_column",
 ]
 
@@ -75,13 +74,6 @@ def rational_str(value: Fraction | int) -> str:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:  # past the int-to-str digit limit
         return _without_digit_limit(rational_str, value)
-
-
-def decimal_renderer(digits: int) -> Callable[..., str]:
-    """`decimal_column(digits)` on a column of one: render(num, den) is
-    num/den (den > 0) rounded half-even, render(m) is m / 10**digits."""
-    column = decimal_column(digits)
-    return lambda num, den=None: column((num,), None if den is None else (den,))[0]
 
 
 def decimal_column(digits: int) -> Callable[..., list[str]]:
@@ -381,10 +373,10 @@ class QuadExt:
         since an irrational value times a power of ten is never a
         half-integer, so rounding it half up gives the digits exactly.
         """
-        render = decimal_renderer(digits)
+        column = decimal_column(digits)
         if self.b == 0:
-            return render(self.a.numerator, self.a.denominator)
-        return render((self * 10**digits + Fraction(1, 2)).floor())
+            return column((self.a.numerator,), (self.a.denominator,))[0]
+        return column(((self * 10**digits + Fraction(1, 2)).floor(),))[0]
 
     # -- auxiliary -----------------------------------------------------------
 

@@ -8,7 +8,7 @@ import pytest
 from divfilt import beatty, monomial, picard
 from divfilt.asymptotics import empirical_scan, example_alpha, example_model, model_length
 from divfilt.intersection import BivariatePolynomial
-from divfilt.quadfield import QuadExt, decimal_renderer
+from divfilt.quadfield import QuadExt, decimal_column
 
 ALPHA = example_alpha()
 MODEL = example_model()
@@ -33,7 +33,7 @@ CALLS = {
     "witness-bound": lambda: picard.infinite_order_witness(E, Q, True),
     "restriction_report": lambda: picard.restriction_report(E, P, Q, True),
     "restriction_replay": lambda: picard.restriction_replay(E, P, Q, True, []),
-    "decimal_renderer": lambda: decimal_renderer(True),
+    "decimal_column": lambda: decimal_column(True),
     "quad-radicand": lambda: QuadExt(1, 1, True),
     "quad-power": lambda: ALPHA**True,
     "floor_scaled": lambda: ALPHA.floor_scaled(True),

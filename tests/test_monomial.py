@@ -2,7 +2,8 @@
 
 Oracles: brute-force O(g^2) antichain filtering for minimalize, direct
 monomial enumeration of (x, y)^s for the ideal construction, and the built
-generators of I_n for the closed-form membership and the socle witness.
+generators of I_n for the closed-form membership, the socle witness and,
+product by product, the filtration check.
 """
 
 import json
@@ -16,17 +17,14 @@ from divfilt.monomial import (
     MonomialIdeal,
     SigmaFiltration,
     build_In,
-    containment_failures,
     filtration_check,
     in_In,
     min_gens_count,
     minimalize,
-    product_contained_in,
     socle_certificate,
 )
 
 ZERO = MonomialIdeal(frozenset())  # the zero ideal: no generator
-UNIT = MonomialIdeal(frozenset({(0, 0, 0)}))  # the unit ideal: generated by 1
 
 
 def brute_minimalize(gens):
@@ -238,98 +236,19 @@ def test_sigma_rejects_bools():
         f.sigma(1)
 
 
-# -- containment -----------------------------------------------------------------
+def test_sigma_callable_values_get_the_table_bound():
+    # the bound 0 < sigma < 2^63 holds for callable values too, so the
+    # filtration check, which builds no ideal, still refuses them
+    f = SigmaFiltration.from_callable(lambda n: 2**63 if n == 3 else n)
+    assert f.sigma(2) == 2
+    with pytest.raises(ValueError, match="sigma\\(3\\) must be a positive integer below 2\\^63"):
+        f.sigma(3)
+    with pytest.raises(ValueError, match="2\\^63"):
+        filtration_check(f, 2, 1)
+    assert SigmaFiltration.from_callable(lambda n: 2**63 - 1).sigma(1) == 2**63 - 1
 
 
-def test_unit_ideal_containment():
-    f = SigmaFiltration.from_callable(lambda n: n)
-    I = build_In(f, 3)
-    assert product_contained_in(I, UNIT, I)
-
-
-def test_pure_z_powers():
-    z2 = MonomialIdeal(frozenset({(0, 0, 2)}))
-    z3 = MonomialIdeal(frozenset({(0, 0, 3)}))
-    z5 = MonomialIdeal(frozenset({(0, 0, 5)}))
-    assert product_contained_in(z2, z3, z5)
-    assert not product_contained_in(z2, z2, z5)
-
-
-def test_containment_counterexamples_reported():
-    x = MonomialIdeal(frozenset({(1, 0, 0)}))
-    y = MonomialIdeal(frozenset({(0, 1, 0)}))
-    z = MonomialIdeal(frozenset({(0, 0, 1)}))
-    assert not product_contained_in(x, y, z)
-    assert containment_failures(x, y, z) == [((1, 0, 0), (0, 1, 0))]
-
-
-def brute_failures(I, J, K):
-    # test-local oracle: every generator product, tested against every
-    # generator of K, in the order of the sorted generators
-    failures = []
-    for g in sorted(I.generators):
-        for h in sorted(J.generators):
-            prod = tuple(a + b for a, b in zip(g, h))
-            if not any(all(k <= p for k, p in zip(gk, prod)) for gk in K.generators):
-                failures.append((g, h))
-    return failures
-
-
-def _random_ideal(rng, max_gens=5, max_exp=4):
-    if rng.random() < 0.08:
-        return ZERO
-    if rng.random() < 0.08:
-        return UNIT
-    k = rng.randint(1, max_gens)
-    return minimalize(tuple(rng.randint(0, max_exp) for _ in range(3)) for _ in range(k))
-
-
-def _floor_in(I, J, K):
-    if not I.generators or not J.generators:
-        return False
-    f = [min(g[i] for g in I.generators) + min(h[i] for h in J.generators) for i in range(3)]
-    return any(all(k <= p for k, p in zip(gk, f)) for gk in K.generators)
-
-
-def test_containment_matches_brute_force_oracle():
-    rng = random.Random(9090)
-    x, y, z = ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)
-    xy = MonomialIdeal(frozenset(x + y))
-    fixed = [
-        (MonomialIdeal(frozenset(x)), MonomialIdeal(frozenset(y)), MonomialIdeal(frozenset(z))),
-        (xy, xy, minimalize([(2, 0, 0), (1, 1, 0), (0, 2, 0)])),  # holds, floor 1 not in K
-        (xy, xy, UNIT),
-        (ZERO, xy, ZERO),
-        (xy, ZERO, ZERO),
-        (UNIT, xy, ZERO),
-        (UNIT, UNIT, UNIT),
-    ]
-    cases = list(fixed)
-    for _ in range(400):
-        I, J = _random_ideal(rng), _random_ideal(rng)
-        products = [tuple(a + b for a, b in zip(g, h)) for g in I.generators for h in J.generators]
-        kind = rng.randrange(4)
-        if kind == 0 or not products:
-            K = _random_ideal(rng)
-        elif kind == 1:  # exactly I*J: contained, certificate rarely applies
-            K = minimalize(products)
-        elif kind == 2:  # I*J with a generator pushed up: usually not contained
-            drop = rng.choice(products)
-            K = minimalize([p for p in products if p != drop] + [(drop[0] + 1,) + drop[1:]])
-        else:  # a random ideal plus a random multiple of one product
-            extra = tuple(c + rng.randint(0, 1) for c in rng.choice(products))
-            K = minimalize(list(_random_ideal(rng).generators) + [extra])
-        cases.append((I, J, K))
-    seen = {"certified": 0, "contained": 0, "failing": 0}
-    for I, J, K in cases:
-        expected = brute_failures(I, J, K)
-        assert containment_failures(I, J, K) == expected, (I, J, K)
-        assert product_contained_in(I, J, K) == (not expected), (I, J, K)
-        if _floor_in(I, J, K):
-            seen["certified"] += 1
-        else:
-            seen["failing" if expected else "contained"] += 1
-    assert min(seen.values()) >= 30, seen
+# -- filtration check --------------------------------------------------------------
 
 
 def test_filtration_property_linear_sigma():
@@ -340,7 +259,7 @@ def test_filtration_property_linear_sigma():
 
 def _visited_pairs(monkeypatch, f, m_max, n_max):
     # every visited (m, n) reports one dummy failure, so the report lists them
-    monkeypatch.setattr(monomial, "containment_failures", lambda I, J, K: [((), ())])
+    monkeypatch.setattr(monomial, "in_In", lambda n, s, v: False)
     return [(m, n) for m, n, _, _ in filtration_check(f, m_max, n_max).failures]
 
 
@@ -366,12 +285,60 @@ def test_filtration_property_random_sigma():
         assert rep.ok, rep.failures[:3]
 
 
-def test_membership_monotone_under_larger_middle():
-    # if J's generators all lie in J2 then containment with J implies it
-    # with J2 replaced... checked on the natural witness family
-    f = SigmaFiltration.from_callable(lambda n: 2 * n)
-    I, J, K = build_In(f, 2), build_In(f, 3), build_In(f, 5)
-    assert product_contained_in(I, J, K)
-    # shrinking the middle ideal to a subideal keeps containment
-    J_sub = MonomialIdeal(frozenset({min(J.generators)}))
-    assert product_contained_in(I, J_sub, K)
+def test_filtration_check_builds_no_ideal(monkeypatch, capsys):
+    def refuse(f, n):
+        raise AssertionError(f"built I_{n}")
+
+    monkeypatch.setattr(monomial, "build_In", refuse)
+    rep = filtration_check(SigmaFiltration(table=(1, 10**9, 3, 2**63 - 1)), 2, 2)
+    assert rep.ok and rep.failures == ()
+    assert main(["monomial-check", "--n-max", "4", "--filtration-max", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["filtration"] == {"m_max": 3, "n_max": 3, "ok": True, "failures": []}
+
+
+def _products_contained(I, J, K):
+    # brute force: every generator product of I and J, tested against K
+    return all(
+        K.contains_monomial((g[0] + h[0], g[1] + h[1], g[2] + h[2]))
+        for g in I.generators
+        for h in J.generators
+    )
+
+
+def test_filtration_verdicts_match_generator_products_seeded_sweep():
+    rng = random.Random(1919)
+    tables = [(1,) * 8, (1, 150, 1, 200, 1, 1, 120, 1)]
+    for _ in range(10):
+        tables.append(tuple(rng.choice((1, rng.randint(2, 9), rng.randint(100, 160))) for _ in range(8)))
+    for table in tables:
+        f = SigmaFiltration(table=table)
+        ideals = {k: build_In(f, k) for k in range(1, 9)}
+        failing = {(m, n) for m, n, _, _ in filtration_check(f, 4, 4).failures}
+        for m in range(1, 5):
+            for n in range(m, 5):
+                contained = _products_contained(ideals[m], ideals[n], ideals[m + n])
+                assert contained == ((m, n) not in failing), (table, m, n)
+
+
+def _in_In_mutant(n, s, v):
+    # n + 3 where the closed form has n + 2
+    return v[2] >= n + 3 or (v[2] >= n + 1 and v[0] + v[1] >= s)
+
+
+def test_mutant_membership_fails_every_pair(monkeypatch, capsys):
+    monkeypatch.setattr(monomial, "in_In", _in_In_mutant)
+    pairs = [(m, n) for m in range(1, 5) for n in range(m, 5)]
+    rep = filtration_check(SigmaFiltration(table=tuple(range(1, 9))), 4, 4)
+    assert not rep.ok
+    assert rep.failures == tuple((m, n, (0, 0, m + 1), (0, 0, n + 1)) for m, n in pairs)
+    assert main(["monomial-check", "--n-max", "2", "--filtration-max", "2", "--strict"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    pairs = [(1, 1), (1, 2), (2, 2)]
+    assert doc["filtration"]["failures"] == [
+        {"m": m, "n": n, "gcd_m": [0, 0, m + 1], "gcd_n": [0, 0, n + 1]} for m, n in pairs
+    ]
+    assert not doc["all_ok"] and not doc["filtration"]["ok"]
+    assert [flag for flag in doc["audit_flags"] if "filtration" in flag] == [
+        f"discrepancy:filtration-containment m={m} n={n}" for m, n in pairs
+    ]

@@ -16,7 +16,6 @@ from divfilt.quadfield import (
     QuadExt,
     RadicandMismatchError,
     decimal_column,
-    decimal_renderer,
     parse_rational,
     rational_str,
 )
@@ -30,6 +29,11 @@ def mp_value(x: QuadExt) -> mpmath.mpf:
     return mpmath.mpf(x.a.numerator) / x.a.denominator + (
         mpmath.mpf(x.b.numerator) / x.b.denominator
     ) * mpmath.sqrt(x.d)
+
+
+def render(digits, num, den=None):
+    # one value through the column renderer: a column of one
+    return decimal_column(digits)([num], None if den is None else [den])[0]
 
 
 def random_quad(rng: random.Random, d: int = 3) -> QuadExt:
@@ -259,17 +263,17 @@ def test_to_decimal_negative_and_rational_ties():
 def test_rational_decimal_matches_fraction_round():
     # half-even ties on both signs, and random values against round() on
     # Fraction, which rounds half to even
-    assert decimal_renderer(1)(1, 4) == "0.2"
-    assert decimal_renderer(1)(-1, 4) == "-0.2"
-    assert decimal_renderer(1)(-3, 4) == "-0.8"
-    assert decimal_renderer(2)(-1, 200) == "0.00"  # rounds to zero: no sign
+    assert render(1, 1, 4) == "0.2"
+    assert render(1, -1, 4) == "-0.2"
+    assert render(1, -3, 4) == "-0.8"
+    assert render(2, -1, 200) == "0.00"  # rounds to zero: no sign
     rng = random.Random(4242)
     for _ in range(500):
         num, den, digits = rng.randint(-10**9, 10**9), rng.randint(1, 10**6), rng.randint(1, 12)
         m = round(F(num, den) * 10**digits)
         ip, fp = divmod(abs(m), 10**digits)
         want = f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
-        assert decimal_renderer(digits)(num, den) == want
+        assert render(digits, num, den) == want
         assert QuadExt(F(num, den), F(0), 2).to_decimal(digits) == want
 
 
@@ -289,12 +293,12 @@ def test_decimal_column_matches_per_value_render(digits):
     rng = random.Random(1000 + digits)
     pairs += [(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) for _ in range(300)]
     nums, dens = [p for p, _ in pairs], [q for _, q in pairs]
-    column, render = decimal_column(digits), decimal_renderer(digits)
+    column = decimal_column(digits)
     got = column(nums, dens)
-    assert got == [render(num, den) for num, den in pairs]
+    assert got == [render(digits, num, den) for num, den in pairs]
     assert got == [_round_half_even(num, den, digits) for num, den in pairs]
     ms = [rng.randint(-10**40, 10**40) for _ in range(50)] + [0, -1, 1]
-    assert column(ms) == [render(m) for m in ms] == [_round_half_even(m, 10**digits, digits) for m in ms]
+    assert column(ms) == [render(digits, m) for m in ms] == [_round_half_even(m, 10**digits, digits) for m in ms]
 
 
 def test_decimal_column_ties_and_signs():
@@ -307,7 +311,7 @@ def test_decimal_column_beyond_int_digit_limit():
     limit = sys.get_int_max_str_digits()
     got = decimal_column(5000)([-1, 2, -1, 7], [3, 3, 200, 1])
     assert got == ["-0." + "3" * 5000, "0." + "6" * 4999 + "7", "-0.005" + "0" * 4997, "7." + "0" * 5000]
-    assert got == [decimal_renderer(5000)(num, den) for num, den in ((-1, 3), (2, 3), (-1, 200), (7, 1))]
+    assert got == [render(5000, num, den) for num, den in ((-1, 3), (2, 3), (-1, 200), (7, 1))]
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -328,7 +332,7 @@ def test_to_decimal_digit_bounds():
         ALPHA.to_decimal(10_001)
     for digits in (0, 10_001):
         with pytest.raises(ValueError):
-            decimal_renderer(digits)(1, 3)
+            render(digits, 1, 3)
 
 
 # -- misc -------------------------------------------------------------------------
@@ -363,7 +367,7 @@ def test_decimals_beyond_int_digit_limit():
     limit = sys.get_int_max_str_digits()
     text = ALPHA.to_decimal(10_000)  # the largest --digits the CLI accepts
     assert text.startswith("0.41277118490649528052") and len(text) == 10_002
-    assert decimal_renderer(5000)(-1, 3) == "-0." + "3" * 5000
+    assert render(5000, -1, 3) == "-0." + "3" * 5000
     assert sys.get_int_max_str_digits() == limit
 
 
