@@ -160,9 +160,8 @@ def model_length(model: ExampleModel, n: int) -> Fraction:
     """(1/6) p3 + (1/4) p2 at (ceil(alpha*n), n), exact rational."""
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    return _F(1, 6) * model.p3.evaluate_at_n(model.alpha, n) + _F(1, 4) * model.p2.evaluate_at_n(
-        model.alpha, n
-    )
+    x = model.alpha.ceil_scaled(n)
+    return _F(1, 6) * model.p3.evaluate(x, n) + _F(1, 4) * model.p2.evaluate(x, n)
 
 
 def multiplicity(model: ExampleModel) -> tuple[QuadExt, QuadExt]:
@@ -219,15 +218,17 @@ def cesaro_consistency(model: ExampleModel, L0: QuadExt, L1: QuadExt) -> CesaroR
 
 # -- empirical scan ----------------------------------------------------------
 
+_CHUNK = 1024  # indices per kernel chunk and per CSV write, so that memory stays flat
+
 
 class ScanRows:
     """The sampled rows, computed on demand.  Rows sit at every `stride`-th
     index of each segment cut at the checkpoints and at n_max, plus each
     segment's last index; the row count follows from that rule, and the
     rows come from the `_Deltas.chunks` kernel, so nothing is held.
-    `chunks(size)` yields (n, sigma, ceil(alpha*n), delta numerator)
-    columns, iteration the same rows as tuples; delta is the numerator over
-    the common denominator `denom`."""
+    `chunks()` yields them as (n, sigma, ceil(alpha*n), delta numerator)
+    columns of up to `_CHUNK` rows; delta is the numerator over the common
+    denominator `denom`."""
 
     def __init__(self, deltas: _Deltas, cuts: Sequence[int], stride: int) -> None:
         self._deltas = deltas
@@ -242,11 +243,8 @@ class ScanRows:
     def __len__(self) -> int:
         return self._len
 
-    def chunks(self, size: int) -> Iterator[tuple[list[int], ...]]:
-        return self._deltas.chunks(chain.from_iterable(self._pieces), size)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        return self._deltas.rows(chain.from_iterable(self._pieces))
+    def chunks(self) -> Iterator[tuple[list[int], ...]]:
+        return self._deltas.chunks(chain.from_iterable(self._pieces))
 
 
 @dataclass
@@ -354,9 +352,9 @@ class _Deltas:
         """ceil(alpha*n) for n >= 1."""
         return -floor_cleared(-self.A * n, -self.B * n, self.q, self.d)
 
-    def chunks(self, ns: Iterable[int], size: int) -> Iterator[tuple[list[int], ...]]:
+    def chunks(self, ns: Iterable[int]) -> Iterator[tuple[list[int], ...]]:
         """The columns (n, sigma, ceil(alpha*n), numerator of delta(n)) of
-        the indices `ns`, up to `size` indices at a time.  A run's first
+        the indices `ns`, up to `_CHUNK` indices at a time.  A run's first
         ceiling is one square root; then, as 0 < alpha < 1, x = ceil(alpha*n)
         gives ceil(alpha*(n+1)) = x iff B*(n+1)*sqrt(d) < t = q*x - A*(n+1),
         which for B > 0 is t > 0 and t^2 > B^2*d*(n+1)^2 and for B < 0
@@ -366,7 +364,7 @@ class _Deltas:
         dbb, pos = self.B * self.B * self.d, int(sg > 0)
         ns = iter(ns)
         prev, x1 = -1, 0  # no index follows -1
-        while col := list(islice(ns, size)):
+        while col := list(islice(ns, _CHUNK)):
             ss, xs, nums = [], [], []
             for n in col:
                 x = x1 if n == prev + 1 else self.ceil(n)
@@ -379,10 +377,6 @@ class _Deltas:
                 nums.append((a * x + b1 * n + b0) * x + (c2 * n + c1) * n + c0)
                 x1, prev = x + s, n
             yield col, ss, xs, nums
-
-    def rows(self, ns: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
-        """The rows of `chunks` as (n, sigma, ceil(alpha*n), numerator)."""
-        return chain.from_iterable(zip(*cols) for cols in self.chunks(ns, _CHUNK))
 
 
 # -- certified head/tail windows ---------------------------------------------
@@ -397,7 +391,6 @@ class _Deltas:
 # worse than the best index already found.
 
 _FIRST_WINDOW = 64
-_CHUNK = 4096  # indices per kernel chunk, so that memory stays flat
 
 
 def _envelope(coeffs: tuple[int, ...], alpha: QuadExt, s: int, sign: int) -> tuple:
@@ -468,7 +461,7 @@ class _LastNegative:
 def _fold(deltas: _Deltas, queries: list, ns: Iterable[int]) -> None:
     """Fold the rows of the indices `ns` into every query, a chunk of
     columns at a time, so that memory stays flat in the window size."""
-    for cols in deltas.chunks(ns, _CHUNK):
+    for cols in deltas.chunks(ns):
         for query in queries:
             query.fold(*cols)
 
@@ -559,8 +552,9 @@ def empirical_scan(
         st.max_ratio, st.max_at = ratio(high.num, high.nn), high.at
         st.min_ratio, st.min_at = ratio(-low.num, low.nn), low.at
     gap = (1 / min(alpha, 1 - alpha)).ceil()  # no class skips this many indices
-    for n, s, _, dnum in deltas.rows(range(max(1, n_max - gap + 1), n_max + 1)):
-        stats[s].last_n, stats[s].last_ratio = n, ratio(dnum, n * n)
+    for ns, ss, _, nums in deltas.chunks(range(max(1, n_max - gap + 1), n_max + 1)):
+        for n, s, dnum in zip(ns, ss, nums):
+            stats[s].last_n, stats[s].last_ratio = n, ratio(dnum, n * n)
 
     # the deltas of [1, n_max] telescope to N(x, n)/D at n_max + 1 minus at 1
     telescoping_ok = all(

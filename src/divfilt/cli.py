@@ -153,11 +153,6 @@ def _cmd_example_scan(args) -> tuple[Iterable[str], list[str]]:
     return scan_csv_lines(scan.rows, args.digits), []
 
 
-# lines per write: few enough that memory stays flat, enough that the
-# per-write cost does not show
-_CSV_CHUNK_LINES = 1024
-
-
 class _LowestTerms(dict):
     """Residue r -> (g, tail) with num/denom = f"{num // g}{tail}" in lowest
     terms for every num = r (mod denom), as gcd(num, denom) = gcd(r, denom);
@@ -176,12 +171,12 @@ class _LowestTerms(dict):
 
 def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
     """The `example-scan` CSV rendered from the rows: the header line,
-    then the rows in chunks of up to `_CSV_CHUNK_LINES` lines each."""
+    then one string per column chunk that `rows.chunks()` hands over."""
     yield "n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal\n"
     decimals = decimal_column(digits)
     denom = rows.denom
     terms = _LowestTerms(denom)
-    for ns, ss, xs, nums in rows.chunks(_CSV_CHUNK_LINES):
+    for ns, ss, xs, nums in rows.chunks():
         decs = decimals(nums, [denom * n * n for n in ns])
         yield "".join(
             [

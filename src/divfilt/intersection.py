@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from divfilt.quadfield import QuadExt, parse_rational, rational_str
+from divfilt.quadfield import parse_rational, rational_str
 
 __all__ = [
     "DivisorSymbol",
@@ -167,18 +167,6 @@ class BivariatePolynomial:
             acc = term if acc is None else acc + term
         if acc is None:
             return Fraction(0)
-        return acc
-
-    def evaluate_at_n(self, alpha: QuadExt, n: int) -> Fraction:
-        """Exact rational value at x = ceil(alpha*n), y = n."""
-        if alpha.is_rational():
-            raise ValueError("alpha must be irrational")
-        if type(n) is not int or n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-        x = alpha.ceil_scaled(n)
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            acc += c * x**i * n**j
         return acc
 
     def __str__(self) -> str:

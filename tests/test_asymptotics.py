@@ -33,7 +33,7 @@ from divfilt.asymptotics import (
     subsequence_limit,
 )
 from divfilt.beatty import BeattySequence
-from divfilt.cli import scan_csv_lines
+from divfilt.cli import main, scan_csv_lines
 from divfilt.intersection import BivariatePolynomial, form_from_json
 from divfilt.quadfield import QuadExt, rational_str
 
@@ -220,7 +220,7 @@ def test_scan_telescoping(scan100k):
 def test_scan_rows_match_direct_lengths():
     scan = empirical_scan(MODEL, 200, sample_stride=7)
     seq = BeattySequence(ALPHA)
-    for n, s, x, num in scan.rows:
+    for n, s, x, num in _rows(scan.rows.chunks()):
         assert F(num, scan.rows.denom) == model_length(MODEL, n + 1) - model_length(MODEL, n)
         assert s == seq.sigma(n)
         assert x == ALPHA.ceil_scaled(n)
@@ -313,9 +313,15 @@ def _decimal(value, digits=30):
 CSV_HEADER = "n,sigma,ceil_alpha_n,delta_exact,delta_over_n2_decimal\n"
 
 
+def _rows(chunks):
+    """The (n, sigma, ceil(alpha*n), delta numerator) rows of column chunks."""
+    return [row for cols in chunks for row in zip(*cols)]
+
+
 def _exact_rows(rows):
     """(n, sigma, ceil(alpha*n), delta, delta/n^2) of each scan row, exactly."""
-    return [(n, s, x, F(num, rows.denom), F(num, rows.denom * n * n)) for n, s, x, num in rows]
+    d = rows.denom
+    return [(n, s, x, F(num, d), F(num, d * n * n)) for n, s, x, num in _rows(rows.chunks())]
 
 
 def _csv_oracle(rows, digits):
@@ -357,7 +363,7 @@ def test_scan_matches_per_index_oracle(name):
     for hi in (3, 400, 1999, 2000):
         want += [n for n in range(lo, hi + 1) if (n - lo) % 7 == 0 or n == hi]
         lo = hi + 1
-    assert [n for n, _, _, _ in sampled.rows] == want
+    assert [n for n, _, _, _ in _rows(sampled.rows.chunks())] == want
     assert _exact_rows(sampled.rows) == [rows[n - 1] for n in want]
     assert sampled.per_sigma == stats and sampled.checkpoint_max == cp
 
@@ -497,7 +503,7 @@ def test_envelope_bounds_every_index(case):
             k, r1, r0 = env = asymptotics._envelope(deltas.coeffs[s], alpha, s, sign)
             assert all(sign * ((2 * a * alpha + b1) * t + b0 * alpha + c1) <= r1 for t in thetas)
             assert all(sign * ((a * t + b0) * t + c0) <= r0 for t in thetas)
-            for n, t, _, dnum in deltas.rows(range(1, 200)):
+            for n, t, _, dnum in _rows(deltas.chunks(range(1, 200))):
                 if t == s:
                     assert sign * F(dnum, n * n) <= k + r1 / n + r0 / (n * n)
             for _ in range(4):
@@ -536,11 +542,12 @@ KERNEL_MODELS = ("bundled", "negative-sqrt", "tiny-alpha")
 
 
 @pytest.mark.parametrize("name", KERNEL_MODELS)
-def test_chunk_kernel_matches_per_index_formula(name):
+def test_chunk_kernel_matches_per_index_formula(monkeypatch, name):
     # index sets shaped like the scan's: a head plus a tail window, a strided
     # segment with its last index appended, and a lone index; chunks of 7
     # split runs of consecutive indices, so the ceiling carries across chunk
     # ends and restarts wherever n != prev + 1
+    monkeypatch.setattr(asymptotics, "_CHUNK", 7)
     model = next(case[1] for case in SCAN_CASES if case[0] == name)
     deltas = asymptotics._Deltas(model)
     m = 3000
@@ -551,17 +558,40 @@ def test_chunk_kernel_matches_per_index_formula(name):
         list(range(1, 300)),
     ]
     for ns in index_sets:
-        cols = list(deltas.chunks(iter(ns), 7))
+        cols = list(deltas.chunks(iter(ns)))
         assert all(0 < len(c[0]) <= 7 and len({len(col) for col in c}) == 1 for c in cols)
-        rows = [row for c in cols for row in zip(*c)]
+        rows = _rows(cols)
         assert [n for n, _, _, _ in rows] == ns
         for n, s, x, num in rows:
             assert x == deltas.ceil(n) == model.alpha.ceil_scaled(n)
             assert s == model.alpha.ceil_scaled(n + 1) - x
             assert F(num, deltas.denom) == model_length(model, n + 1) - model_length(model, n)
-        assert list(deltas.rows(ns)) == rows
     # the B < 0 branch of the ceiling comparison runs for negative-sqrt only
     assert (deltas.B < 0) == (name == "negative-sqrt")
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, tmp_path):
+    # the summary windows fold and the CSV renders a chunk at a time, and the
+    # kernel carries the ceiling across chunk ends; no report may show where
+    # the chunks end
+    csv, summary = tmp_path / "scan.csv", tmp_path / "summary.json"
+    argv = ["example-scan", "--n-max", "3000", "--stride", "1", "--checkpoint", "1500"]
+    argv += ["--out", str(csv), "--summary-out", str(summary)]
+    cases = [case for case in SCAN_CASES if case[0] in ("never-certifies", "tiny-alpha")]
+
+    def reports():
+        assert main(argv) == 0
+        out = [csv.read_bytes(), summary.read_bytes()]
+        for _, model, n_max, stride, checkpoints in cases:
+            scan = empirical_scan(model, n_max, stride, checkpoints)
+            out += ["".join(scan_csv_lines(scan.rows, 30)), json.dumps(scan.to_json())]
+        return out
+
+    default = reports()
+    assert len(cases) == 2 and len(default[0].splitlines()) == 3001
+    for size in (1, 7):
+        monkeypatch.setattr(asymptotics, "_CHUNK", size)
+        assert reports() == default, size
 
 
 def test_scan_ties_go_to_the_earliest_index():

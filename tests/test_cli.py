@@ -12,7 +12,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from divfilt import cli, picard
+from divfilt import asymptotics, cli, picard
 from divfilt.cli import main
 
 
@@ -110,6 +110,13 @@ SCAN_BYTES = [
         "3a05a0ccb65f2c2922b372e5ea7342705b5ca6005706e25c5dbbb8fab6dfaa07",
         "3aeb335d744ac16b76c86ab5b78cd2c23fa4364e4c4fb9b7a914bfb0a943cfac",
     ),
+    # the README's summary scale, where the head and tail windows double
+    # many times before they settle
+    (
+        ("--n-max", "1000000000", "--stride", "100000000"),
+        "05f1596e0c95df291d28df1505af56e11696e740d9d6b71c3ea03121cba3285a",
+        "42898c07425df1c7176d75c4d254610bcc815ff9ca995ab73460e8377671bdc2",
+    ),
 ]
 
 
@@ -144,7 +151,7 @@ def test_example_scan_decimals_beyond_int_digit_limit(tmp_path, digits):
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("n_max", [cli._CSV_CHUNK_LINES + k for k in (-1, 0, 1)])
+@pytest.mark.parametrize("n_max", [asymptotics._CHUNK + k for k in (-1, 0, 1)])
 def test_example_scan_chunk_boundary(capsys, tmp_path, n_max):
     # stride 1 gives one row per index: one row short of a chunk, exactly
     # one chunk, and one row past it

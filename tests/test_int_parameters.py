@@ -25,7 +25,6 @@ CALLS = {
     "beatty-partition": lambda: beatty.partition(SEQ, True),
     "beatty-histogram": lambda: beatty.equidistribution_histogram(SEQ, 10, True),
     "poly-exponent": lambda: BivariatePolynomial({(True, 0): 1}),
-    "poly-evaluate_at_n": lambda: MODEL.p3.evaluate_at_n(ALPHA, True),
     "sigma-filtration": lambda: SIGMA.sigma(True),
     "build_In": lambda: monomial.build_In(SIGMA, True),
     "curve-mul": lambda: E.mul(True, Q),

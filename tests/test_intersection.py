@@ -249,10 +249,10 @@ def test_evaluate_radicand_mismatch():
 
 def test_evaluate_at_n(form):
     p3 = triple_product(form, dn_expr(), dn_expr(), dn_expr())
-    assert p3.evaluate_at_n(ALPHA, 0) == 0
-    assert p3.evaluate_at_n(ALPHA, 1) == 198
+    assert p3.evaluate(ALPHA.ceil_scaled(0), 0) == 0
+    assert p3.evaluate(ALPHA.ceil_scaled(1), 1) == 198
     # at n = 3 the ceiling is 2: 468*8 - 486*4*3 + 162*2*9 + 54*27
-    assert p3.evaluate_at_n(ALPHA, 3) == 468 * 8 - 486 * 12 + 162 * 18 + 54 * 27 == 2286
+    assert p3.evaluate(ALPHA.ceil_scaled(3), 3) == 468 * 8 - 486 * 12 + 162 * 18 + 54 * 27 == 2286
 
 
 def test_telescoping_against_difference(form):
@@ -261,11 +261,11 @@ def test_telescoping_against_difference(form):
     p3 = triple_product(form, dn_expr(), dn_expr(), dn_expr())
     diffs = {s: difference_polynomial(p3, s) for s in (0, 1)}
     prev_ceil = 0
-    prev_val = p3.evaluate_at_n(ALPHA, 0)
+    prev_val = p3.evaluate(ALPHA.ceil_scaled(0), 0)
     for n in range(0, 10_000):
         cur_ceil = ALPHA.ceil_scaled(n + 1)
         sigma = cur_ceil - prev_ceil
-        nxt = p3.evaluate_at_n(ALPHA, n + 1)
+        nxt = p3.evaluate(ALPHA.ceil_scaled(n + 1), n + 1)
         assert nxt - prev_val == diffs[sigma].evaluate(F(prev_ceil), F(n))
         prev_ceil, prev_val = cur_ceil, nxt
 
