@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from divfilt import asymptotics, beatty, monomial, picard
@@ -35,8 +36,36 @@ class IngestError(ValueError):
 
 
 def _dumps(payload) -> str:
-    """Sorted, indented JSON; integers of any size are written in full."""
-    return _without_digit_limit(json.JSONEncoder(indent=2, sort_keys=True).encode, payload) + "\n"
+    """Sorted, indented JSON and a newline, byte for byte as
+    ``json.JSONEncoder(indent=2, sort_keys=True)`` writes it: ints of any size
+    in full, a float a TypeError.  The pieces are joined once; CPython's C
+    encoder serves only ``indent=None``, and its Python one steps per token."""
+    parts: list[str] = []
+    _without_digit_limit(_encode, payload, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(value, parts: list[str], newline: str) -> None:
+    if isinstance(value, (dict, list, tuple)):
+        inner, is_dict = newline + "  ", isinstance(value, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        sep = opening + inner
+        for item in sorted(value.items()) if is_dict else value:
+            if is_dict:  # a key that is not a str is a TypeError here
+                sep, item = sep + encode_basestring_ascii(item[0]) + ": ", item[1]
+            parts.append(sep)
+            _encode(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + closing if value else opening + closing)
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -252,7 +281,7 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         flags.append(f"discrepancy:qn-collisions count={len(seq.collisions)}")
     if not seq.avoids_q:
         flags.append("discrepancy:qn-returns-to-q")
-    replay = picard.restriction_replay(curve, p, q, restrict_max, seq.points)
+    replay = picard.restriction_replay(curve, p, q, restrict_max, seq.coords)
     failures = [rep for rep in replay if not rep.trivial]
     flags.extend(f"discrepancy:restriction-nontrivial n={rep.n}" for rep in failures)
     pairing = picard.exceptional_pairing_holds(curve, p, replay[-1].qn)

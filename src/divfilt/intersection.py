@@ -159,11 +159,16 @@ class BivariatePolynomial:
         """Exact evaluation; x and y may be QuadExt, Fraction or int.
 
         Irrational arguments must share their radicand (a rational argument
-        adopts the other's field).
+        adopts the other's field).  Each power is formed once, from x**0 and y**0.
         """
         acc = None
+        xs, ys = [x**0], [y**0]
         for (i, j), c in sorted(self.terms.items()):
-            term = c * (x**i) * (y**j)
+            while len(xs) <= i:
+                xs.append(xs[-1] * x)
+            while len(ys) <= j:
+                ys.append(ys[-1] * y)
+            term = c * xs[i] * ys[j]
             acc = term if acc is None else acc + term
         if acc is None:
             return Fraction(0)

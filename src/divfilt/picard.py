@@ -38,11 +38,12 @@ per run by `exceptional_pairing_holds`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from divfilt.quadfield import parse_rational, rational_str
+from divfilt.quadfield import _without_digit_limit, parse_rational, rational_str
 
 __all__ = [
     "EllipticCurve",
@@ -282,7 +283,10 @@ def class_of(E: EllipticCurve, divisor: Iterable[tuple[CurvePoint, int]]) -> Div
 # -- the q_n sequence -----------------------------------------------------------
 
 
-def _multiples(E: EllipticCurve, P: CurvePoint, n_max: int) -> list | None:
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[InvalidOperation, Rounded])  # never rounds
+
+
+def _multiples(E: EllipticCurve, P: CurvePoint, n_max: int, num: type = Decimal) -> list | None:
     """[k]P for 1 <= k <= n_max from division-polynomial values, or None.
 
     E must be over Q with integer A, B, so P = (a/e^2, b/e^3) in lowest terms
@@ -297,57 +301,82 @@ def _multiples(E: EllipticCurve, P: CurvePoint, n_max: int) -> list | None:
     in Z[A, B, x, y], so every division below is exact.  None means P has
     finite order: b = 0, or psi_k = 0 for some k <= 12, and by Mazur a point
     with no such zero has infinite order, so no later psi_k vanishes.
+
+    [k]P is a quadruple (X, X', Y, Y') of `num` integers (in `decimal`, whose
+    `str` is linear, or ints): [k]P = (X/X', Y/Y') in lowest terms, X', Y' > 0.
+    It is (phi_k, d^2, omega_k, d^3), d = e psi_k, up to the sign of d.  If
+    g = gcd(2b, 3a^2 + e^4 A) = 1, (a, b) is singular mod no prime, so no
+    prime divides phi_k and psi_k^2 (Ayad, "Points S-entiers des courbes
+    elliptiques", 1992), nor phi_k and e: mod a prime of e the model is
+    y^2 = x^3, where phi_k = (b/a)^(2k^2).  So x needs no gcd, nor y, as
+    omega_k^2 = phi_k^3 mod d.  If g > 1, in ints, c^2 = gcd(X, X') and c^3 go.
     """
     e = isqrt(P.x.denominator)
     a, b = P.x.numerator, P.y.numerator
     if b == 0:
         return None
     A, B = E.a.numerator * e**4, E.b.numerator * e**6
-    a2 = a * a
-    psi = [
-        0,
-        1,
-        2 * b,
-        3 * a2 * a2 + 6 * A * a2 + 12 * B * a - A * A,
-        4 * b * (a2**3 + 5 * A * a2 * a2 + 20 * B * a2 * a - 5 * A * A * a2
-                 - 4 * A * B * a - 8 * B * B - A**3),
-    ]
-    for k in range(5, max(n_max + 2, RATIONAL_TORSION_BOUND) + 1):
-        m = k // 2
-        if k % 2:
-            psi.append(psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3)
-        else:
-            psi.append(psi[m] * (psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2)
-                       // (2 * b))
-        if k == RATIONAL_TORSION_BOUND and 0 in psi[1:]:
-            return None
-    psi.append(-1)  # psi[-1] is psi_(-1), which omega_1 needs
-    out = []
-    for k in range(1, n_max + 1):
-        d = e * psi[k]
-        phi = a * psi[k] ** 2 - psi[k + 1] * psi[k - 1]
-        omega = (psi[k + 2] * psi[k - 1] ** 2 - psi[k - 2] * psi[k + 1] ** 2) // (4 * b)
-        out.append(CurvePoint(Fraction(phi, d * d), Fraction(omega, d**3)))
+    a2, g = a * a, gcd(2 * b, 3 * a * a + A)
+    num = int if g > 1 else num
+    psi3 = 3 * a2 * a2 + 6 * A * a2 + 12 * B * a - A * A
+    psi4 = 4 * b * (a2**3 + 5 * A * a2 * a2 + 20 * B * a2 * a - 5 * A * A * a2
+                    - 4 * A * B * a - 8 * B * B - A**3)
+    with localcontext(_EXACT):
+        psi = [num(v) for v in (0, 1, 2 * b, psi3, psi4)]
+        for k in range(5, max(n_max + 2, RATIONAL_TORSION_BOUND) + 1):
+            m = k // 2
+            if k % 2:
+                psi.append(psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3)
+            else:
+                psi.append(psi[m] * (psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2)
+                           // (2 * b))
+            if k == RATIONAL_TORSION_BOUND and 0 in psi[1:]:
+                return None
+        psi.append(num(-1))  # psi[-1] is psi_(-1), which omega_1 needs
+        sq = [v * v for v in psi]
+        out = []
+        for k in range(1, n_max + 1):
+            x = a * sq[k] - psi[k + 1] * psi[k - 1]
+            y = (psi[k + 2] * sq[k - 1] - psi[k - 2] * sq[k + 1]) // (4 * b)
+            x_den, y_den = e * e * sq[k], e**3 * sq[k] * psi[k]
+            if y_den < 0:
+                y, y_den = -y, -y_den
+            if g > 1:
+                c = isqrt(gcd(x, x_den))
+                x, x_den, y, y_den = x // c**2, x_den // c**2, y // c**3, y_den // c**3
+            out.append((x, x_den, y, y_den))
     return out
 
 
-def _sequence_points(E: EllipticCurve, p: CurvePoint, step: CurvePoint, n_max: int) -> list:
+def _point(pt) -> CurvePoint:  # a CurvePoint, or a `_multiples` quadruple as one
+    if isinstance(pt, CurvePoint):
+        return pt
+    if type(pt[0]) is not int:  # int(str(v)) is several times faster than int(v)
+        pt = _without_digit_limit(lambda: [int(str(v)) for v in pt])
+    x, x_den, y, y_den = pt
+    return CurvePoint(Fraction(x, x_den), Fraction(y, y_den))
+
+
+def _sequence_points(E: EllipticCurve, p: CurvePoint, step: CurvePoint, n_max: int) -> Sequence:
+    """q_1 .. q_n_max: `_multiples` quadruples if p = O, else CurvePoints."""
     if E.p is None and E.a.denominator == 1 and E.b.denominator == 1:
-        multiples = _multiples(E, step, n_max)
+        multiples = _multiples(E, step, n_max, Decimal if p.is_infinity else int)
         if multiples is not None:
-            return [E.add(p, m) for m in multiples]
+            return multiples if p.is_infinity else tuple(E.add(p, _point(m)) for m in multiples)
     out = []
     cur = p
     for _ in range(n_max):
         cur = E.add(cur, step)
         out.append(cur)
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class QnReport:
     """q_n audit: `q_hits` lists every n with q_n = q; `avoids_q` means the
-    sequence never returns to q after the definitional hit q_1 = q."""
+    sequence never returns to q after the definitional hit q_1 = q.  `coords`
+    keeps the q_n as computed, CurvePoints or `_multiples` quadruples, and
+    `points` is made from it on its first read."""
 
     points: tuple
     all_distinct: bool
@@ -356,10 +385,22 @@ class QnReport:
     avoids_q: bool
     q_hits: tuple
 
+    def __post_init__(self) -> None:
+        vars(self)["coords"] = vars(self).pop("points")
+
+    def __getattr__(self, name: str):
+        if name != "points":
+            raise AttributeError(name)
+        vars(self)["points"] = points = tuple(map(_point, self.coords))
+        return points
+
     def to_json(self) -> dict:
+        points = _without_digit_limit(lambda: [pt.to_json() if isinstance(pt, CurvePoint) else {
+            "x": f"{pt[0]}" if pt[1] == 1 else f"{pt[0]}/{pt[1]}",
+            "y": f"{pt[2]}" if pt[3] == 1 else f"{pt[2]}/{pt[3]}"} for pt in self.coords])
         return {
-            "n_max": len(self.points),
-            "points": [pt.to_json() for pt in self.points],
+            "n_max": len(self.coords),
+            "points": points,
             "all_distinct": self.all_distinct,
             "collisions": [list(c) for c in self.collisions],
             "collisions_certified": self.collisions_certified,
@@ -393,7 +434,7 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
     collisions = tuple(((n - 1) % k + 1, n) for n in range(k + 1, n_max + 1))
     q_hits = tuple(range(1, n_max + 1, k))
     return QnReport(
-        points=tuple(points),
+        points=points,
         all_distinct=not collisions,
         collisions=collisions,
         collisions_certified=not collisions or E.mul(k, step).is_infinity,
@@ -501,15 +542,16 @@ def restriction_replay(
     """`restriction_report(E, p, q, n)` for 1 <= n <= levels, in one pass.
 
     q_n is read off a sequence: `points`, which holds q_1, q_2, ... as
-    `qn_sequence(...).points` gives them, when it reaches level `levels`,
-    else the sequence recomputed to that level.  The ledger point
+    `qn_sequence(...).coords` or `.points` gives them, when it reaches level
+    `levels`, else the sequence recomputed to that level.  The ledger point
     [n]q + [1 - n]p is built from [n]q by double-and-add, [2m]q = [2]([m]q)
     and [2m+1]q = [2m]q + q, and from [1 - n]p as a running sum, so a level
     costs O(1) group-law additions.  The ledger never touches the sequence
     and takes a different addition chain from it: over Q on an integral
     model with a step of infinite order q_n is a division-polynomial point,
     and on the generic ladder with p = O it is q_(n-1) + q, which the ledger
-    repeats only at odd n.
+    repeats only at odd n.  A `_multiples` quadruple equal to the ledger's
+    Fractions, both in lowest terms, makes a trivial level with no group law.
     """
     if type(levels) is not int or levels < 1:
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
@@ -523,8 +565,11 @@ def restriction_replay(
     for n in range(1, levels + 1):
         kq.append(E.add(kq[n // 2], kq[n // 2]) if n % 2 == 0 else E.add(kq[n - 1], q))
         mp = E.add(mp, neg_p)
-        qn = points[n - 1]
-        reports.append(RestrictionReport(n, qn, DivisorClass(0, E.sub(E.add(kq[n], mp), qn))))
+        ledger, qn = E.add(kq[n], mp), points[n - 1]
+        same = type(qn) is tuple and not ledger.is_infinity and qn == (
+            ledger.x.numerator, ledger.x.denominator, ledger.y.numerator, ledger.y.denominator)
+        qn = ledger if same else _point(qn)
+        reports.append(RestrictionReport(n, qn, DivisorClass(0, O if same else E.sub(ledger, qn))))
     return reports
 
 

@@ -49,10 +49,13 @@ class RadicandMismatchError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal-free rational string: an integer or ``p/q``."""
+    """Parse a decimal-free rational string: an integer or ``p/q``, q != 0."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not a rational string (expected 'p' or 'p/q'): {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def _without_digit_limit(render, *args) -> str:

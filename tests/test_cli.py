@@ -14,6 +14,7 @@ import pytest
 
 from divfilt import asymptotics, cli, picard
 from divfilt.cli import main
+from divfilt.quadfield import _without_digit_limit
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -656,6 +657,38 @@ def test_ingestion_errors_exit_three(capsys, tmp_path):
     assert run_cli(capsys, "example-limits", "--table", str(no_k_rows))[0] == 3
 
 
+
+# a zero denominator is a malformed rational: a bad option is exit 2, a bad
+# document exit 3, and neither is an internal error
+ZERO_DENOMINATORS = [
+    ("quad-eval", ("quad-eval", "--a", "1/0", "--b", "1", "--d", "3"), None, 2),
+    ("beatty-scan", ("beatty-scan", "--alpha-a", "1/0", "--n-max", "10"), None, 2),
+    (
+        "table-triple",
+        ("example-limits", "--table", "{doc}"),
+        bundled_table_with(lambda d, v: "1/0" if d == ["S", "S", "S"] else v),
+        3,
+    ),
+    (
+        "curve-A",
+        ("elliptic-qn", "--curve", "{doc}"),
+        {"field": "Q", "A": "1/0", "B": "-2", "points": {"p": "O", "q": {"x": "3", "y": "5"}}},
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,doc,code", [c[1:] for c in ZERO_DENOMINATORS], ids=[c[0] for c in ZERO_DENOMINATORS]
+)
+def test_zero_denominators_keep_the_exit_contract(capsys, tmp_path, argv, doc, code):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([a.format(doc=path) for a in argv]) == code
+    out, err = capsys.readouterr()
+    kind = "configuration" if code == 2 else "ingestion"
+    assert out == "" and err.startswith(f"divfilt: {kind} error:") and "zero denominator" in err
+
 UNREADABLE = ["missing", "directory", "not-utf8", "malformed", "nested-100000", "int-past-limit"]
 READERS = [
     ("example-limits", "--table"),
@@ -768,3 +801,72 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "divfilt: internal error: RuntimeError: kernel fault second line\n"
+
+
+# -- the report writer ---------------------------------------------------------------
+
+
+def _json_encoder(payload) -> str:
+    return _without_digit_limit(json.JSONEncoder(indent=2, sort_keys=True).encode, payload) + "\n"
+
+
+PINNED_ARGV = (
+    [("example-scan", *argv, "--summary-out", "summary.json") for argv, _, _ in SCAN_BYTES]
+    + [argv for _, argv, _, _ in LIMITS_BYTES]
+    + [("beatty-scan", *argv) for _, argv, _ in BEATTY_BYTES]
+    + [argv for _, argv, _ in REPORT_BYTES]
+    + COMMANDS
+)
+
+
+def test_writer_matches_json_encoder_on_every_pinned_report(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in {**PIN_TABLES, "sigma.json": SEEDED_SIGMA, "curve.json": FP_CURVE,
+                      "neg2q.json": NEG_2Q_CURVE, "torsion.json": TORSION_CURVE}.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    dumps, payloads = cli._dumps, []
+
+    def checked(payload):
+        payloads.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(cli, "_dumps", checked)
+    for argv in PINNED_ARGV:
+        assert main([*argv, "--out", "report.out"]) in (0, 1)
+    assert len(payloads) == sum(a[0] != "example-scan" or "--summary-out" in a for a in PINNED_ARGV)
+    for payload in payloads:
+        assert dumps(payload) == _json_encoder(payload)
+
+
+WRITER_CASES = {
+    "empty": [{}, [], ()],
+    "nested-empty": {"a": {}, "b": [], "c": [{}, [[]], {"d": {}}]},
+    "strings": ["q\"uote", "back\\slash", "\x00\x01\x1f\n\r\t\x7f", "é ∞ \U0001d53d", ""],
+    "keys": {"\"": 1, "\\": 2, "\x00": 3, "é": 4, "Z": 5, "a": 6, "": 7},
+    "constants": [True, False, None, 0, -1, -(10**30), 10**40],
+    "mixed": {"b": (1, {"z": None, "y": [True, "x"]}), "a": [[1, [2, [3]]], {"k": "v"}]},
+}
+
+
+@pytest.mark.parametrize("payload", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_writer_matches_json_encoder(payload):
+    assert cli._dumps(payload) == _json_encoder(payload)
+    assert cli._dumps({"wrapped": payload}) == _json_encoder({"wrapped": payload})
+
+
+def test_writer_writes_ints_past_the_digit_limit():
+    value = {"n": -(7**12000), "m": [10**5000]}
+    expected = _json_encoder(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli._dumps(value) == expected
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("payload", [1.5, {"x": [0.0]}, {1: "int key"}, {"s": {1, 2}}])
+def test_writer_refuses_floats_and_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._dumps(payload)

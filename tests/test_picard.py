@@ -4,6 +4,7 @@ as oracles; group axioms are spot-checked on random multiples."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -294,6 +295,52 @@ def test_qn_matches_ladder_oracle(monkeypatch, curve, p, q, n_max, calls):
     assert rep == _scan_oracle(curve, p, q, _ladder(curve, p, q, n_max))
     assert [r is not None for r in results] == calls
 
+
+
+def _seeded_lowest_terms_cases(seed=2026, tries=20000):
+    """The first two finds of a seeded search over integral points (a, b) of
+    y^2 = x^3 + A x + B of infinite order: one where g = gcd(2b, 3a^2 + A) > 1,
+    so phi_k and psi_k^2 share the primes of g (Ayad), and a step [2]P or [3]P
+    with a denominator, e > 1, on the same kind of integral model."""
+    rng, found = random.Random(seed), {}
+    for _ in range(tries):
+        a, b, A = rng.randint(-12, 12), rng.randint(1, 30), rng.randint(-30, 30)
+        try:
+            curve = EllipticCurve(F(A), F(b * b - a**3 - A * a))
+        except SingularCurveError:
+            continue
+        point = curve.check(CurvePoint(F(a), F(b)))
+        if not infinite_order_witness(curve, point, 12).certified_infinite:
+            continue
+        if gcd(2 * b, 3 * a * a + A) > 1:
+            found.setdefault("g>1", (curve, point))
+        for m in (2, 3):
+            step = curve.mul(m, point)
+            if step.x.denominator > 1:
+                found.setdefault("e>1", (curve, step))
+        if len(found) == 2:
+            return found
+    raise AssertionError("the seeded search found no case")
+
+
+LOWEST_TERMS_CASES = _seeded_lowest_terms_cases()
+
+
+@pytest.mark.parametrize("case", ["g>1", "e>1"])
+def test_multiples_in_lowest_terms_match_the_ladder(case):
+    # the division-polynomial path renders x = X/X' and y = Y/Y' with no
+    # Fraction; they must be the generic ladder's lowest terms, point by point
+    curve, step = LOWEST_TERMS_CASES[case]
+    oracle = _ladder(curve, O, step, 30)
+    rep = qn_sequence(curve, O, step, 30)
+    assert all(type(c) is tuple for c in rep.coords)  # the division-polynomial path
+    assert rep.to_json()["points"] == [pt.to_json() for pt in oracle]
+    assert list(rep.coords) == [
+        (pt.x.numerator, pt.x.denominator, pt.y.numerator, pt.y.denominator) for pt in oracle
+    ]
+    assert rep.points == tuple(oracle)
+    replay = restriction_replay(curve, O, step, 30, rep.coords)
+    assert all(r.trivial for r in replay) and [r.qn for r in replay] == oracle
 
 def _small_field_case(rng):
     # a random nonsingular curve over a small F_l with an affine point
