@@ -500,6 +500,16 @@ class RestrictionReport:
     qn: CurvePoint
     assembled: DivisorClass
 
+    def __post_init__(self) -> None:  # a `_multiples` quadruple is made a CurvePoint on first read
+        if type(self.qn) is tuple:
+            vars(self)["quadruple"] = vars(self).pop("qn")
+
+    def __getattr__(self, name: str):
+        if name != "qn" or "quadruple" not in vars(self):
+            raise AttributeError(name)
+        vars(self)["qn"] = qn = _point(self.quadruple)
+        return qn
+
     @property
     def trivial(self) -> bool:
         return self.assembled.is_trivial
@@ -536,40 +546,76 @@ def restriction_report(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n: int) -
     return RestrictionReport(n, qn, DivisorClass(0, E.sub(ledger, qn)))
 
 
+def _jacobian_replay(E: EllipticCurve, q: CurvePoint, quadruples: Sequence[tuple]) -> list:
+    """The replay of `_multiples` quadruples (X, X', Y, Y'), p = O, with no gcd.
+
+    Level 1 must be q; level n > 1 is J = [2]q_(n/2) or q_(n-1) + q in
+    Jacobian coordinates, (X : Y : Z) for (X/Z^2, Y/Z^3), from a certified
+    predecessor (X : Y : d), d = Y' // X'.  J = (X3 : Y3 : Z3) matches iff
+    X' = d^2, Y' = d X', Z3 = u d, u != 0, X3 = u^2 X and Y3 = u^3 Y: then
+    J = q_n, so q_n = [n]q by induction.  A q_n = J in lowest terms matches,
+    as d^2 divides Z3^2.  Other levels get the Fraction ledger, [n]q - q_n.
+    """
+    A, a, b, e = int(E.a), q.x.numerator, q.y.numerator, q.y.denominator // q.x.denominator
+    ints = _without_digit_limit(lambda: [tuple(int(str(v)) for v in pt) for pt in quadruples])
+    jac, reports = [None], []  # (X, Y, d) of each certified q_k, else None, which makes Z3 = 0
+    for n, (X, X_den, Y, Y_den) in enumerate(ints, start=1):
+        X1, Y1, Z1 = (jac[n // 2] if n % 2 == 0 else jac[n - 1]) or (0, 0, 0)
+        if n == 1:
+            X3, Y3, Z3 = a, b, e
+        elif n % 2 == 0:
+            YY = Y1 * Y1
+            S, M = 4 * X1 * YY, 3 * X1 * X1 + A * Z1**4
+            X3 = M * M - 2 * S
+            Y3, Z3 = M * (S - X3) - 8 * YY * YY, 2 * Y1 * Z1
+        else:
+            ZZ, U1, S1 = Z1 * Z1, X1 * e * e, Y1 * e**3
+            H, R = a * ZZ - U1, b * ZZ * Z1 - S1
+            HH = H * H
+            HHH, V = H * HH, U1 * HH
+            X3 = R * R - HHH - 2 * V
+            Y3, Z3 = R * (V - X3) - S1 * HHH, Z1 * e * H
+        d = Y_den // X_den
+        u = Z3 // d if X_den == d * d and Y_den == d * X_den and Z3 and Z3 % d == 0 else 0
+        ok = u and X3 == u * u * X and Y3 == u**3 * Y
+        jac.append((X, Y, d) if ok else None)
+        qn = ints[n - 1] if ok else _point(ints[n - 1])
+        ledger_minus_qn = O if ok else E.sub(E.mul(n, q), qn)  # the Fraction ledger is [n]q
+        reports.append(RestrictionReport(n, qn, DivisorClass(0, ledger_minus_qn)))
+    return reports
+
+
 def restriction_replay(
     E: EllipticCurve, p: CurvePoint, q: CurvePoint, levels: int, points: Sequence[CurvePoint]
 ) -> list[RestrictionReport]:
     """`restriction_report(E, p, q, n)` for 1 <= n <= levels, in one pass.
 
-    q_n is read off a sequence: `points`, which holds q_1, q_2, ... as
-    `qn_sequence(...).coords` or `.points` gives them, when it reaches level
-    `levels`, else the sequence recomputed to that level.  The ledger point
-    [n]q + [1 - n]p is built from [n]q by double-and-add, [2m]q = [2]([m]q)
-    and [2m+1]q = [2m]q + q, and from [1 - n]p as a running sum, so a level
-    costs O(1) group-law additions.  The ledger never touches the sequence
-    and takes a different addition chain from it: over Q on an integral
-    model with a step of infinite order q_n is a division-polynomial point,
-    and on the generic ladder with p = O it is q_(n-1) + q, which the ledger
-    repeats only at odd n.  A `_multiples` quadruple equal to the ledger's
-    Fractions, both in lowest terms, makes a trivial level with no group law.
+    q_n is read off `points` (q_1, q_2, ... as `qn_sequence(...).coords` or
+    `.points` gives them) when it reaches level `levels`, else off the
+    sequence recomputed to that level.  The ledger [n]q + [1 - n]p is a
+    second computation by the group law on its own chain: `_jacobian_replay`
+    for `.coords` quadruples (p = O over Q), else [n]q by double-and-add,
+    [2m]q = [2]([m]q) and [2m+1]q = [2m]q + q, and [1 - n]p as a running
+    sum, which share only odd steps with the generic ladder q_(n-1) + q.
     """
     if type(levels) is not int or levels < 1:
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
     E.check(p)
     E.check(q)
+    quadruples = all(type(pt) is tuple for pt in points)  # `.coords`, or none
     if len(points) < levels:
         points = _sequence_points(E, p, E.sub(q, p), levels)
+    if quadruples and p.is_infinity and E.p is None and E.a.denominator == 1 and all(
+            type(pt) is tuple for pt in points[:levels]):
+        return _jacobian_replay(E, q, points[:levels])
     neg_p = E.neg(p)
     kq, mp = [O], p  # [0]q and [1 - 0]p; kq[k] is [k]q
     reports = []
     for n in range(1, levels + 1):
         kq.append(E.add(kq[n // 2], kq[n // 2]) if n % 2 == 0 else E.add(kq[n - 1], q))
         mp = E.add(mp, neg_p)
-        ledger, qn = E.add(kq[n], mp), points[n - 1]
-        same = type(qn) is tuple and not ledger.is_infinity and qn == (
-            ledger.x.numerator, ledger.x.denominator, ledger.y.numerator, ledger.y.denominator)
-        qn = ledger if same else _point(qn)
-        reports.append(RestrictionReport(n, qn, DivisorClass(0, O if same else E.sub(ledger, qn))))
+        qn = _point(points[n - 1])
+        reports.append(RestrictionReport(n, qn, DivisorClass(0, E.sub(E.add(kq[n], mp), qn))))
     return reports
 
 

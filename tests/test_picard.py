@@ -560,6 +560,106 @@ def test_restriction_replay_rejects_bad_levels(levels):
         restriction_replay(E, P0, Q0, levels, ())
 
 
+# -- the Jacobian replay of division-polynomial quadruples -------------------------------
+
+JACOBIAN_CASES = [  # (curve, q, levels, n_max of the sequence the replay reads)
+    ("default-50", E, Q0, 50, 50),
+    ("default-80-past-1", E, Q0, 80, 1),
+    ("g>1-30", *LOWEST_TERMS_CASES["g>1"], 30, 30),
+    ("e>1-30", *LOWEST_TERMS_CASES["e>1"], 30, 30),
+]
+
+
+@pytest.mark.parametrize("curve,q,levels,n_max", [c[1:] for c in JACOBIAN_CASES],
+                         ids=[c[0] for c in JACOBIAN_CASES])
+def test_jacobian_replay_matches_the_fraction_ledger(monkeypatch, curve, q, levels, n_max):
+    # every level is certified in Jacobian coordinates: no Fraction ledger
+    # (`E.mul`) is run, and the reports equal the per-level oracle's
+    coords = qn_sequence(curve, O, q, n_max).coords
+    assert all(type(c) is tuple for c in coords)
+    oracle = [restriction_report(curve, O, q, n) for n in range(1, levels + 1)]
+    assert all(r.trivial for r in oracle)
+
+    def no_ledger(self, k, P):
+        raise AssertionError("the Fraction ledger ran")
+
+    monkeypatch.setattr(EllipticCurve, "mul", no_ledger)
+    got = restriction_replay(curve, O, q, levels, coords)
+    monkeypatch.undo()
+    assert got == oracle
+    assert [r.to_json() for r in got] == [r.to_json() for r in oracle]
+
+
+def _int_coords(n_max):
+    return [tuple(int(v) for v in c) for c in qn_sequence(E, O, Q0, n_max).coords]
+
+
+def _ledger_class(n, quadruple):
+    # the Fraction ledger's class at level n for a q_n given as a quadruple
+    x, x_den, y, y_den = quadruple
+    qn = CurvePoint(F(x, x_den), F(y, y_den))
+    return qn, DivisorClass(0, E.sub(E.add(E.mul(n, Q0), E.mul(1 - n, P0)), qn))
+
+
+def _assert_flags_exactly(coords, level):
+    replay = restriction_replay(E, P0, Q0, len(coords), coords)
+    assert [r.n for r in replay if not r.trivial] == [level]
+    qn, cls = _ledger_class(level, coords[level - 1])
+    assert replay[level - 1].qn == qn and replay[level - 1].assembled == cls
+
+
+MUTANTS = {
+    "x+1": lambda x, x_den, y, y_den: (x + 1, x_den, y, y_den),
+    "y+1": lambda x, x_den, y, y_den: (x, x_den, y + 1, y_den),
+    "-y": lambda x, x_den, y, y_den: (x, x_den, -y, y_den),
+    "4x'": lambda x, x_den, y, y_den: (x, 4 * x_den, y, y_den),
+    # X' != d^2 with d = Y' // X' and Y' = d X' kept: only the X' check sees it
+    "x'!=d^2": lambda x, x_den, y, y_den: (x, 2 * x_den, y, 2 * y_den),
+    # Y' != d X' with d = Y' // X' and X' = d^2 kept: only the Y' check sees it
+    "y'!=dx'": lambda x, x_den, y, y_den: (x, x_den, y, y_den + 1),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+@pytest.mark.parametrize("level", [1, 2, 3, 17, 50])
+def test_jacobian_replay_flags_a_mutated_level(mutant, level):
+    # one wrong coordinate of one quadruple is flagged at exactly that level,
+    # with the Fraction ledger's class; at level 1 that is q_1 != q
+    coords = _int_coords(50)
+    coords[level - 1] = MUTANTS[mutant](*coords[level - 1])
+    _assert_flags_exactly(coords, level)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 17, 50])
+def test_jacobian_replay_unreduced_point_keeps_its_verdict(level):
+    # (4X, 4X', 8Y, 8Y') is the same point: it passes X' = d^2 and Y' = d X'
+    # with d doubled, and whether or not 2d divides Z3 the level stays trivial
+    coords = _int_coords(50)
+    x, x_den, y, y_den = coords[level - 1]
+    coords[level - 1] = (4 * x, 4 * x_den, 8 * y, 8 * y_den)
+    replay = restriction_replay(E, P0, Q0, 50, coords)
+    assert replay == [restriction_report(E, P0, Q0, n) for n in range(1, 51)]
+
+
+def test_jacobian_replay_takes_no_group_law_step(monkeypatch):
+    # the default call's 50 levels are certified with no EllipticCurve.add,
+    # and no report builds its q_n until it is read
+    coords = qn_sequence(E, P0, Q0, 50).coords
+
+    def no_group_law(self, P, Q):
+        raise AssertionError("a group-law step ran")
+
+    monkeypatch.setattr(EllipticCurve, "add", no_group_law)
+    replay = restriction_replay(E, P0, Q0, 50, coords)
+    assert len(replay) == 50 and all(r.trivial for r in replay)
+    assert not any("qn" in vars(r) for r in replay)
+    assert replay[-1].qn == CurvePoint(F(int(coords[-1][0]), int(coords[-1][1])),
+                                       F(int(coords[-1][2]), int(coords[-1][3])))
+    assert "qn" in vars(replay[-1]) and not any("qn" in vars(r) for r in replay[:-1])
+    monkeypatch.undo()
+    assert replay[-1].qn == E.mul(50, Q0)
+
+
 # -- JSON ---------------------------------------------------------------------------
 
 
