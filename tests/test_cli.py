@@ -11,6 +11,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+import referencing
 
 from divfilt import asymptotics, cli, picard
 from divfilt.cli import main
@@ -23,13 +24,16 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
-def schema(name: str) -> dict:
-    text = resources.files("divfilt").joinpath(f"schemas/{name}").read_text()
-    return json.loads(text)
+SCHEMAS = {
+    path.name: json.loads(path.read_text())
+    for path in resources.files("divfilt").joinpath("schemas").iterdir()
+}
+# the schemas refer to one another by `$id`, so each validator resolves through one registry
+REGISTRY = referencing.Registry().with_contents((doc["$id"], doc) for doc in SCHEMAS.values())
 
 
-def validate(doc: dict, schema_name: str) -> None:
-    jsonschema.Draft202012Validator(schema(schema_name)).validate(doc)
+def validate(doc, schema_name: str) -> None:
+    jsonschema.Draft202012Validator(SCHEMAS[schema_name], registry=REGISTRY).validate(doc)
 
 
 # -- determinism -------------------------------------------------------------------
@@ -482,6 +486,100 @@ def test_bundled_table_matches_schema():
         resources.files("divfilt").joinpath("data/intersection_table.json").read_text()
     )
     validate(doc, "intersection_table.schema.json")
+
+
+def inlined(node, resolver):
+    """`node` with every `$ref` replaced by its target and `$defs` dropped; a
+    whole-file target loses its `$id`, `$schema` and `title` annotations."""
+    if isinstance(node, list):
+        return [inlined(child, resolver) for child in node]
+    if not isinstance(node, dict):
+        return node
+    if "$ref" in node:
+        found = resolver.lookup(node["$ref"])
+        body = {k: v for k, v in found.contents.items() if k not in ("$id", "$schema", "title")}
+        return inlined(body, found.resolver)
+    return {k: inlined(v, resolver) for k, v in node.items() if k != "$defs"}
+
+
+def test_schemas_are_valid_resolve_and_accept_the_input_documents():
+    for doc in SCHEMAS.values():
+        jsonschema.Draft202012Validator.check_schema(doc)
+        inlined(doc, REGISTRY.resolver(doc["$id"]))  # raises if a $ref does not resolve
+    E, p, q = picard.default_curve()
+    for curve in (NEG_2Q_CURVE, TORSION_CURVE, FP_CURVE, picard.curve_to_json(E, {"p": p, "q": q})):
+        validate(curve, "curve.schema.json")
+    for sigma in (SEEDED_SIGMA, [5, 1, 7], [1]):
+        validate(sigma, "sigma_table.schema.json")
+
+
+ELLIPTIC = ("elliptic-qn", "--n-max", "3", "--restriction-max", "1", "--out")
+QUAD_EVAL = ("quad-eval", "--a", "1", "--b", "1", "--d", "2", "--out")
+
+
+# one malformed report per shared definition: (argv up to the report path, schema,
+# path to the bad block, edit)
+MALFORMED = {
+    "rational": (QUAD_EVAL, "quad_eval_report", ("value",), lambda value: value.update(a="0.5")),
+    "quad_value": (QUAD_EVAL, "quad_eval_report", ("value",), lambda value: value.update(decimal="1,5")),
+    "point": (ELLIPTIC, "elliptic_report", ("qn", "points", 0), lambda point: point.update(z="0")),
+    "sigma_stats": (("example-scan", "--n-max", "20", "--summary-out"), "scan_summary",
+                    ("per_sigma", "1"), lambda stats: stats.pop("count")),
+    "curve": (ELLIPTIC, "elliptic_report", ("curve",), lambda curve: curve.pop("A")),
+}
+
+
+@pytest.mark.parametrize("argv,name,path,edit", MALFORMED.values(), ids=MALFORMED)
+def test_schemas_reject_a_malformed_report(tmp_path, argv, name, path, edit):
+    report = tmp_path / "report.json"
+    assert main([*argv, str(report)]) == 0
+    doc = json.loads(report.read_text())
+    validate(doc, f"{name}.schema.json")
+    block = doc
+    for key in path:
+        block = block[key]
+    edit(block)
+    with pytest.raises(jsonschema.ValidationError) as err:
+        validate(doc, f"{name}.schema.json")
+    assert tuple(err.value.absolute_path)[: len(path)] == path
+
+
+def test_restriction_failure_matches_the_schema(capsys, monkeypatch):
+    multiples = picard._multiples
+
+    def x_off_by_one_at_level_3(*args, **kwargs):
+        out = multiples(*args, **kwargs)
+        x, *rest = out[2]
+        out[2] = (x + 1, *rest)
+        return out
+
+    monkeypatch.setattr(picard, "_multiples", x_off_by_one_at_level_3)
+    _, out = run_cli(capsys, "elliptic-qn", "--n-max", "12", "--restriction-max", "6")
+    doc = json.loads(out)
+    assert [failure["n"] for failure in doc["restriction"]["failures"]] == [3]
+    validate(doc, "elliptic_report.schema.json")
+
+
+def subschemas(node, path=()):
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from subschemas(child, (*path, key))
+
+
+def test_no_schema_inlines_a_shared_definition():
+    # a definition is a whole schema file or a `$defs` entry; every other use is a `$ref`
+    refs = [doc["$id"] for doc in SCHEMAS.values()]
+    refs += [f"{doc['$id']}#/$defs/{key}" for doc in SCHEMAS.values() for key in doc.get("$defs", ())]
+    shared = {ref: inlined({"$ref": ref}, REGISTRY.resolver()) for ref in refs}
+    copies = []
+    for name, doc in SCHEMAS.items():
+        resolver = REGISTRY.resolver(doc["$id"])
+        for path, node in subschemas(doc):
+            if isinstance(node, dict) and "$ref" not in node and path[:-1] != ("$defs",):
+                body = inlined(node, resolver)
+                copies += [(name, path, ref) for ref, shape in shared.items() if body == shape]
+    assert copies == []
 
 
 # -- ingestion ---------------------------------------------------------------------
