@@ -55,7 +55,7 @@ from divfilt.intersection import (
     form_from_json,
     triple_product,
 )
-from divfilt.quadfield import QuadExt, floor_cleared, rational_str
+from divfilt.quadfield import ParameterError, QuadExt, floor_cleared, rational_str
 
 __all__ = [
     "ExampleModel",
@@ -159,7 +159,7 @@ def _as_quad(value, d: int) -> QuadExt:
 def model_length(model: ExampleModel, n: int) -> Fraction:
     """(1/6) p3 + (1/4) p2 at (ceil(alpha*n), n), exact rational."""
     if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        raise ParameterError(f"n must be a nonnegative integer, got {n!r}")
     x = model.alpha.ceil_scaled(n)
     return _F(1, 6) * model.p3.evaluate(x, n) + _F(1, 4) * model.p2.evaluate(x, n)
 
@@ -513,12 +513,12 @@ def empirical_scan(
     and at n_max, plus its last index, and computed on demand.
     """
     if type(n_max) is not int or n_max < 10:
-        raise ValueError(f"n_max must be an integer >= 10, got {n_max!r}")
+        raise ParameterError(f"n_max must be an integer >= 10, got {n_max!r}")
     if type(sample_stride) is not int or sample_stride < 1:
-        raise ValueError(f"sample_stride must be a positive integer, got {sample_stride!r}")
+        raise ParameterError(f"sample_stride must be a positive integer, got {sample_stride!r}")
     for c in checkpoints:
         if type(c) is not int or not 1 <= c <= n_max:
-            raise ValueError(f"checkpoint {c!r} outside [1, {n_max}]")
+            raise ParameterError(f"checkpoint {c!r} outside [1, {n_max}]")
 
     deltas = _Deltas(model)
     denom, alpha = deltas.denom, model.alpha

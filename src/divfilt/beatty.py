@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from divfilt.quadfield import QuadExt, floor_cleared, rational_str
+from divfilt.quadfield import ParameterError, QuadExt, floor_cleared, rational_str
 
 __all__ = [
     "BeattySequence",
@@ -43,9 +43,9 @@ class BeattySequence:
 
     def __post_init__(self) -> None:
         if self.alpha.is_rational():
-            raise ValueError("alpha must be irrational")
+            raise ParameterError("alpha must be irrational")
         if self.alpha.sign() <= 0:
-            raise ValueError("alpha must be positive")
+            raise ParameterError("alpha must be positive")
 
     def low_value(self) -> int:
         return self.alpha.floor()
@@ -56,7 +56,7 @@ class BeattySequence:
     def sigma(self, n: int) -> int:
         """floor(alpha*(n+1)) - floor(alpha*n), exact; requires n >= 1."""
         if type(n) is not int or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+            raise ParameterError(f"n must be a positive integer, got {n!r}")
         return self.alpha.floor_scaled(n + 1) - self.alpha.floor_scaled(n)
 
 
@@ -177,7 +177,7 @@ def _report(seq: BeattySequence, n_max: int, bins: int | None) -> PartitionRepor
     at floor(k/(1 - frac)).  The high count telescopes to floor(frac*(n_max+1)).
     """
     if type(n_max) is not int or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+        raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
     low, high = seq.low_value(), seq.high_value()
     frac = seq.alpha.fractional_part()
     hi_count = frac.floor_scaled(n_max + 1)
@@ -206,17 +206,19 @@ def partition(seq: BeattySequence, n_max: int) -> PartitionReport:
     """Classify every n <= n_max into the two-value partition.
 
     The binary labeling (value 0 vs value 1) requires 0 < alpha < 1;
-    for larger alpha use `value_counts`.
+    for larger alpha use `equidistribution_histogram` or `value_counts`.
     """
     if not (0 < seq.alpha < 1):
-        raise ValueError("binary labeling requires 0 < alpha < 1; use value_counts")
+        raise ParameterError(
+            "binary labeling needs 0 < alpha < 1; else pass bins to equidistribution_histogram"
+        )
     return _report(seq, n_max, None)
 
 
 def equidistribution_histogram(seq: BeattySequence, n_max: int, bins: int) -> PartitionReport:
     """Partition report plus exact bin counts of the fractional parts."""
     if type(bins) is not int or bins < 2:
-        raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
+        raise ParameterError(f"bins must be an integer >= 2, got {bins!r}")
     return _report(seq, n_max, bins)
 
 

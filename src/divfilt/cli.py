@@ -5,9 +5,10 @@ Every subcommand writes a single JSON (or CSV) artifact to stdout or to
 keys, exact rational strings, correctly rounded decimals, no timestamps).
 Commands attach audit flags to their reports; ``--strict`` turns any
 ``discrepancy:`` flag into exit status 1.  Exit status 2 marks a
-configuration error, 3 an ingestion error, 4 an internal error (any other
-exception, reported in one line on stderr).  A reader that closes stdout
-early ends the report there; the exit status stays what the run computed.
+configuration error (an argument that the library refuses with `ParameterError`),
+3 an ingestion error, 4 an internal error (any other exception, reported in
+one line on stderr).  A reader that closes stdout early ends the report
+there; the exit status stays what the run computed.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from math import gcd
 
 from divfilt import asymptotics, beatty, monomial, picard
 from divfilt.intersection import form_from_json
-from divfilt.quadfield import MAX_DECIMAL_DIGITS, QuadExt, decimal_column, parse_rational
+from divfilt.quadfield import ParameterError, QuadExt, decimal_column, parse_rational
 from divfilt.quadfield import _without_digit_limit
 
 __all__ = ["main", "ConfigError", "IngestError"]
 
 
-class ConfigError(ValueError):
-    """Invalid parameter combination (exit status 2)."""
+ConfigError = ParameterError  # a refused argument (exit status 2)
 
 
 class IngestError(ValueError):
@@ -101,18 +101,11 @@ def _positive(kind: str, value: int) -> int:
     return value
 
 
-def _quad(a: str, b: str, d: int) -> QuadExt:
-    try:
-        return QuadExt(parse_rational(a), parse_rational(b), d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
 def _cmd_quad_eval(args) -> tuple[str, list[str]]:
-    x = _quad(args.a, args.b, args.d)
+    x = QuadExt(parse_rational(args.a), parse_rational(args.b), args.d)
     payload = {
         "value": x.to_json(args.digits),
         "sign": x.sign(),
@@ -129,19 +122,12 @@ def _cmd_quad_eval(args) -> tuple[str, list[str]]:
 
 
 def _cmd_beatty_scan(args) -> tuple[str, list[str]]:
-    alpha = _quad(args.alpha_a, args.alpha_b, args.alpha_d)
-    if alpha.is_rational() or alpha.sign() <= 0:
-        raise ConfigError("alpha must be a positive irrational")
-    n_max = _positive("--n-max", args.n_max)
+    alpha = QuadExt(parse_rational(args.alpha_a), parse_rational(args.alpha_b), args.alpha_d)
     seq = beatty.BeattySequence(alpha)
-    if args.bins is not None:
-        if args.bins < 2:
-            raise ConfigError("--bins must be at least 2")
-        report = beatty.equidistribution_histogram(seq, n_max, args.bins)
+    if args.bins is None:
+        report = beatty.partition(seq, args.n_max)
     else:
-        if not (0 < alpha < 1):
-            raise ConfigError("binary partition labeling needs 0 < alpha < 1; pass --bins")
-        report = beatty.partition(seq, n_max)
+        report = beatty.equidistribution_histogram(seq, args.n_max, args.bins)
     payload = {
         "alpha": alpha.to_json(args.digits),
         "window_constant": beatty.window_constant(seq),
@@ -168,15 +154,8 @@ def _cmd_example_limits(args) -> tuple[str, list[str]]:
 
 def _cmd_example_scan(args) -> tuple[Iterable[str], list[str]]:
     model = _example_model_from_args(args)
-    n_max = args.n_max
-    if n_max < 10:
-        raise ConfigError("--n-max must be at least 10")
-    stride = _positive("--stride", args.stride)
-    checkpoints = tuple(sorted({c for c in (args.checkpoint or [])}))
-    for c in checkpoints:
-        if not 1 <= c <= n_max:
-            raise ConfigError(f"--checkpoint {c} outside [1, {n_max}]")
-    scan = asymptotics.empirical_scan(model, n_max, stride, checkpoints)
+    checkpoints = tuple(sorted(set(args.checkpoint or ())))
+    scan = asymptotics.empirical_scan(model, args.n_max, args.stride, checkpoints)
     if args.summary_out is not None:
         _emit(_dumps(scan.to_json(args.digits)), args.summary_out)
     return scan_csv_lines(scan.rows, args.digits), []
@@ -269,14 +248,14 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         p, q = points["p"], points["q"]
         if p == q:
             raise IngestError("curve document names the same point as 'p' and 'q'")
-    n_max = _positive("--n-max", args.n_max)
+    # checked here: the library would reach this check only after building the sequence
     restrict_max = _positive("--restriction-max", args.restriction_max)
     flags: list[str] = []
     step = curve.sub(q, p)
     witness = picard.infinite_order_witness(curve, step, picard.RATIONAL_TORSION_BOUND)
     if not witness.passed:
         flags.append(f"discrepancy:torsion-step order={witness.failed_at}")
-    seq = picard.qn_sequence(curve, p, q, n_max)
+    seq = picard.qn_sequence(curve, p, q, args.n_max)
     if not seq.all_distinct:
         flags.append(f"discrepancy:qn-collisions count={len(seq.collisions)}")
     if not seq.avoids_q:
@@ -362,14 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.digits < 1 or args.digits > MAX_DECIMAL_DIGITS:
-        parser.exit(2, f"divfilt: --digits must be in [1, {MAX_DECIMAL_DIGITS}]\n")
+    args = build_parser().parse_args(argv)
     try:
+        decimal_column(args.digits)  # refuses --digits before any work
         text, flags = args.func(args)
         _emit(text, args.out)
-    except ConfigError as exc:
+    except ParameterError as exc:
         sys.stderr.write(f"divfilt: configuration error: {exc}\n")
         return 2
     except IngestError as exc:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from divfilt.quadfield import parse_rational, rational_str
+from divfilt.quadfield import ParameterError, parse_rational, rational_str
 
 __all__ = [
     "DivisorSymbol",
@@ -72,7 +72,7 @@ class BivariatePolynomial:
         clean = {}
         for (i, j), c in self.terms.items():
             if not (type(i) is int and type(j) is int and i >= 0 and j >= 0):
-                raise ValueError(f"bad exponent pair {(i, j)!r}")
+                raise ParameterError(f"bad exponent pair {(i, j)!r}")
             c = _as_fraction(c)
             if c != 0:
                 clean[(i, j)] = c

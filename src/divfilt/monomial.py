@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from divfilt.quadfield import ParameterError
+
 __all__ = [
     "Vector",
     "MonomialIdeal",
@@ -138,7 +140,7 @@ class SigmaFiltration:
 
     def sigma(self, n: int) -> int:
         if type(n) is not int or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+            raise ParameterError(f"n must be a positive integer, got {n!r}")
         if self.func is None:
             if n > len(self.table):
                 raise ValueError(f"sigma table has {len(self.table)} entries; n={n}")
@@ -160,10 +162,10 @@ def build_In(f: SigmaFiltration, n: int) -> MonomialIdeal:
     nothing is re-verified.
     """
     if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
     s = f.sigma(n)
     if n + 2 >= _MAX_EXPONENT:
-        raise ValueError(f"exponent out of range [0, 2^63): n={n}")
+        raise ParameterError(f"exponent out of range [0, 2^63): n={n}")
     gens = [(0, 0, n + 2)]
     gens.extend((i, s - i, n + 1) for i in range(s + 1))
     return MonomialIdeal._antichain(gens)

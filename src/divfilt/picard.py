@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from divfilt.quadfield import _without_digit_limit, parse_rational, rational_str
+from divfilt.quadfield import ParameterError, _without_digit_limit, parse_rational, rational_str
 
 __all__ = [
     "EllipticCurve",
@@ -422,11 +422,11 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
     `avoids_q` asserts there is no hit after q_1.
     """
     if type(n_max) is not int or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+        raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
     E.check(p)
     E.check(q)
     if p == q:
-        raise ValueError("base points must differ")
+        raise ParameterError("base points must differ")
     step = E.sub(q, p)
     points = _sequence_points(E, p, step, n_max)
     # k = n_max when no q_n is p: then there is no collision and q_hits = (1,)
@@ -469,7 +469,7 @@ def infinite_order_witness(E: EllipticCurve, P: CurvePoint, bound: int) -> Witne
     verdict is labeled a bounded check only.
     """
     if type(bound) is not int or bound < 1:
-        raise ValueError(f"bound must be a positive integer, got {bound!r}")
+        raise ParameterError(f"bound must be a positive integer, got {bound!r}")
     E.check(P)
     acc = O
     failed_at = None
@@ -538,7 +538,7 @@ def restriction_report(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n: int) -
     divisor: (0, ledger - q_n), which is O exactly when ledger = q_n.
     """
     if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
     E.check(p)
     E.check(q)
     qn = E.add(p, E.mul(n, E.sub(q, p)))
@@ -599,7 +599,7 @@ def restriction_replay(
     sum, which share only odd steps with the generic ladder q_(n-1) + q.
     """
     if type(levels) is not int or levels < 1:
-        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+        raise ParameterError(f"levels must be a positive integer, got {levels!r}")
     E.check(p)
     E.check(q)
     quadruples = all(type(pt) is tuple for pt in points)  # `.coords`, or none

@@ -27,6 +27,7 @@ import sys
 
 __all__ = [
     "QuadExt",
+    "ParameterError",
     "RadicandMismatchError",
     "floor_cleared",
     "parse_rational",
@@ -44,6 +45,10 @@ _MAX_CERTIFIABLE_RADICAND = _SQUAREFREE_TRIAL_BOUND**2
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+class ParameterError(ValueError):
+    """An argument that a library function refuses: the front end's exit 2."""
+
+
 class RadicandMismatchError(ValueError):
     """Raised when two irrational values from different Q(sqrt(d)) meet."""
 
@@ -51,11 +56,11 @@ class RadicandMismatchError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Parse a decimal-free rational string: an integer or ``p/q``, q != 0."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise ValueError(f"not a rational string (expected 'p' or 'p/q'): {text!r}")
+        raise ParameterError(f"not a rational string (expected 'p' or 'p/q'): {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+        raise ParameterError(f"zero denominator: {text!r}") from None
 
 
 def _without_digit_limit(render, *args) -> str:
@@ -87,7 +92,7 @@ def decimal_column(digits: int) -> Callable[..., list[str]]:
     is at most one exact divmod and the half-even fix-up, then one padded
     ``str`` cut into integer and fractional part."""
     if type(digits) is not int or not 1 <= digits <= MAX_DECIMAL_DIGITS:
-        raise ValueError(f"digits must be in [1, {MAX_DECIMAL_DIGITS}], got {digits!r}")
+        raise ParameterError(f"digits must be in [1, {MAX_DECIMAL_DIGITS}], got {digits!r}")
     scale, width, cut = 10**digits, digits + 1, -digits
 
     def text(ms: Sequence[int]) -> list[str]:
@@ -117,11 +122,11 @@ _validated_radicands: set[int] = set()
 def _validate_radicand(d: int) -> None:
     # type first: 3.0 hashes like 3 and would pass the cache lookup
     if type(d) is not int or d < 2:
-        raise ValueError(f"radicand must be an integer >= 2, got {d!r}")
+        raise ParameterError(f"radicand must be an integer >= 2, got {d!r}")
     if d in _validated_radicands:
         return
     if d > _MAX_CERTIFIABLE_RADICAND:
-        raise ValueError(
+        raise ParameterError(
             f"radicand {d} exceeds {_MAX_CERTIFIABLE_RADICAND}; "
             "squarefreeness cannot be certified by trial division"
         )
@@ -131,7 +136,7 @@ def _validate_radicand(d: int) -> None:
         if m % p == 0:
             m //= p
             if m % p == 0:
-                raise ValueError(f"radicand must be squarefree, got {d} (divisible by {p}^2)")
+                raise ParameterError(f"radicand must be squarefree, got {d} (divisible by {p}^2)")
         p += 1 if p == 2 else 2
     _validated_radicands.add(d)
 
@@ -357,14 +362,12 @@ class QuadExt:
     def floor_scaled(self, n: int) -> int:
         """Exact floor(n * self) for a nonnegative integer n."""
         if type(n) is not int or n < 0:
-            raise ValueError(f"scale must be a nonnegative integer, got {n!r}")
+            raise ParameterError(f"scale must be a nonnegative integer, got {n!r}")
         return (self * n).floor()
 
     def ceil_scaled(self, n: int) -> int:
         """Exact ceil(n * self) for a nonnegative integer n."""
-        if type(n) is not int or n < 0:
-            raise ValueError(f"scale must be a nonnegative integer, got {n!r}")
-        return -((-self * n).floor())
+        return -(-self).floor_scaled(n)
 
     def fractional_part(self) -> QuadExt:
         return self - self.floor()

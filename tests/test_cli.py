@@ -13,9 +13,9 @@ import jsonschema
 import pytest
 import referencing
 
-from divfilt import asymptotics, cli, picard
+from divfilt import asymptotics, beatty, cli, picard
 from divfilt.cli import main
-from divfilt.quadfield import _without_digit_limit
+from divfilt.quadfield import ParameterError, _without_digit_limit
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -526,13 +526,19 @@ MALFORMED = {
     "sigma_stats": (("example-scan", "--n-max", "20", "--summary-out"), "scan_summary",
                     ("per_sigma", "1"), lambda stats: stats.pop("count")),
     "curve": (ELLIPTIC, "elliptic_report", ("curve",), lambda curve: curve.pop("A")),
+    "filtration": (("monomial-check", "--n-max", "2", "--filtration-max", "1", "--out"),
+                   "monomial_report", ("filtration",), lambda filtration: filtration.pop("ok")),
+    # a torsion step, so the real report has collisions to validate
+    "collision": (("elliptic-qn", "--curve", "{torsion}", "--n-max", "12", "--out"),
+                  "elliptic_report", ("qn", "collisions", 0), lambda pair: pair.append(13)),
 }
 
 
 @pytest.mark.parametrize("argv,name,path,edit", MALFORMED.values(), ids=MALFORMED)
 def test_schemas_reject_a_malformed_report(tmp_path, argv, name, path, edit):
-    report = tmp_path / "report.json"
-    assert main([*argv, str(report)]) == 0
+    report, torsion = tmp_path / "report.json", tmp_path / "torsion.json"
+    torsion.write_text(json.dumps(TORSION_CURVE))
+    assert main([*(a.format(torsion=torsion) for a in argv), str(report)]) == 0
     doc = json.loads(report.read_text())
     validate(doc, f"{name}.schema.json")
     block = doc
@@ -730,6 +736,66 @@ def test_config_errors_exit_two(capsys):
     assert err.value.code == 2
 
 
+# one refused value per rule that the library, not the CLI, states on a flag; the message
+# names the library parameter
+REFUSED = {
+    "digits-0": (("quad-eval", "--a", "1", "--b", "1", "--d", "2", "--digits", "0"), "digits"),
+    "digits-10001": (("example-limits", "--digits", "10001"), "digits"),
+    "beatty-rational-alpha": (("beatty-scan", "--n-max", "10", "--alpha-b", "0"), "alpha"),
+    "beatty-negative-alpha": (("beatty-scan", "--n-max", "10", "--alpha-a", "-1"), "alpha"),
+    "beatty-n-max": (("beatty-scan", "--n-max", "0"), "n_max"),
+    "beatty-bins": (("beatty-scan", "--n-max", "10", "--bins", "1"), "bins"),
+    "beatty-alpha-above-1": (("beatty-scan", "--n-max", "10", "--alpha-a", "1"), "bins"),
+    "scan-n-max": (("example-scan", "--n-max", "5"), "n_max"),
+    "scan-stride": (("example-scan", "--n-max", "10", "--stride", "0"), "sample_stride"),
+    "scan-checkpoint-0": (("example-scan", "--n-max", "10", "--checkpoint", "0"), "checkpoint"),
+    "scan-checkpoint-past-n-max": (("example-scan", "--n-max", "10", "--checkpoint", "11"), "checkpoint"),
+    "elliptic-n-max": (("elliptic-qn", "--n-max", "0"), "n_max"),
+}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in REFUSED.values()], ids=REFUSED)
+def test_refused_arguments_exit_two(capsys, argv):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("divfilt: configuration error:")
+
+
+@pytest.mark.parametrize("argv,parameter", REFUSED.values(), ids=REFUSED)
+def test_refused_argument_names_the_library_parameter(capsys, argv, parameter):
+    assert main(list(argv)) == 2
+    assert parameter in capsys.readouterr().err
+
+
+def test_plain_value_error_in_a_kernel_is_internal(capsys, monkeypatch):
+    def broken(seq, n_max):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setattr(beatty, "partition", broken)
+    assert main(["beatty-scan", "--n-max", "10"]) == 4
+    assert capsys.readouterr() == ("", "divfilt: internal error: ValueError: kernel fault\n")
+
+
+@pytest.mark.parametrize(
+    "module,reader,argv",
+    [
+        (cli, "form_from_json", ("example-limits", "--table")),
+        (picard, "curve_from_json", ("elliptic-qn", "--curve")),
+    ],
+    ids=["table", "curve"],
+)
+def test_parameter_error_inside_a_reader_is_ingestion(capsys, monkeypatch, tmp_path, module, reader, argv):
+    def refuse(doc):
+        raise ParameterError("refused while reading")
+
+    monkeypatch.setattr(module, reader, refuse)
+    path = tmp_path / "doc.json"
+    path.write_text("{}")
+    assert main([*argv, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"divfilt: ingestion error: {path}: refused while reading\n"
+
+
 def test_ingestion_errors_exit_three(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     assert run_cli(capsys, "example-limits", "--table", str(missing))[0] == 3
@@ -787,6 +853,16 @@ def test_zero_denominators_keep_the_exit_contract(capsys, tmp_path, argv, doc, c
     kind = "configuration" if code == 2 else "ingestion"
     assert out == "" and err.startswith(f"divfilt: {kind} error:") and "zero denominator" in err
 
+
+def test_zero_denominator_documents_fail_their_input_schemas():
+    schemas = {"--table": "intersection_table.schema.json", "--curve": "curve.schema.json"}
+    documents = [(argv[1], doc) for _, argv, doc, _ in ZERO_DENOMINATORS if doc is not None]
+    assert len(documents) == 2
+    for flag, doc in documents:
+        with pytest.raises(jsonschema.ValidationError, match="1/0"):
+            validate(doc, schemas[flag])
+
+
 UNREADABLE = ["missing", "directory", "not-utf8", "malformed", "nested-100000", "int-past-limit"]
 READERS = [
     ("example-limits", "--table"),
@@ -809,10 +885,36 @@ def test_unreadable_documents_exit_three(capsys, tmp_path, argv, case):
         path.mkdir()
     elif case in contents:
         path.write_bytes(contents[case])
-    assert main([*argv, str(path)]) == 3
+    assert_ingestion_error(capsys, [*argv, str(path)], path)
+
+
+def assert_ingestion_error(capsys, argv, path, fragment=""):
+    assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("divfilt: ingestion error:") and str(path) in err
+    assert err.startswith(f"divfilt: ingestion error: {path}:") and fragment in err
+
+
+# JSON documents of the wrong shape, one per check in `form_from_json` and `curve_from_json`
+TABLE_HEAD, CURVE_HEAD = {"generators": ["S"]}, {"field": "Q", "A": "0", "B": "-2"}
+MISSHAPEN = {
+    "table-not-an-object": ("--table", [], "must be a JSON object"),
+    "table-triples-not-a-list": ("--table", {**TABLE_HEAD, "triples": {}}, "'triples' must be a list"),
+    "table-row-keys": ("--table", {**TABLE_HEAD, "triples": [{"d": ["S", "S", "S"]}]}, "exactly keys"),
+    "table-d-two-names": ("--table", {**TABLE_HEAD, "triples": [{"d": ["S", "S"], "v": "1"}]}, "'d' must"),
+    "table-v-not-a-string": ("--table", {**TABLE_HEAD, "triples": [{"d": ["S"] * 3, "v": 1}]}, "'v' must"),
+    "curve-point-shape": ("--curve", {**CURVE_HEAD, "points": {"p": "O", "q": [3, 5]}}, "point must be"),
+    "curve-not-an-object": ("--curve", [], "must be a JSON object"),
+    "curve-points-not-an-object": ("--curve", {**CURVE_HEAD, "points": []}, "'points' must be an object"),
+}
+
+
+@pytest.mark.parametrize("flag,doc,fragment", MISSHAPEN.values(), ids=MISSHAPEN)
+def test_misshapen_documents_exit_three(capsys, tmp_path, flag, doc, fragment):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    command = "example-limits" if flag == "--table" else "elliptic-qn"
+    assert_ingestion_error(capsys, [command, flag, str(path)], path, fragment)
 
 
 @pytest.mark.parametrize("extra", [(), ("--filtration-max", "1")], ids=["rows", "filtration"])

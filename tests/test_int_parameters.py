@@ -1,14 +1,15 @@
 """Count, index and exponent parameters take an `int` and nothing else:
 `True` is an `int` subclass, but a report that echoes `"n_max": true` or
 keys a checkpoint as `"True"` is malformed, so `bool` is rejected as a
-float would be."""
+float would be.  The refusal is a `ParameterError`, which the CLI maps to
+exit 2; only an operator that cannot take the operand is a TypeError."""
 
 import pytest
 
 from divfilt import beatty, monomial, picard
 from divfilt.asymptotics import empirical_scan, example_alpha, example_model, model_length
 from divfilt.intersection import BivariatePolynomial
-from divfilt.quadfield import QuadExt, decimal_column
+from divfilt.quadfield import ParameterError, QuadExt, decimal_column
 
 ALPHA = example_alpha()
 MODEL = example_model()
@@ -40,7 +41,10 @@ CALLS = {
 }
 
 
+TYPE_ERRORS = {"curve-mul", "quad-power"}
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_bool_is_not_an_int_parameter(name):
-    with pytest.raises((TypeError, ValueError)):
+    with pytest.raises(TypeError if name in TYPE_ERRORS else ParameterError):
         CALLS[name]()
