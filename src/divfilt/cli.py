@@ -14,6 +14,7 @@ there; the exit status stays what the run computed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable
@@ -280,7 +281,10 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
     return _dumps(payload), flags
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `divfilt` parser, built on the first call and then shared: `main`
+    picks each subcommand's handler by name at call time, so it holds none."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument("--digits", type=int, default=30, help="decimal digits in renderings")
@@ -303,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b", required=True, help="sqrt coefficient, as 'p' or 'p/q'")
     q.add_argument("--d", type=int, required=True, help="squarefree radicand >= 2")
     q.add_argument("--scale", type=int, help="also report floor/ceil of scale*value")
-    q.set_defaults(func=_cmd_quad_eval)
 
     b = add("beatty-scan", "two-value partition and equidistribution scan")
     b.add_argument("--n-max", type=int, required=True)
@@ -311,11 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--alpha-a", default="9/26")
     b.add_argument("--alpha-b", default="1/26")
     b.add_argument("--alpha-d", type=int, default=3)
-    b.set_defaults(func=_cmd_beatty_scan)
 
     el = add("example-limits", "limit report for the bundled example model")
     el.add_argument("--table", help="intersection table JSON (default: bundled table)")
-    el.set_defaults(func=_cmd_example_limits)
 
     es = add("example-scan", "exact first-difference scan (CSV)")
     es.add_argument("--n-max", type=int, required=True)
@@ -323,19 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--checkpoint", type=int, action="append", help="record running max here")
     es.add_argument("--table", help="intersection table JSON (default: bundled table)")
     es.add_argument("--summary-out", help="also write the JSON scan summary to this path")
-    es.set_defaults(func=_cmd_example_scan)
 
     mc = add("monomial-check", "generator counts and socle witnesses of the z-filtration")
     mc.add_argument("--sigma", help="JSON array; entry k (0-based) is sigma(k+1)")
     mc.add_argument("--n-max", type=int, required=True)
     mc.add_argument("--filtration-max", type=int, help="also check I_m I_n in I_(m+n) up to here")
-    mc.set_defaults(func=_cmd_monomial_check)
 
     eq = add("elliptic-qn", "elliptic point sequence and restriction audit")
     eq.add_argument("--curve", help="curve JSON (default: y^2 = x^3 - 2 over Q, p=O, q=(3,5))")
     eq.add_argument("--n-max", type=int, default=60)
     eq.add_argument("--restriction-max", type=int, default=50)
-    eq.set_defaults(func=_cmd_elliptic_qn)
 
     return parser
 
@@ -344,7 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         decimal_column(args.digits)  # refuses --digits before any work
-        text, flags = args.func(args)
+        text, flags = globals()["_cmd_" + args.command.replace("-", "_")](args)
         _emit(text, args.out)
     except ParameterError as exc:
         sys.stderr.write(f"divfilt: configuration error: {exc}\n")

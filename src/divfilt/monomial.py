@@ -210,15 +210,15 @@ class FiltrationReport:
 
 
 def filtration_check(f: SigmaFiltration, m_max: int, n_max: int) -> FiltrationReport:
-    """Verify I_m * I_n within I_(m+n) for all m <= m_max, n <= n_max.
+    """I_m * I_n within I_(m+n) for all m <= m_max, n <= n_max: an identity.
 
     The sigma source must cover indices up to m_max + n_max; each sigma(k) is
-    read once, so a short or invalid source raises.  Each pair is decided by
-    the floor certificate: gcd(I_m) * gcd(I_n) = z^(m+1) * z^(n+1) divides
-    every generator product, and `in_In` tests it against I_(m+n).  No ideal
-    is built.  A pair whose floor is not in I_(m+n) is reported as
-    (m, n, gcd(I_m), gcd(I_n)), never suppressed.  The check is symmetric in
-    (m, n), so a pair with n < m is skipped when (n, m) is in range too.
+    read once, so a short or invalid source raises.  No ideal is built: each
+    pair's floor gcd(I_m) * gcd(I_n) = z^(m+n+2) divides every generator
+    product, and `in_In`'s clause c >= n + 2 puts it in I_(m+n) at every
+    sigma, so this cannot fail; `failures` lists (m, n, gcd(I_m), gcd(I_n))
+    only if `in_In` itself is wrong.  The check is symmetric in (m, n), so a
+    pair with n < m is skipped when (n, m) is in range too.
     """
     sigma = {k: f.sigma(k) for k in range(1, m_max + n_max + 1)}
     failures = []

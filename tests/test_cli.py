@@ -1,6 +1,7 @@
 """CLI tests: determinism (byte-identical reruns), exit codes, schema
 conformance of every report, and ingestion of the documented input files."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -75,6 +76,46 @@ def test_module_entrypoint_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["value"]["decimal"].startswith("2.414213562373095")
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "calls = []\n"
+        "argparse.ArgumentParser.add_subparsers = lambda *a, **k: calls.append(a)\n"
+        "import divfilt.cli\n"
+        "assert calls == [], calls\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        return add_subparsers(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    summary = tmp_path / "summary.json"
+    scan = ("example-scan", "--n-max", "20", "--summary-out", str(summary))
+    assert run_cli(capsys, *scan, "--checkpoint", "5", "--checkpoint", "7")[0] == 0
+    assert json.loads(summary.read_text())["checkpoint_max"] == {"5": "291/4", "7": "291/4"}
+    assert run_cli(capsys, *scan)[0] == 0
+    assert json.loads(summary.read_text())["checkpoint_max"] == {}  # no append carried over
+    calls = [
+        ("monomial-check", "--n-max", "8", "--filtration-max", "4"),
+        ("monomial-check", "--n-max", "8"),
+        ("example-limits", "--strict"),
+        ("example-limits",),
+    ]
+    first = [run_cli(capsys, *argv) for argv in calls]
+    assert [run_cli(capsys, *argv) for argv in calls] == first
+    assert [code for code, _ in first] == [0, 0, 1, 0]
+    assert "filtration" in json.loads(first[0][1]) and "filtration" not in json.loads(first[1][1])
+    assert len(built) <= 1
 
 
 # sha256 of the CSV and of --summary-out.  The CSVs were recorded before the
@@ -1001,6 +1042,21 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "divfilt: internal error: RuntimeError: kernel fault second line\n"
+
+
+def test_handler_is_looked_up_when_main_runs(capsys, monkeypatch):
+    argv = ["quad-eval", "--a", "1", "--b", "1", "--d", "2"]
+    assert main(argv) == 0  # the parser now exists
+    capsys.readouterr()
+
+    def broken(args):
+        raise RuntimeError("replaced after the parser was built")
+
+    monkeypatch.setattr(cli, "_cmd_quad_eval", broken)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "divfilt: internal error: RuntimeError: replaced after the parser was built\n"
 
 
 # -- the report writer ---------------------------------------------------------------
