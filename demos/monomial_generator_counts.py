@@ -21,7 +21,7 @@ linear = SigmaFiltration.from_callable(lambda n: n)
 squares = SigmaFiltration.from_callable(lambda n: n * n)
 wild = SigmaFiltration(table=(1, 100, 2, 1000, 3, 10**6))
 
-print("generators of I_1 for sigma = 1:", sorted(build_In(SigmaFiltration(table=(1,)), 1).generators))
+print("generators of I_1 for sigma = 1:", sorted(build_In(SigmaFiltration(table=(1,)), 1)))
 print()
 
 print("counts are always sigma(n) + 2:")

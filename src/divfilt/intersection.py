@@ -279,14 +279,8 @@ class DivisorExpr:
         object.__setattr__(self, "coefficients", clean)
 
     @classmethod
-    def single(cls, symbol: DivisorSymbol, coeff: BivariatePolynomial | Scalar = 1) -> DivisorExpr:
-        return cls({symbol: coeff if isinstance(coeff, BivariatePolynomial) else BivariatePolynomial.constant(coeff)})
-
-    def __add__(self, other: DivisorExpr) -> DivisorExpr:
-        coeffs = dict(self.coefficients)
-        for sym, poly in other.coefficients.items():
-            coeffs[sym] = coeffs.get(sym, BivariatePolynomial.zero()) + poly
-        return DivisorExpr(coeffs)
+    def single(cls, symbol: DivisorSymbol) -> DivisorExpr:
+        return cls({symbol: BivariatePolynomial.constant(1)})
 
     def symbols(self) -> set[DivisorSymbol]:
         return set(self.coefficients)

@@ -1,4 +1,4 @@
-"""Monomial-ideal arithmetic in three variables for graded filtration checks.
+"""The monomial filtration I_n in three variables: closed forms and checks.
 
 The filtration I_n = (z^(n+2)) + z^(n+1) (x, y)^sigma(n) is known in closed
 form from n and sigma(n): x^a y^b z^c lies in I_n iff c >= n + 2, or both
@@ -12,34 +12,23 @@ sigma(k) >= 1, gcd(I_k) = z^(k+1), so every generator product of I_m and
 I_n is divisible by the floor z^(m+n+2), which lies in I_(m+n) by `in_In`.
 The filtration is graded for every sigma.  None of these lists a generator.
 
-An explicit ideal is stored by its minimal monomial generators, an
-antichain of exponent vectors in N^3 under componentwise <=.  The names that
-build one stay for three reasons.  `build_In` is the generator-level oracle
-that the tests check the closed forms against.  `MonomialIdeal` (with
-`contains_monomial`) and `minimalize` are the public constructors for an
-arbitrary generator set.  `perfbench/spans.py` wraps `build_In` and
-`min_gens_count` by name.
-
-Vectors are validated once, where they enter: the `MonomialIdeal`
-constructor checks its vectors and rejects a non-antichain, `minimalize`
-checks its vectors, and `build_In` checks its z-exponent n + 2.  The
-ideals that `minimalize` and `build_In` return are antichains by proof and
-are built without a second check.  Every sigma value, from a table or a
+An explicit I_n, for tests and demos, is the frozenset of its minimal
+generators, exponent vectors in N^3, from `build_In`; `perfbench/spans.py`
+wraps `build_In` and `min_gens_count` by name.  `build_In` checks its
+z-exponent n + 2 against 2^63, and every sigma value, from a table or a
 callable, is checked once against 0 < sigma < 2^63 where it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from divfilt.quadfield import ParameterError
 
 __all__ = [
     "Vector",
-    "MonomialIdeal",
     "SigmaFiltration",
-    "minimalize",
     "build_In",
     "in_In",
     "socle_certificate",
@@ -51,65 +40,6 @@ __all__ = [
 Vector = tuple[int, int, int]
 
 _MAX_EXPONENT = 2**63
-
-
-def _check_vector(v) -> Vector:
-    if not (isinstance(v, tuple) and len(v) == 3):
-        raise ValueError(f"exponent vectors live in N^3, got {v!r}")
-    for e in v:
-        if type(e) is not int or e < 0 or e >= _MAX_EXPONENT:
-            raise ValueError(f"exponents must be integers in [0, 2^63): {v!r}")
-    return v
-
-
-def _dominates(v: Vector, g: Vector) -> bool:
-    """True when g divides v, i.e. g <= v componentwise."""
-    return g[0] <= v[0] and g[1] <= v[1] and g[2] <= v[2]
-
-
-def _minimal(vectors) -> list[Vector]:
-    """The vectors, given without repeats, that no other one divides.
-
-    A strict divisor has strictly smaller total degree, so each vector is
-    compared only against the kept vectors of smaller degree; equal-degree
-    vectors never divide one another.
-    """
-    by_degree: dict[int, list[Vector]] = {}
-    for v in vectors:
-        by_degree.setdefault(sum(v), []).append(v)
-    kept: list[Vector] = []
-    for degree in sorted(by_degree):
-        kept.extend([v for v in by_degree[degree] if not any(_dominates(v, g) for g in kept)])
-    return kept
-
-
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Monomial ideal given by its minimal generators (an antichain)."""
-
-    generators: frozenset
-
-    def __post_init__(self) -> None:
-        gens = frozenset(_check_vector(v) for v in self.generators)
-        if len(_minimal(gens)) < len(gens):
-            raise ValueError("generators are not an antichain")
-        object.__setattr__(self, "generators", gens)
-
-    @classmethod
-    def _antichain(cls, gens: Iterable[Vector]) -> MonomialIdeal:
-        """An ideal from vectors already checked and known to be an antichain."""
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "generators", frozenset(gens))
-        return ideal
-
-    def contains_monomial(self, v: Vector) -> bool:
-        v = _check_vector(tuple(v))
-        return v in self.generators or any(_dominates(v, g) for g in self.generators)
-
-
-def minimalize(gens: Iterable[Vector]) -> MonomialIdeal:
-    """The ideal generated by `gens`, kept as the vectors no other one divides."""
-    return MonomialIdeal._antichain(_minimal({_check_vector(tuple(v)) for v in gens}))
 
 
 @dataclass(frozen=True)
@@ -151,15 +81,15 @@ class SigmaFiltration:
         return value
 
 
-def build_In(f: SigmaFiltration, n: int) -> MonomialIdeal:
-    """The n-th filtration ideal (z^(n+2)) + z^(n+1) (x, y)^sigma(n).
+def build_In(f: SigmaFiltration, n: int) -> frozenset[Vector]:
+    """The minimal generators of the n-th filtration ideal
+    (z^(n+2)) + z^(n+1) (x, y)^sigma(n).
 
-    Minimal generators: (0, 0, n+2) plus (i, sigma(n)-i, n+1) for
-    0 <= i <= sigma(n).  They form an antichain for every sigma(n) >= 1: the
-    (x, y)-parts of the last sigma(n)+1 are distinct of one degree, and
-    z^(n+2) divides none of them nor they it.  So only the largest
-    exponents, n+2 and sigma(n), are range-checked (sigma(n) by `f.sigma`);
-    nothing is re-verified.
+    They are (0, 0, n+2) plus (i, sigma(n)-i, n+1) for 0 <= i <= sigma(n),
+    an antichain for every sigma(n) >= 1: the (x, y)-parts of the last
+    sigma(n)+1 are distinct of one degree, and z^(n+2) divides none of them
+    nor they it.  So only the largest exponents, n+2 and sigma(n), are
+    range-checked (sigma(n) by `f.sigma`); nothing is re-verified.
     """
     if type(n) is not int or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
@@ -168,17 +98,20 @@ def build_In(f: SigmaFiltration, n: int) -> MonomialIdeal:
         raise ParameterError(f"exponent out of range [0, 2^63): n={n}")
     gens = [(0, 0, n + 2)]
     gens.extend((i, s - i, n + 1) for i in range(s + 1))
-    return MonomialIdeal._antichain(gens)
+    return frozenset(gens)
 
 
-def min_gens_count(ideal: MonomialIdeal) -> int:
-    """Number of minimal generators = length of I/mI (Nakayama)."""
-    return len(ideal.generators)
+def min_gens_count(gens: frozenset[Vector]) -> int:
+    """Number of minimal generators = length of I/mI (Nakayama): len(gens).
+    It stays a function because `perfbench/spans.py` wraps it by name and
+    the monomial demo calls it."""
+    return len(gens)
 
 
 def in_In(n: int, s: int, v: Vector) -> bool:
     """True iff x^a y^b z^c, v = (a, b, c), lies in I_n, where s = sigma(n);
-    a closed form, with `build_In(f, n).contains_monomial` as its oracle."""
+    a closed form, checked in the tests against divisibility by a generator
+    from `build_In(f, n)`."""
     return v[2] >= n + 2 or (v[2] >= n + 1 and v[0] + v[1] >= s)
 
 

@@ -61,6 +61,11 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ParameterError(f"zero denominator: {text!r}") from None
+    except ValueError:  # past the int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParameterError(
+            f"rational string of {len(text)} characters exceeds the int-to-str limit of {limit} digits"
+        ) from None
 
 
 def _without_digit_limit(render, *args) -> str:

@@ -782,6 +782,7 @@ def test_config_errors_exit_two(capsys):
 REFUSED = {
     "digits-0": (("quad-eval", "--a", "1", "--b", "1", "--d", "2", "--digits", "0"), "digits"),
     "digits-10001": (("example-limits", "--digits", "10001"), "digits"),
+    "rational-past-digit-limit": (("quad-eval", "--a", "1" * 5000, "--b", "1", "--d", "3"), "rational"),
     "beatty-rational-alpha": (("beatty-scan", "--n-max", "10", "--alpha-b", "0"), "alpha"),
     "beatty-negative-alpha": (("beatty-scan", "--n-max", "10", "--alpha-a", "-1"), "alpha"),
     "beatty-n-max": (("beatty-scan", "--n-max", "0"), "n_max"),

@@ -13,6 +13,7 @@ import mpmath
 import pytest
 
 from divfilt.quadfield import (
+    ParameterError,
     QuadExt,
     RadicandMismatchError,
     decimal_column,
@@ -352,6 +353,14 @@ def test_parse_and_render_rational():
     for bad in ["1.5", "1e3", "3/0/2", "", "a/b"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_rational_beyond_int_digit_limit_is_a_parameter_error():
+    limit = sys.get_int_max_str_digits()
+    for text in ("1" * 5000, "1/" + "7" * 5000):
+        with pytest.raises(ParameterError, match=f"{len(text)} characters exceeds the int-to-str limit"):
+            parse_rational(text)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_rational_str_beyond_int_digit_limit():
