@@ -55,7 +55,7 @@ from divfilt.intersection import (
     form_from_json,
     triple_product,
 )
-from divfilt.quadfield import ParameterError, QuadExt, floor_cleared, rational_str
+from divfilt.quadfield import QuadExt, _int_parameter, floor_cleared, rational_str
 
 __all__ = [
     "ExampleModel",
@@ -158,9 +158,7 @@ def _as_quad(value, d: int) -> QuadExt:
 
 def model_length(model: ExampleModel, n: int) -> Fraction:
     """(1/6) p3 + (1/4) p2 at (ceil(alpha*n), n), exact rational."""
-    if type(n) is not int or n < 0:
-        raise ParameterError(f"n must be a nonnegative integer, got {n!r}")
-    x = model.alpha.ceil_scaled(n)
+    x = model.alpha.ceil_scaled(_int_parameter("n", n, 0))
     return _F(1, 6) * model.p3.evaluate(x, n) + _F(1, 4) * model.p2.evaluate(x, n)
 
 
@@ -512,13 +510,10 @@ def empirical_scan(
     at every `sample_stride`-th index of each segment cut at the checkpoints
     and at n_max, plus its last index, and computed on demand.
     """
-    if type(n_max) is not int or n_max < 10:
-        raise ParameterError(f"n_max must be an integer >= 10, got {n_max!r}")
-    if type(sample_stride) is not int or sample_stride < 1:
-        raise ParameterError(f"sample_stride must be a positive integer, got {sample_stride!r}")
+    _int_parameter("n_max", n_max, 10)
+    _int_parameter("sample_stride", sample_stride, 1)
     for c in checkpoints:
-        if type(c) is not int or not 1 <= c <= n_max:
-            raise ParameterError(f"checkpoint {c!r} outside [1, {n_max}]")
+        _int_parameter("checkpoint", c, 1, n_max)
 
     deltas = _Deltas(model)
     denom, alpha = deltas.denom, model.alpha

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from divfilt.quadfield import ParameterError, QuadExt, floor_cleared, rational_str
+from divfilt.quadfield import ParameterError, QuadExt, _int_parameter, floor_cleared, rational_str
 
 __all__ = [
     "BeattySequence",
@@ -55,8 +55,7 @@ class BeattySequence:
 
     def sigma(self, n: int) -> int:
         """floor(alpha*(n+1)) - floor(alpha*n), exact; requires n >= 1."""
-        if type(n) is not int or n < 1:
-            raise ParameterError(f"n must be a positive integer, got {n!r}")
+        _int_parameter("n", n, 1)
         return self.alpha.floor_scaled(n + 1) - self.alpha.floor_scaled(n)
 
 
@@ -176,8 +175,7 @@ def _report(seq: BeattySequence, n_max: int, bins: int | None) -> PartitionRepor
     and, since 1 - sigma is the same difference for 1 - frac, the low value
     at floor(k/(1 - frac)).  The high count telescopes to floor(frac*(n_max+1)).
     """
-    if type(n_max) is not int or n_max < 1:
-        raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
+    _int_parameter("n_max", n_max, 1)
     low, high = seq.low_value(), seq.high_value()
     frac = seq.alpha.fractional_part()
     hi_count = frac.floor_scaled(n_max + 1)
@@ -217,9 +215,7 @@ def partition(seq: BeattySequence, n_max: int) -> PartitionReport:
 
 def equidistribution_histogram(seq: BeattySequence, n_max: int, bins: int) -> PartitionReport:
     """Partition report plus exact bin counts of the fractional parts."""
-    if type(bins) is not int or bins < 2:
-        raise ParameterError(f"bins must be an integer >= 2, got {bins!r}")
-    return _report(seq, n_max, bins)
+    return _report(seq, n_max, _int_parameter("bins", bins, 2))
 
 
 def window_constant(seq: BeattySequence) -> int:

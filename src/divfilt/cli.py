@@ -24,7 +24,7 @@ from math import gcd
 from divfilt import asymptotics, beatty, monomial, picard
 from divfilt.intersection import form_from_json
 from divfilt.quadfield import ParameterError, QuadExt, decimal_column, parse_rational
-from divfilt.quadfield import _without_digit_limit
+from divfilt.quadfield import _int_parameter, _without_digit_limit
 
 __all__ = ["main", "ConfigError", "IngestError"]
 
@@ -96,12 +96,6 @@ def _read(path: str, parse):
         raise IngestError(f"{path}: {exc}") from exc
 
 
-def _positive(kind: str, value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"{kind} must be positive, got {value}")
-    return value
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -115,8 +109,7 @@ def _cmd_quad_eval(args) -> tuple[str, list[str]]:
         "audit_flags": [],
     }
     if args.scale is not None:
-        n = _positive("--scale", args.scale)
-        payload["scale"] = n
+        payload["scale"] = n = _int_parameter("--scale", args.scale, 1)
         payload["floor_scaled"] = x.floor_scaled(n)
         payload["ceil_scaled"] = x.ceil_scaled(n)
     return _dumps(payload), []
@@ -197,7 +190,7 @@ def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
 
 
 def _cmd_monomial_check(args) -> tuple[str, list[str]]:
-    n_max = _positive("--n-max", args.n_max)
+    n_max = _int_parameter("--n-max", args.n_max, 1)
     if args.sigma is None:
         f = monomial.SigmaFiltration.from_callable(lambda n: n)
         source = "identity"
@@ -217,8 +210,7 @@ def _cmd_monomial_check(args) -> tuple[str, list[str]]:
             flags.append(f"discrepancy:socle-witness n={n}")
         rows.append({"n": n, "count": s + 2, "expected": s + 2, "socle": list(socle), "ok": ok})
     filtration = None
-    if args.filtration_max is not None:
-        m = _positive("--filtration-max", args.filtration_max)
+    if (m := args.filtration_max) is not None:  # filtration_check refuses m < 1 as m_max
         if args.sigma is not None and len(f.table) < 2 * m:
             raise IngestError(f"filtration check up to {m} needs {2 * m} sigma entries")
         filtration = monomial.filtration_check(f, m, m)
@@ -250,7 +242,7 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         if p == q:
             raise IngestError("curve document names the same point as 'p' and 'q'")
     # checked here: the library would reach this check only after building the sequence
-    restrict_max = _positive("--restriction-max", args.restriction_max)
+    restrict_max = _int_parameter("--restriction-max", args.restriction_max, 1)
     flags: list[str] = []
     step = curve.sub(q, p)
     witness = picard.infinite_order_witness(curve, step, picard.RATIONAL_TORSION_BOUND)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from divfilt.quadfield import ParameterError
+from divfilt.quadfield import ParameterError, _int_parameter
 
 __all__ = [
     "Vector",
@@ -69,8 +69,7 @@ class SigmaFiltration:
         return cls(func=func)
 
     def sigma(self, n: int) -> int:
-        if type(n) is not int or n < 1:
-            raise ParameterError(f"n must be a positive integer, got {n!r}")
+        _int_parameter("n", n, 1)
         if self.func is None:
             if n > len(self.table):
                 raise ValueError(f"sigma table has {len(self.table)} entries; n={n}")
@@ -91,9 +90,7 @@ def build_In(f: SigmaFiltration, n: int) -> frozenset[Vector]:
     nor they it.  So only the largest exponents, n+2 and sigma(n), are
     range-checked (sigma(n) by `f.sigma`); nothing is re-verified.
     """
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    s = f.sigma(n)
+    s = f.sigma(_int_parameter("n", n, 1))
     if n + 2 >= _MAX_EXPONENT:
         raise ParameterError(f"exponent out of range [0, 2^63): n={n}")
     gens = [(0, 0, n + 2)]
@@ -143,7 +140,7 @@ class FiltrationReport:
 
 
 def filtration_check(f: SigmaFiltration, m_max: int, n_max: int) -> FiltrationReport:
-    """I_m * I_n within I_(m+n) for all m <= m_max, n <= n_max: an identity.
+    """I_m * I_n within I_(m+n) for all m <= m_max, n <= n_max, both >= 1: an identity.
 
     The sigma source must cover indices up to m_max + n_max; each sigma(k) is
     read once, so a short or invalid source raises.  No ideal is built: each
@@ -153,7 +150,8 @@ def filtration_check(f: SigmaFiltration, m_max: int, n_max: int) -> FiltrationRe
     only if `in_In` itself is wrong.  The check is symmetric in (m, n), so a
     pair with n < m is skipped when (n, m) is in range too.
     """
-    sigma = {k: f.sigma(k) for k in range(1, m_max + n_max + 1)}
+    top = _int_parameter("m_max", m_max, 1) + _int_parameter("n_max", n_max, 1)
+    sigma = {k: f.sigma(k) for k in range(1, top + 1)}
     failures = []
     for m in range(1, m_max + 1):
         for n in range(m if m <= n_max else 1, n_max + 1):

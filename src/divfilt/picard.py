@@ -43,7 +43,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from divfilt.quadfield import ParameterError, _without_digit_limit, parse_rational, rational_str
+from divfilt.quadfield import ParameterError, parse_rational, rational_str
+from divfilt.quadfield import _int_parameter, _without_digit_limit
 
 __all__ = [
     "EllipticCurve",
@@ -421,8 +422,7 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
     own with `E.mul`; every collision follows from that one relation.
     `avoids_q` asserts there is no hit after q_1.
     """
-    if type(n_max) is not int or n_max < 1:
-        raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
+    _int_parameter("n_max", n_max, 1)
     E.check(p)
     E.check(q)
     if p == q:
@@ -468,8 +468,7 @@ def infinite_order_witness(E: EllipticCurve, P: CurvePoint, bound: int) -> Witne
     are at most 12).  Over a finite field every point is torsion, so the
     verdict is labeled a bounded check only.
     """
-    if type(bound) is not int or bound < 1:
-        raise ParameterError(f"bound must be a positive integer, got {bound!r}")
+    _int_parameter("bound", bound, 1)
     E.check(P)
     acc = O
     failed_at = None
@@ -537,8 +536,7 @@ def restriction_report(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n: int) -
     [n]q + [1 - n]p, by the same additions `class_of` makes on the formal
     divisor: (0, ledger - q_n), which is O exactly when ledger = q_n.
     """
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    _int_parameter("n", n, 1)
     E.check(p)
     E.check(q)
     qn = E.add(p, E.mul(n, E.sub(q, p)))
@@ -598,8 +596,7 @@ def restriction_replay(
     [2m]q = [2]([m]q) and [2m+1]q = [2m]q + q, and [1 - n]p as a running
     sum, which share only odd steps with the generic ladder q_(n-1) + q.
     """
-    if type(levels) is not int or levels < 1:
-        raise ParameterError(f"levels must be a positive integer, got {levels!r}")
+    _int_parameter("levels", levels, 1)
     E.check(p)
     E.check(q)
     quadruples = all(type(pt) is tuple for pt in points)  # `.coords`, or none

@@ -49,6 +49,20 @@ class ParameterError(ValueError):
     """An argument that a library function refuses: the front end's exit 2."""
 
 
+def _int_parameter(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` if it is an int, not a bool, >= low and (if given) <= high; else ParameterError."""
+    if type(value) is int and low <= value and (high is None or value <= high):
+        return value
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _excerpt(text) -> str:
+    """repr(text), a str past 40 characters cut to 40 and its length."""
+    long = isinstance(text, str) and len(text) > 40
+    return f"{text[:40]!r}... ({len(text)} characters)" if long else repr(text)
+
+
 class RadicandMismatchError(ValueError):
     """Raised when two irrational values from different Q(sqrt(d)) meet."""
 
@@ -56,11 +70,11 @@ class RadicandMismatchError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Parse a decimal-free rational string: an integer or ``p/q``, q != 0."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise ParameterError(f"not a rational string (expected 'p' or 'p/q'): {text!r}")
+        raise ParameterError(f"not a rational string (expected 'p' or 'p/q'): {_excerpt(text)}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ParameterError(f"zero denominator: {text!r}") from None
+        raise ParameterError(f"zero denominator: {_excerpt(text)}") from None
     except ValueError:  # past the int-to-str digit limit
         limit = sys.get_int_max_str_digits()
         raise ParameterError(
@@ -96,8 +110,7 @@ def decimal_column(digits: int) -> Callable[..., list[str]]:
     10**digits and the pad width are computed once per renderer; each value
     is at most one exact divmod and the half-even fix-up, then one padded
     ``str`` cut into integer and fractional part."""
-    if type(digits) is not int or not 1 <= digits <= MAX_DECIMAL_DIGITS:
-        raise ParameterError(f"digits must be in [1, {MAX_DECIMAL_DIGITS}], got {digits!r}")
+    _int_parameter("digits", digits, 1, MAX_DECIMAL_DIGITS)
     scale, width, cut = 10**digits, digits + 1, -digits
 
     def text(ms: Sequence[int]) -> list[str]:
@@ -126,8 +139,7 @@ _validated_radicands: set[int] = set()
 
 def _validate_radicand(d: int) -> None:
     # type first: 3.0 hashes like 3 and would pass the cache lookup
-    if type(d) is not int or d < 2:
-        raise ParameterError(f"radicand must be an integer >= 2, got {d!r}")
+    _int_parameter("radicand", d, 2)
     if d in _validated_radicands:
         return
     if d > _MAX_CERTIFIABLE_RADICAND:
@@ -366,9 +378,7 @@ class QuadExt:
 
     def floor_scaled(self, n: int) -> int:
         """Exact floor(n * self) for a nonnegative integer n."""
-        if type(n) is not int or n < 0:
-            raise ParameterError(f"scale must be a nonnegative integer, got {n!r}")
-        return (self * n).floor()
+        return (self * _int_parameter("scale", n, 0)).floor()
 
     def ceil_scaled(self, n: int) -> int:
         """Exact ceil(n * self) for a nonnegative integer n."""

@@ -793,6 +793,10 @@ REFUSED = {
     "scan-checkpoint-0": (("example-scan", "--n-max", "10", "--checkpoint", "0"), "checkpoint"),
     "scan-checkpoint-past-n-max": (("example-scan", "--n-max", "10", "--checkpoint", "11"), "checkpoint"),
     "elliptic-n-max": (("elliptic-qn", "--n-max", "0"), "n_max"),
+    "quad-scale": (("quad-eval", "--a", "1", "--b", "1", "--d", "3", "--scale", "0"), "--scale"),
+    "monomial-n-max": (("monomial-check", "--n-max", "0"), "--n-max"),
+    "monomial-filtration-max": (("monomial-check", "--n-max", "3", "--filtration-max", "0"), "m_max"),
+    "elliptic-restriction-max": (("elliptic-qn", "--restriction-max", "0"), "--restriction-max"),
 }
 
 
@@ -807,6 +811,16 @@ def test_refused_arguments_exit_two(capsys, argv):
 def test_refused_argument_names_the_library_parameter(capsys, argv, parameter):
     assert main(list(argv)) == 2
     assert parameter in capsys.readouterr().err
+
+
+# below the smallest int-to-str digit limit, 640, so the zero denominator is
+# what is refused; the message shows a prefix and the length, not the string
+@pytest.mark.parametrize("text", ["x" * 100_000, "1/" + "0" * 600], ids=["malformed", "zero-denominator"])
+def test_refused_long_rational_is_one_short_stderr_line(capsys, text):
+    assert main(["quad-eval", "--a", text, "--b", "1", "--d", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) < 300
+    assert err.startswith("divfilt: configuration error:") and f"{len(text)} characters" in err
 
 
 def test_plain_value_error_in_a_kernel_is_internal(capsys, monkeypatch):

@@ -28,6 +28,8 @@ CALLS = {
     "poly-exponent": lambda: BivariatePolynomial({(True, 0): 1}),
     "sigma-filtration": lambda: SIGMA.sigma(True),
     "build_In": lambda: monomial.build_In(SIGMA, True),
+    "filtration_check-m_max": lambda: monomial.filtration_check(SIGMA, True, 1),
+    "filtration_check-n_max": lambda: monomial.filtration_check(SIGMA, 1, True),
     "curve-mul": lambda: E.mul(True, Q),
     "qn_sequence": lambda: picard.qn_sequence(E, P, Q, True),
     "witness-bound": lambda: picard.infinite_order_witness(E, Q, True),
@@ -48,3 +50,10 @@ TYPE_ERRORS = {"curve-mul", "quad-power"}
 def test_bool_is_not_an_int_parameter(name):
     with pytest.raises(TypeError if name in TYPE_ERRORS else ParameterError):
         CALLS[name]()
+
+
+@pytest.mark.parametrize("m_max,n_max,name", [(0, 1, "m_max"), (1, -1, "n_max")])
+def test_filtration_check_refuses_an_empty_range(m_max, n_max, name):
+    # an empty range of pairs would otherwise report ok over zero pairs
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 1"):
+        monomial.filtration_check(SIGMA, m_max, n_max)
