@@ -65,8 +65,22 @@ def _encode(value, parts: list[str], newline: str) -> None:
         parts.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         parts.append(int.__repr__(value))
+    elif isinstance(value, picard.QnPoints):
+        _encode_points(value, parts, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode_points(points: picard.QnPoints, parts: list[str], newline: str) -> None:
+    """A q_n list as `_encode` writes its `to_json` form, one string per point
+    straight from its coordinate strings."""
+    inner = newline + "  "
+    sep = "[" + inner
+    for xy in points.texts():
+        parts.append(sep + '"O"' if xy is None else
+                     f'{sep}{{{inner}  "x": "{xy[0]}",{inner}  "y": "{xy[1]}"{inner}}}')
+        sep = "," + inner
+    parts.append(newline + "]" if points.coords else "[]")
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:

@@ -14,7 +14,9 @@ Over Q on an integral model (integer A and B) with a step q - p of
 infinite order, the multiples [n](q - p) come from the division-polynomial
 values at the step, an elliptic divisibility sequence, and q_n is one
 chord step from p.  Every other case (F_p, a non-integral model, a torsion
-step) walks the generic group-law ladder.
+step) walks one affine ladder on coordinate pairs, q_n = q_(n-1) + (q - p).
+Either way each q_n is kept as a quadruple (X, X', Y, Y') of integers,
+q_n = (X/X', Y/Y') in lowest terms (X' = Y' = 1 over F_p), or as O.
 
 The module audits the sequence's pairwise distinctness and q-avoidance.
 Both verdicts come from the order of q - p: the first n with q_n = p gives
@@ -37,7 +39,7 @@ per run by `exceptional_pairing_holds`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
@@ -349,35 +351,98 @@ def _multiples(E: EllipticCurve, P: CurvePoint, n_max: int, num: type = Decimal)
     return out
 
 
-def _point(pt) -> CurvePoint:  # a CurvePoint, or a `_multiples` quadruple as one
+def _point(pt, modulus: int | None = None) -> CurvePoint:
+    """A CurvePoint, O, or a quadruple as a CurvePoint: int coordinates over
+    F_modulus, Fraction ones over Q."""
     if isinstance(pt, CurvePoint):
         return pt
     if type(pt[0]) is not int:  # int(str(v)) is several times faster than int(v)
         pt = _without_digit_limit(lambda: [int(str(v)) for v in pt])
     x, x_den, y, y_den = pt
+    if modulus is not None:
+        return CurvePoint(x, y)
     return CurvePoint(Fraction(x, x_den), Fraction(y, y_den))
 
 
-def _sequence_points(E: EllipticCurve, p: CurvePoint, step: CurvePoint, n_max: int) -> Sequence:
-    """q_1 .. q_n_max: `_multiples` quadruples if p = O, else CurvePoints."""
+def _pair_add(E: EllipticCurve, P: tuple | None, Q: tuple | None) -> tuple | None:
+    """P + Q for affine pairs (x, y) of E's field, None for O: the chord or
+    tangent of `E.add` with the field's own inverse, and no point objects."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if E._norm(y1 + y2) == 0:
+            return None
+        lam = E._div(3 * x1 * x1 + E.a, 2 * y1)
+    else:
+        lam = E._div(y2 - y1, x2 - x1)
+    x3 = E._norm(lam * lam - x1 - x2)
+    return x3, E._norm(lam * (x1 - x3) - y1)
+
+
+def _quadruple(pair: tuple | None):
+    """(X, X', Y, Y') of an affine pair of ints or Fractions, or O for None."""
+    if pair is None:
+        return O
+    x, y = pair
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _sequence_points(E: EllipticCurve, p: CurvePoint, step: CurvePoint, n_max: int) -> list:
+    """q_1 .. q_n_max as quadruples or O: `_multiples` (in `decimal` if
+    p = O, else each plus p by one chord) where it applies, else the pair
+    ladder, one chord or tangent per step."""
     if E.p is None and E.a.denominator == 1 and E.b.denominator == 1:
         multiples = _multiples(E, step, n_max, Decimal if p.is_infinity else int)
         if multiples is not None:
-            return multiples if p.is_infinity else tuple(E.add(p, _point(m)) for m in multiples)
-    out = []
-    cur = p
+            if p.is_infinity:
+                return multiples
+            base = (p.x, p.y)
+            return [_quadruple(_pair_add(E, base, (Fraction(x, x_den), Fraction(y, y_den))))
+                    for x, x_den, y, y_den in multiples]
+    cur, pair, pairs = None if p.is_infinity else (p.x, p.y), (step.x, step.y), []
     for _ in range(n_max):
-        cur = E.add(cur, step)
-        out.append(cur)
-    return tuple(out)
+        cur = _pair_add(E, cur, pair)
+        pairs.append(cur)
+    return list(map(_quadruple, pairs))
+
+
+class QnPoints:
+    """A report's q_n list, read off `QnReport.coords`: iterating gives each
+    point's `to_json` form, {"x", "y"} or "O", and equality compares that
+    list.  `cli._dumps` renders `texts()` with no per-point dict."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Sequence) -> None:
+        self.coords = coords
+
+    def texts(self):
+        """Each point's coordinates as strings "p" or "p/q", None for O.  An
+        int past the int-to-str digit limit needs the limit lifted."""
+        for pt in self.coords:
+            if type(pt) is tuple:
+                x, x_den, y, y_den = pt
+                yield f"{x}" if x_den == 1 else f"{x}/{x_den}", f"{y}" if y_den == 1 else f"{y}/{y_den}"
+            else:  # O, or a CurvePoint that the report was built from
+                yield None if pt.is_infinity else (rational_str(pt.x), rational_str(pt.y))
+
+    def __iter__(self):
+        return iter(_without_digit_limit(
+            lambda: ["O" if xy is None else {"x": xy[0], "y": xy[1]} for xy in self.texts()]))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, QnPoints)) else NotImplemented
 
 
 @dataclass(frozen=True)
 class QnReport:
     """q_n audit: `q_hits` lists every n with q_n = q; `avoids_q` means the
     sequence never returns to q after the definitional hit q_1 = q.  `coords`
-    keeps the q_n as computed, CurvePoints or `_multiples` quadruples, and
-    `points` is made from it on its first read."""
+    keeps the q_n as computed, quadruples or O, and `points` is made from it
+    on its first read, with int coordinates when `modulus` names F_p."""
 
     points: tuple
     all_distinct: bool
@@ -385,6 +450,7 @@ class QnReport:
     collisions_certified: bool
     avoids_q: bool
     q_hits: tuple
+    modulus: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         vars(self)["coords"] = vars(self).pop("points")
@@ -392,16 +458,13 @@ class QnReport:
     def __getattr__(self, name: str):
         if name != "points":
             raise AttributeError(name)
-        vars(self)["points"] = points = tuple(map(_point, self.coords))
+        vars(self)["points"] = points = tuple(_point(pt, self.modulus) for pt in self.coords)
         return points
 
     def to_json(self) -> dict:
-        points = _without_digit_limit(lambda: [pt.to_json() if isinstance(pt, CurvePoint) else {
-            "x": f"{pt[0]}" if pt[1] == 1 else f"{pt[0]}/{pt[1]}",
-            "y": f"{pt[2]}" if pt[3] == 1 else f"{pt[2]}/{pt[3]}"} for pt in self.coords])
         return {
             "n_max": len(self.coords),
-            "points": points,
+            "points": QnPoints(self.coords),
             "all_distinct": self.all_distinct,
             "collisions": [list(c) for c in self.collisions],
             "collisions_certified": self.collisions_certified,
@@ -429,8 +492,9 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
         raise ParameterError("base points must differ")
     step = E.sub(q, p)
     points = _sequence_points(E, p, step, n_max)
+    start = _quadruple(None if p.is_infinity else (p.x, p.y))
     # k = n_max when no q_n is p: then there is no collision and q_hits = (1,)
-    k = next((n for n, pt in enumerate(points, start=1) if pt == p), n_max)
+    k = next((n for n, pt in enumerate(points, start=1) if pt == start), n_max)
     collisions = tuple(((n - 1) % k + 1, n) for n in range(k + 1, n_max + 1))
     q_hits = tuple(range(1, n_max + 1, k))
     return QnReport(
@@ -440,6 +504,7 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
         collisions_certified=not collisions or E.mul(k, step).is_infinity,
         avoids_q=q_hits == (1,),
         q_hits=q_hits,
+        modulus=E.p,
     )
 
 
@@ -592,9 +657,10 @@ def restriction_replay(
     `.points` gives them) when it reaches level `levels`, else off the
     sequence recomputed to that level.  The ledger [n]q + [1 - n]p is a
     second computation by the group law on its own chain: `_jacobian_replay`
-    for `.coords` quadruples (p = O over Q), else [n]q by double-and-add,
-    [2m]q = [2]([m]q) and [2m+1]q = [2m]q + q, and [1 - n]p as a running
-    sum, which share only odd steps with the generic ladder q_(n-1) + q.
+    for `.coords` quadruples with no O (p = O over Q, an integer A), else
+    [n]q by double-and-add, [2m]q = [2]([m]q) and [2m+1]q = [2m]q + q, and
+    [1 - n]p as a running sum, which share only odd steps with the pair
+    ladder q_(n-1) + q.
     """
     _int_parameter("levels", levels, 1)
     E.check(p)
@@ -611,7 +677,7 @@ def restriction_replay(
     for n in range(1, levels + 1):
         kq.append(E.add(kq[n // 2], kq[n // 2]) if n % 2 == 0 else E.add(kq[n - 1], q))
         mp = E.add(mp, neg_p)
-        qn = _point(points[n - 1])
+        qn = _point(points[n - 1], E.p)
         reports.append(RestrictionReport(n, qn, DivisorClass(0, E.sub(E.add(kq[n], mp), qn))))
     return reports
 

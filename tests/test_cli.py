@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from importlib import resources
@@ -359,8 +360,10 @@ NEG_2Q_CURVE = {
     "B": "-2",
     "points": {"p": {"x": "129/100", "y": "383/1000"}, "q": {"x": "3", "y": "5"}},
 }
-# y^2 = x^3 + 1 with q = (2, 3) of order 6: the generic ladder, with collisions
+# y^2 = x^3 + 1 with q = (2, 3) of order 6: the pair ladder, with collisions
 TORSION_CURVE = {"field": "Q", "A": "0", "B": "1", "points": {"p": "O", "q": {"x": "2", "y": "3"}}}
+# q = (0, 10) of order 50 over F_97: the q_n list holds "O" at n = 50 and 100, with collisions
+FP_ORDER_50_CURVE = {"field": {"p": 97}, "A": "2", "B": "3", "points": {"p": "O", "q": {"x": "0", "y": "10"}}}
 REPORT_BYTES = [
     (
         "monomial-identity",
@@ -408,6 +411,12 @@ REPORT_BYTES = [
         ("elliptic-qn", "--curve", "torsion.json", "--n-max", "20", "--restriction-max", "20"),
         "409493899543c16808bf3ae5f5ba12d4263fa74e7bdf8c3d28bba642acff4425",
     ),
+    # recorded before the F_p sequence left the generic `E.add` ladder
+    (
+        "elliptic-fp-order-50",
+        ("elliptic-qn", "--curve", "fp97.json", "--n-max", "120", "--restriction-max", "60"),
+        "295e7a7130782b9855f57c888c5b12ad56a3eddfc1a0af17cac38594faeb6d0f",
+    ),
 ]
 
 
@@ -418,6 +427,7 @@ def test_monomial_and_elliptic_bytes_pinned(tmp_path, monkeypatch, argv, sha):
     (tmp_path / "curve.json").write_text(json.dumps(FP_CURVE))
     (tmp_path / "neg2q.json").write_text(json.dumps(NEG_2Q_CURVE))
     (tmp_path / "torsion.json").write_text(json.dumps(TORSION_CURVE))
+    (tmp_path / "fp97.json").write_text(json.dumps(FP_ORDER_50_CURVE))
     assert main([*argv, "--out", "report.json"]) == 0
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == sha
 
@@ -548,7 +558,8 @@ def test_schemas_are_valid_resolve_and_accept_the_input_documents():
         jsonschema.Draft202012Validator.check_schema(doc)
         inlined(doc, REGISTRY.resolver(doc["$id"]))  # raises if a $ref does not resolve
     E, p, q = picard.default_curve()
-    for curve in (NEG_2Q_CURVE, TORSION_CURVE, FP_CURVE, picard.curve_to_json(E, {"p": p, "q": q})):
+    for curve in (NEG_2Q_CURVE, TORSION_CURVE, FP_CURVE, FP_ORDER_50_CURVE,
+                  picard.curve_to_json(E, {"p": p, "q": q})):
         validate(curve, "curve.schema.json")
     for sigma in (SEEDED_SIGMA, [5, 1, 7], [1]):
         validate(sigma, "sigma_table.schema.json")
@@ -1077,8 +1088,16 @@ def test_handler_is_looked_up_when_main_runs(capsys, monkeypatch):
 # -- the report writer ---------------------------------------------------------------
 
 
+def _materialized(value):
+    # the stdlib encoder's fallback: a lazy q_n list is the list it reads as
+    if isinstance(value, picard.QnPoints):
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_encoder(payload) -> str:
-    return _without_digit_limit(json.JSONEncoder(indent=2, sort_keys=True).encode, payload) + "\n"
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_materialized)
+    return _without_digit_limit(encoder.encode, payload) + "\n"
 
 
 PINNED_ARGV = (
@@ -1093,7 +1112,8 @@ PINNED_ARGV = (
 def test_writer_matches_json_encoder_on_every_pinned_report(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, doc in {**PIN_TABLES, "sigma.json": SEEDED_SIGMA, "curve.json": FP_CURVE,
-                      "neg2q.json": NEG_2Q_CURVE, "torsion.json": TORSION_CURVE}.items():
+                      "neg2q.json": NEG_2Q_CURVE, "torsion.json": TORSION_CURVE,
+                      "fp97.json": FP_ORDER_50_CURVE}.items():
         (tmp_path / name).write_text(json.dumps(doc))
     dumps, payloads = cli._dumps, []
 
@@ -1105,6 +1125,8 @@ def test_writer_matches_json_encoder_on_every_pinned_report(tmp_path, monkeypatc
     for argv in PINNED_ARGV:
         assert main([*argv, "--out", "report.out"]) in (0, 1)
     assert len(payloads) == sum(a[0] != "example-scan" or "--summary-out" in a for a in PINNED_ARGV)
+    lazy = [p for p in payloads if isinstance(p.get("qn", {}).get("points"), picard.QnPoints)]
+    assert len(lazy) == sum(a[0] == "elliptic-qn" for a in PINNED_ARGV)
     for payload in payloads:
         assert dumps(payload) == _json_encoder(payload)
 
@@ -1116,6 +1138,19 @@ WRITER_CASES = {
     "keys": {"\"": 1, "\\": 2, "\x00": 3, "é": 4, "Z": 5, "a": 6, "": 7},
     "constants": [True, False, None, 0, -1, -(10**30), 10**40],
     "mixed": {"b": (1, {"z": None, "y": [True, "x"]}), "a": [[1, [2, [3]]], {"k": "v"}]},
+    "qn-points": {
+        "points": picard.QnPoints([
+            picard.O,
+            (3, 1, -5, 1),
+            (129, 100, 383, 1000),
+            (Decimal(-7) ** 40, Decimal(4), Decimal(11) ** 60, Decimal(8)),
+            (7**6000, 1, -(3**9500), 1),
+            (1, 5**7000, -1, 5**10500),
+            picard.O,
+        ]),
+        "empty": picard.QnPoints([]),
+        "nested": [[picard.QnPoints([picard.O]), picard.QnPoints([(0, 1, 0, 1)])]],
+    },
 }
 
 

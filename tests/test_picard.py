@@ -213,7 +213,7 @@ def test_qn_avoids_q_with_affine_p():
 
 
 def test_qn_non_integral_model_falls_back():
-    # a quarter-integer A keeps the generic E.add ladder: the multiples come
+    # a quarter-integer A walks the pair ladder: the multiples come
     # from division-polynomial values only on an integral model
     Ew = EllipticCurve(F(-1, 4), F(0))
     t = CurvePoint(F(1, 2), F(0))  # 2-torsion: y = 0
@@ -258,6 +258,9 @@ E_ORDER_2 = EllipticCurve(F(-1), F(0))
 E_ORDER_3 = EllipticCurve(F(0), F(1))
 E_ORDER_7 = EllipticCurve(F(-43), F(166))
 E_FP = EllipticCurve(400537, 1289995, 1505983)
+Q_FP = CurvePoint(235916, 396205)
+E_97 = EllipticCurve(2, 3, 97)
+Q_97 = CurvePoint(0, 10)  # of order 50: q_50 = q_100 = O
 
 # (id, curve, p, q, n_max, what `_multiples` returned: [True] for the
 # multiples, [False] for None on a torsion step, [] when it was not called)
@@ -273,7 +276,10 @@ QN_ORACLE_CASES = [
     ("order-3", E_ORDER_3, O, CurvePoint(F(0), F(1)), 10, TORSION),
     ("order-7", E_ORDER_7, O, CurvePoint(F(3), F(8)), 20, TORSION),
     ("order-7-p", E_ORDER_7, CurvePoint(F(3), F(8)), CurvePoint(F(-5), F(16)), 20, TORSION),
-    ("finite-field", E_FP, O, CurvePoint(235916, 396205), 30, LADDER),
+    ("finite-field", E_FP, O, Q_FP, 2000, LADDER),
+    ("finite-field-affine-p", E_FP, E_FP.mul(5, Q_FP), Q_FP, 2000, LADDER),
+    ("finite-field-order-50", E_97, O, Q_97, 120, LADDER),
+    ("finite-field-order-50-affine-p", E_97, E_97.mul(7, Q_97), Q_97, 120, LADDER),
 ]
 
 
@@ -292,8 +298,14 @@ def test_qn_matches_ladder_oracle(monkeypatch, curve, p, q, n_max, calls):
 
     monkeypatch.setattr(picard, "_multiples", spy)
     rep = qn_sequence(curve, p, q, n_max)
-    assert rep == _scan_oracle(curve, p, q, _ladder(curve, p, q, n_max))
+    oracle = _ladder(curve, p, q, n_max)
+    assert rep == _scan_oracle(curve, p, q, oracle)
     assert [r is not None for r in results] == calls
+    # point for point, with each field's own coordinate type, and as rendered
+    assert [tuple(map(type, (pt.x, pt.y))) for pt in rep.points] == [
+        tuple(map(type, (pt.x, pt.y))) for pt in oracle]
+    assert all(curve.check(pt) == pt for pt in rep.points)
+    assert rep.to_json()["points"] == [pt.to_json() for pt in oracle]
 
 
 
@@ -457,7 +469,6 @@ def test_restriction_perturbed_ledger_flagged(monkeypatch):
     assert not rep.trivial
 
 
-Q_FP = CurvePoint(235916, 396205)
 RESTRICTION_CASES = [
     ("Q,p=O", E, O, Q0),
     ("Q,p=[3]q", E, E.mul(3, Q0), Q0),
@@ -486,7 +497,11 @@ def test_restriction_report_coherence(curve, p, q, n, drop):
 
 E_TORSION = EllipticCurve(F(0), F(1))
 Q_TORSION = CurvePoint(F(2), F(3))  # order 6 on y^2 = x^3 + 1
-REPLAY_CASES = RESTRICTION_CASES + [("Q,torsion", E_TORSION, O, Q_TORSION)]
+REPLAY_CASES = RESTRICTION_CASES + [
+    ("Q,torsion", E_TORSION, O, Q_TORSION),
+    # integer A with a fractional B: the pair ladder's quadruples meet the Jacobian ledger
+    ("Q,non-integral-B", E_NON_INTEGRAL, O, CurvePoint(F(3, 4), F(5, 8))),
+]
 
 
 @pytest.mark.parametrize("known", [20, 6, 0], ids=["from-sequence", "past-sequence", "no-points"])
@@ -535,18 +550,26 @@ def test_restriction_replay_past_sequence_flags_wrong_chord_step(monkeypatch):
 
 
 def test_restriction_replay_ledger_differs_from_the_ladder(monkeypatch):
-    # over F_p with p = O the sequence is the ladder q_n = q_(n-1) + q.  A
-    # group law wrong on [10]q + q breaks q_11 and every later q_n; a ledger
-    # kept as the same running sum would break with it and flag nothing,
-    # while the double-and-add ledger recovers at [12]q = [2]([6]q)
+    # over F_p with p = O the sequence is the pair ladder q_n = q_(n-1) + q.
+    # A wrong q_11 injected into its step [10]q + q breaks every later q_n;
+    # a ledger kept as the same running sum, wrong on the same step, would
+    # break with it and flag nothing, while the double-and-add ledger
+    # recovers at [12]q = [2]([6]q)
+    import divfilt.picard as picard
+
     Ep = EllipticCurve(2, 3, 97)
     q = Ep.check(CurvePoint(0, 10))
     q10, q11 = Ep.mul(10, q), Ep.mul(11, q)
-    add = EllipticCurve.add
+    wrong = Ep.add(q11, q11)
+    pair_add, add = picard._pair_add, EllipticCurve.add
+
+    def perturbed_pairs(E, P, Q):
+        return (wrong.x, wrong.y) if (P, Q) == ((q10.x, q10.y), (q.x, q.y)) else pair_add(E, P, Q)
 
     def perturbed(self, P, Q):
-        return add(self, q11, q11) if (P, Q) == (q10, q) else add(self, P, Q)
+        return wrong if (P, Q) == (q10, q) else add(self, P, Q)
 
+    monkeypatch.setattr(picard, "_pair_add", perturbed_pairs)
     monkeypatch.setattr(EllipticCurve, "add", perturbed)
     points = qn_sequence(Ep, O, q, 15).points
     assert points[10] != q11
