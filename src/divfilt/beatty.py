@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
-from divfilt.quadfield import ParameterError, QuadExt, _int_parameter, floor_cleared, rational_str
+from divfilt.quadfield import ParameterError, QuadExt, _int_parameter, _quad, floor_cleared, rational_str
 
 __all__ = [
     "BeattySequence",
@@ -103,11 +102,12 @@ def floor_sum(alpha: QuadExt, beta: QuadExt | Fraction | int, n: int) -> int:
     then count the lattice points under the line from the other axis, which
     is the same sum with slope 1/alpha over m = floor(alpha*n + beta) terms.
     The slopes run through the continued fraction of alpha, so the depth is
-    O(log n).  Each value is held as integers (p, q, r) meaning
-    (p + q*sqrt(d))/r and floored by `floor_cleared`, as `QuadExt.floor` is.
+    O(log n).  Each value is the cleared triple (A, B, q) of a `QuadExt`,
+    floored by `floor_cleared` as `QuadExt.floor` is and kept in lowest terms
+    by `quadfield._quad`, the constructor of every `QuadExt` result.
     """
     d = alpha.d
-    (A, B, C), (P, Q, R) = alpha._cleared(), alpha._coerce(beta)._cleared()
+    (A, B, C), (P, Q, R) = alpha._cleared(), alpha._operand(beta)[:3]
     total = 0
     while n:
         a, b = floor_cleared(A, B, C, d), floor_cleared(P, Q, R, d)
@@ -118,17 +118,11 @@ def floor_sum(alpha: QuadExt, beta: QuadExt | Fraction | int, n: int) -> int:
         m = floor_cleared(T, U, V, d)
         # alpha <- 1/alpha = C*(A - B*sqrt(d))/(A^2 - B^2*d), then
         # beta <- (top - m)/(old alpha) = (top - m) * (new alpha)
-        A, B, C = _lowest(C * A, -C * B, A * A - B * B * d)
+        A, B, C = _quad(C * A, -C * B, A * A - B * B * d, d)._cleared()
         T -= m * V
-        P, Q, R = _lowest(T * A + U * B * d, T * B + U * A, V * C)
+        P, Q, R = _quad(T * A + U * B * d, T * B + U * A, V * C, d)._cleared()
         n = m
     return total
-
-
-def _lowest(p: int, q: int, r: int) -> tuple[int, int, int]:
-    """(p, q, r) over gcd(p, q, r), signed so that r > 0."""
-    g = gcd(p, q, r) if r > 0 else -gcd(p, q, r)
-    return p // g, q // g, r // g
 
 
 def _max_gap(frac: QuadExt, count: int, n_max: int) -> int:

@@ -137,15 +137,16 @@ class BivariatePolynomial:
     __rmul__ = __mul__
 
     def shift(self, dx: Scalar, dy: Scalar) -> BivariatePolynomial:
-        """Substitute x -> x + dx, y -> y + dy and expand (binomially)."""
-        dx, dy = _as_fraction(dx), _as_fraction(dy)
+        """Substitute x -> x + dx, y -> y + dy and expand (binomially); integer
+        shifts keep each factor an int, one Fraction product per term."""
+        dx, dy = (v if type(v) is int else _as_fraction(v) for v in (dx, dy))
         out: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self.terms.items():
             for r in range(i + 1):
                 xc = comb(i, r) * dx ** (i - r)
                 for s in range(j + 1):
                     key = (r, s)
-                    out[key] = out.get(key, Fraction(0)) + c * xc * comb(j, s) * dy ** (j - s)
+                    out[key] = out.get(key, 0) + c * (xc * comb(j, s) * dy ** (j - s))
         return BivariatePolynomial(out)
 
     def homogeneous_part(self, degree: int) -> BivariatePolynomial:

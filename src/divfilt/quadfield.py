@@ -1,15 +1,15 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-Every value is a pair of rationals (a, b) representing the real number
-a + b*sqrt(d) for a fixed squarefree radicand d >= 2.  All operations are
-exact: comparison, floors/ceilings of integer multiples, and correctly
-rounded decimal rendering are decided with arbitrary-precision integer
-arithmetic (integer square roots on cleared denominators), never with
-floating point.
+Every value is held as integers (A, B, q, d), the real number (A + B*sqrt(d))/q
+with q > 0, gcd(A, B, q) = 1 and a fixed squarefree radicand d >= 2.  Every
+operation is exact and works on those integers alone: a sum, product or
+quotient is a few integer products and one gcd; comparison, floors/ceilings
+of integer multiples and correctly rounded decimals are decided with integer
+square roots, never with floating point.
 
-The central trick is the exact sign test: the sign of a + b*sqrt(d) is
-decided by case analysis on the signs of a and b plus one comparison of
-a^2 against b^2*d.  Floors reduce to the identity
+The central trick is the exact sign test: the sign of A + B*sqrt(d) is
+decided by case analysis on the signs of A and B plus one comparison of
+A^2 against B^2*d.  Floors reduce to the identity
 
     floor((A + B*sqrt(d)) / q) = floor((A + floor(B*sqrt(d))) / q)
 
@@ -19,7 +19,6 @@ for integers A, B, q > 0, with floor(B*sqrt(d)) computed by isqrt(B^2*d).
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 import re
@@ -158,21 +157,17 @@ def _validate_radicand(d: int) -> None:
     _validated_radicands.add(d)
 
 
-def _sign_of_pair(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d), no floating point."""
-    if b == 0:
-        return -1 if a < 0 else (1 if a > 0 else 0)
-    if a == 0:
-        return -1 if b < 0 else 1
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    lhs = a * a
-    rhs = b * b * d
+def _sign(A: int, B: int, d: int) -> int:
+    """Exact sign of A + B*sqrt(d) for integers A, B, no floating point."""
+    if not B:
+        return (A > 0) - (A < 0)
+    sb = 1 if B > 0 else -1
+    if not A or (A > 0) == (B > 0):
+        return sb
+    lhs, rhs = A * A, B * B * d
     # Equality would force sqrt(d) rational, impossible for squarefree d >= 2.
     assert lhs != rhs
-    return sa if lhs > rhs else sb
+    return -sb if lhs > rhs else sb
 
 
 def floor_cleared(A: int, B: int, q: int, d: int) -> int:
@@ -184,164 +179,165 @@ def floor_cleared(A: int, B: int, q: int, d: int) -> int:
     return (A + (s if B > 0 else -s - 1)) // q
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    """The real number ``a + b*sqrt(d)`` with rational a, b and squarefree d >= 2.
-
-    Values are immutable and canonical (Fractions in lowest terms), safe to
-    share between threads.  Arithmetic mixes freely with ints and Fractions;
-    two irrational values interoperate only when their radicands agree.
+    """The real number ``a + b*sqrt(d) = (A + B*sqrt(d))/q``, held as one
+    immutable tuple (A, B, q, d) of integers, q > 0, gcd(A, B, q) = 1 and d >= 2
+    squarefree; safe to share between threads.  Arithmetic mixes freely with
+    ints and Fractions; two irrational values interoperate only when their
+    radicands agree.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("_t",)
 
-    def __post_init__(self) -> None:
-        _validate_radicand(self.d)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __new__(cls, a: Fraction | int, b: Fraction | int, d: int) -> QuadExt:
+        _validate_radicand(d)
+        for name, value in (("a", a), ("b", b)):
+            if type(value) is not int and not isinstance(value, Fraction):
+                raise ParameterError(f"{name} must be an int or a Fraction, got {_excerpt(value)}")
+        q = lcm(a.denominator, b.denominator)
+        return _quad(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, d)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"QuadExt is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return QuadExt, (self.a, self.b, self.d)
+
+    a = property(lambda self: Fraction(self._t[0], self._t[2]), doc="a = A/q, a Fraction made on demand")
+    b = property(lambda self: Fraction(self._t[1], self._t[2]), doc="b = B/q, a Fraction made on demand")
+    d = property(lambda self: self._t[3], doc="the radicand")
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: Fraction | int, d: int) -> QuadExt:
-        return cls(Fraction(value), Fraction(0), d)
+        return cls(value, 0, d)
 
     @classmethod
     def sqrt(cls, d: int) -> QuadExt:
         """The value sqrt(d) itself."""
-        return cls(Fraction(0), Fraction(1), d)
+        return cls(0, 1, d)
 
     # -- predicates ----------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self._t[1]
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self._t[0] or self._t[1])
 
     # -- coercion ------------------------------------------------------------
 
-    def _coerce(self, other: object) -> QuadExt | None:
-        if isinstance(other, QuadExt):
-            if other.d == self.d:
-                return other
-            if other.b == 0:
-                return QuadExt(other.a, Fraction(0), self.d)
-            if self.b == 0:
-                return other  # result lives in other's field
-            raise RadicandMismatchError(
-                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-            )
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), self.d)
-        return None
+    def _cleared(self) -> tuple[int, int, int]:
+        """The integers (A, B, q) with self = (A + B*sqrt(d)) / q, q > 0."""
+        return self._t[:3]
 
-    def _rebase(self, d: int) -> QuadExt:
-        return self if self.d == d else QuadExt(self.a, self.b, d)
+    def _operand(self, other: object) -> tuple[int, int, int, int] | None:
+        """`other` as (A, B, q, d), d the radicand of the result, or None for
+        a type that does not mix."""
+        if isinstance(other, QuadExt):
+            A, B, q, d = t = other._t
+            e = self._t[3]
+            if d == e or (B and not self._t[1]):
+                return t  # a rational self adopts an irrational other's field
+            if not B:
+                return A, 0, q, e
+            raise RadicandMismatchError(f"cannot combine sqrt({e}) with sqrt({d})")
+        if isinstance(other, (int, Fraction)):
+            return other.numerator, 0, other.denominator, self._t[3]
+        return None
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: object) -> QuadExt:
-        rhs = self._coerce(other)
+        rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
-        lhs = self._rebase(rhs.d)
-        return QuadExt(lhs.a + rhs.a, lhs.b + rhs.b, rhs.d)
+        (a, b, p, _), (A, B, q, d) = self._t, rhs
+        return _quad(a * q + A * p, b * q + B * p, p * q, d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> QuadExt:
-        rhs = self._coerce(other)
+        rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
-        lhs = self._rebase(rhs.d)
-        return QuadExt(lhs.a - rhs.a, lhs.b - rhs.b, rhs.d)
+        (a, b, p, _), (A, B, q, d) = self._t, rhs
+        return _quad(a * q - A * p, b * q - B * p, p * q, d)
 
     def __rsub__(self, other: object) -> QuadExt:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
+        return (-self).__add__(other)
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self.a, -self.b, self.d)
+        A, B, q, d = self._t
+        return _quad(-A, -B, q, d)
 
     def __mul__(self, other: object) -> QuadExt:
-        rhs = self._coerce(other)
+        rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
-        lhs = self._rebase(rhs.d)
-        return QuadExt(
-            lhs.a * rhs.a + lhs.b * rhs.b * rhs.d,
-            lhs.a * rhs.b + lhs.b * rhs.a,
-            rhs.d,
-        )
+        (a, b, p, _), (A, B, q, d) = self._t, rhs
+        return _quad(a * A + b * B * d, a * B + b * A, p * q, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadExt:
-        """Multiplicative inverse: (a - b*sqrt(d)) / (a^2 - b^2 d)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        norm = self.a * self.a - self.b * self.b * self.d
-        # norm = 0 would force sqrt(d) rational.
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        """Multiplicative inverse: q*(A - B*sqrt(d)) / (A^2 - B^2 d)."""
+        return _quotient((1, 0, 1), self._t, self._t[3])
 
     def __truediv__(self, other: object) -> QuadExt:
-        rhs = self._coerce(other)
+        rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
-        return self * rhs.inverse()
+        return _quotient(self._t, rhs, rhs[3])
 
     def __rtruediv__(self, other: object) -> QuadExt:
-        rhs = self._coerce(other)
+        rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
-        return rhs * self.inverse()
+        return _quotient(rhs, self._t, rhs[3])
 
     def __pow__(self, k: int) -> QuadExt:
         if type(k) is not int:
             return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        result = QuadExt.from_rational(1, self.d)
+        A, B, q, d = (self if k >= 0 else self.inverse())._t
+        k = abs(k)
+        rA, rB, rq = 1, 0, 1
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                rA, rB, rq = rA * A + rB * B * d, rA * B + rB * A, rq * q
             k >>= 1
-        return result
+            if k:
+                A, B, q = A * A + B * B * d, 2 * A * B, q * q
+        return _quad(rA, rB, rq, d)
 
     # -- comparison ----------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1."""
-        return _sign_of_pair(self.a, self.b, self.d)
+        A, B, _, d = self._t
+        return _sign(A, B, d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
-            if self.d == other.d:
-                return self.a == other.a and self.b == other.b
             # Distinct squarefree radicands: equality only between rationals.
-            return self.b == 0 and other.b == 0 and self.a == other.a
+            return self._t[:3] == other._t[:3] and (self._t[3] == other._t[3] or not self._t[1])
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            A, B, q, _ = self._t
+            return not B and A == other.numerator and q == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash(self._t) if self._t[1] else hash(self.a)
 
     def _cmp(self, other: object) -> int:
-        rhs = self._coerce(other)
+        rhs = self._operand(other)
         if rhs is None:
             raise TypeError(f"cannot compare QuadExt with {type(other).__name__}")
-        return (self - rhs).sign()
+        (a, b, p, _), (A, B, q, d) = self._t, rhs
+        return _sign(a * q - A * p, b * q - B * p, d)
 
     def __lt__(self, other: object) -> bool:
         return self._cmp(other) < 0
@@ -360,29 +356,23 @@ class QuadExt:
 
     # -- floors, ceilings, decimals -------------------------------------------
 
-    def _cleared(self) -> tuple[int, int, int]:
-        """Return integers (A, B, q) with self = (A + B*sqrt(d)) / q, q > 0."""
-        q = lcm(self.a.denominator, self.b.denominator)
-        return (
-            self.a.numerator * (q // self.a.denominator),
-            self.b.numerator * (q // self.b.denominator),
-            q,
-        )
-
     def floor(self) -> int:
-        """Exact floor, via isqrt on cleared denominators."""
-        return floor_cleared(*self._cleared(), self.d)
+        """Exact floor, via isqrt on the cleared form."""
+        return floor_cleared(*self._t)
 
     def ceil(self) -> int:
-        return -((-self).floor())
+        A, B, q, d = self._t
+        return -floor_cleared(-A, -B, q, d)
 
     def floor_scaled(self, n: int) -> int:
         """Exact floor(n * self) for a nonnegative integer n."""
-        return (self * _int_parameter("scale", n, 0)).floor()
+        (A, B, q, d), n = self._t, _int_parameter("scale", n, 0)
+        return floor_cleared(A * n, B * n, q, d)
 
     def ceil_scaled(self, n: int) -> int:
         """Exact ceil(n * self) for a nonnegative integer n."""
-        return -(-self).floor_scaled(n)
+        (A, B, q, d), n = self._t, _int_parameter("scale", n, 0)
+        return -floor_cleared(-A * n, -B * n, q, d)
 
     def fractional_part(self) -> QuadExt:
         return self - self.floor()
@@ -390,14 +380,16 @@ class QuadExt:
     def to_decimal(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` fractional digits.
 
-        Rounding is half-even; ties can only occur for rational values,
-        since an irrational value times a power of ten is never a
-        half-integer, so rounding it half up gives the digits exactly.
+        Rounding is half-even; ties can only occur for rational values, since
+        an irrational value times s = 10**digits is never a half-integer, so
+        floor(s*self + 1/2) = floor((2As + q + 2Bs*sqrt(d))/(2q)) is exact.
         """
         column = decimal_column(digits)
-        if self.b == 0:
-            return column((self.a.numerator,), (self.a.denominator,))[0]
-        return column(((self * 10**digits + Fraction(1, 2)).floor(),))[0]
+        A, B, q, d = self._t
+        if not B:
+            return column((A,), (q,))[0]
+        s = 10**digits
+        return column((floor_cleared(2 * A * s + q, 2 * B * s, 2 * q, d),))[0]
 
     # -- auxiliary -----------------------------------------------------------
 
@@ -406,23 +398,21 @@ class QuadExt:
 
         For a rational value the degree-one relation (0, q, -p) is returned.
         """
-        if self.b == 0:
-            return (0, self.a.denominator, -self.a.numerator)
-        # (x - a)^2 = b^2 d  =>  x^2 - 2a x + (a^2 - b^2 d) = 0
-        c1 = -2 * self.a
-        c0 = self.a * self.a - self.b * self.b * self.d
-        den = lcm(c1.denominator, c0.denominator)
-        n2, n1, n0 = den, c1.numerator * (den // c1.denominator), c0.numerator * (den // c0.denominator)
-        g = gcd(gcd(n2, n1), n0)
-        return (n2 // g, n1 // g, n0 // g)
+        A, B, q, d = self._t
+        if not B:
+            return (0, q, -A)
+        # (q*x - A)^2 = B^2 d  =>  q^2 x^2 - 2*A*q x + (A^2 - B^2 d) = 0
+        c2, c1, c0 = q * q, -2 * A * q, A * A - B * B * d
+        g = gcd(c2, c1, c0)
+        return (c2 // g, c1 // g, c0 // g)
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return rational_str(self.a)
-        bs = rational_str(self.b)
-        if self.b < 0:
-            return f"{rational_str(self.a)} - {rational_str(-self.b)}*sqrt({self.d})"
-        return f"{rational_str(self.a)} + {bs}*sqrt({self.d})"
+        a, b = self.a, self.b
+        if not b:
+            return rational_str(a)
+        if b < 0:
+            return f"{rational_str(a)} - {rational_str(-b)}*sqrt({self.d})"
+        return f"{rational_str(a)} + {rational_str(b)}*sqrt({self.d})"
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d})"
@@ -435,3 +425,24 @@ class QuadExt:
             "d": self.d,
             "decimal": self.to_decimal(digits),
         }
+
+
+_new, _set = object.__new__, QuadExt._t.__set__
+
+
+def _quad(A: int, B: int, q: int, d: int) -> QuadExt:
+    """(A + B*sqrt(d))/q for integers with q != 0, canonical; d comes from
+    validated operands, so it is not validated again."""
+    g = gcd(A, B, q) if q > 0 else -gcd(A, B, q)
+    x = _new(QuadExt)
+    _set(x, (A // g, B // g, q // g, d))
+    return x
+
+
+def _quotient(x: tuple, y: tuple, d: int) -> QuadExt:
+    """x / y for x = (A, B, q, ...) and y = (C, D, r, ...), each (A + B*sqrt(d))/q:
+    x times r*(C - D*sqrt(d)) over the norm C^2 - D^2*d, nonzero for y != 0."""
+    (A, B, q, *_), (C, D, r, *_) = x, y
+    if not (C or D):
+        raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+    return _quad(r * (A * C - B * D * d), r * (B * C - A * D), q * (C * C - D * D * d), d)

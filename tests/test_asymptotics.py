@@ -513,6 +513,18 @@ def test_envelope_bounds_every_index(case):
                 assert asymptotics._envelope_max(env, lo, hi) == want
 
 
+@pytest.mark.parametrize("case", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_envelope_constant_is_the_symbolic_limit(case):
+    # two sources of L_s: the scan's envelope constant k over denom, and the
+    # degree-2 part of the difference polynomial at (alpha, 1)
+    model = case[1]
+    deltas = asymptotics._Deltas(model)
+    for s in (0, 1):
+        for sign in (1, -1):
+            k = asymptotics._envelope(deltas.coeffs[s], model.alpha, s, sign)[0]
+            assert k / deltas.denom == sign * subsequence_limit(model, s)
+
+
 def test_window_certificates_settle_early_and_cover_all(monkeypatch):
     # every summary query goes through `_windows`; count the queries it
     # settles before the head and tail windows meet and those it returns

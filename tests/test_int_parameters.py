@@ -37,6 +37,8 @@ CALLS = {
     "restriction_replay": lambda: picard.restriction_replay(E, P, Q, True, []),
     "decimal_column": lambda: decimal_column(True),
     "quad-radicand": lambda: QuadExt(1, 1, True),
+    "quad-a": lambda: QuadExt(True, 0, 3),
+    "quad-b": lambda: QuadExt(0, True, 3),
     "quad-power": lambda: ALPHA**True,
     "floor_scaled": lambda: ALPHA.floor_scaled(True),
     "ceil_scaled": lambda: ALPHA.ceil_scaled(True),

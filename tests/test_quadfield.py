@@ -4,6 +4,9 @@ Derived expectations are frozen from independent oracles: mpmath at 60
 digits for decimals/floors, hand calculation for small identities.
 """
 
+import copy
+import math
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -391,3 +394,211 @@ def test_cross_field_equality_and_hash():
 def test_json_roundtrip_fields():
     doc = ALPHA.to_json(digits=10)
     assert doc == {"a": "9/26", "b": "1/26", "d": 3, "decimal": "0.4127711849"}
+
+
+# -- the Fraction-pair oracle ---------------------------------------------------
+#
+# QuadExt's arithmetic as it was when a value held two Fractions (a, b),
+# meaning a + b*sqrt(d): the independent oracle of the integer form
+# (A + B*sqrt(d))/q.
+
+ORACLE_RADICANDS = (2, 3, 5, 6, 7, 10, 11, 13, 999999999989)
+
+
+def _o_sign(a, b, d):
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    sa, sb = (1 if a > 0 else -1), (1 if b > 0 else -1)
+    if sa == sb:
+        return sa
+    return sa if a * a > b * b * d else sb
+
+
+def _o_floor(a, b, d):
+    q = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    if B == 0:
+        return A // q
+    s = math.isqrt(B * B * d)  # floor(|B|*sqrt(d)); B*sqrt(d) is irrational
+    return (A + (s if B > 0 else -s - 1)) // q
+
+
+def _o_mul(x, y, d):
+    (a, b), (c, e) = x, y
+    return a * c + b * e * d, a * e + b * c
+
+
+def _o_inverse(x, d):
+    a, b = x
+    norm = a * a - b * b * d
+    return a / norm, -b / norm
+
+
+def _o_pow(x, k, d):
+    base, result = (x if k >= 0 else _o_inverse(x, d)), (F(1), F(0))
+    for _ in range(abs(k)):
+        result = _o_mul(result, base, d)
+    return result
+
+
+def _o_decimal(x, digits, d):
+    a, b = x
+    s = 10**digits
+    m = round(a * s) if b == 0 else _o_floor(a * s + F(1, 2), b * s, d)  # round(): half-even
+    ip, fp = divmod(abs(m), s)
+    return f"{'-' if m < 0 else ''}{ip}.{fp:0{digits}d}"
+
+
+def _o_minimal_quadratic(x, d):
+    a, b = x
+    if b == 0:
+        return (0, a.denominator, -a.numerator)
+    c1, c0 = -2 * a, a * a - b * b * d
+    den = math.lcm(c1.denominator, c0.denominator)
+    n2, n1, n0 = den, c1.numerator * (den // c1.denominator), c0.numerator * (den // c0.denominator)
+    g = math.gcd(n2, n1, n0)
+    return (n2 // g, n1 // g, n0 // g)
+
+
+def _pair(x):
+    return (x.a, x.b)
+
+
+def _canonical(x):
+    # (A + B*sqrt(d))/q with q > 0 and gcd(A, B, q) = 1, read back as (a, b)
+    A, B, q = x._cleared()
+    assert q > 0 and math.gcd(A, B, q) == 1
+    assert (x.a, x.b) == (F(A, q), F(B, q))
+    return x
+
+
+def _oracle_part(rng, kind):
+    if kind == "zero":
+        return F(0)
+    if kind == "small":
+        return F(rng.randint(-60, 60), rng.randint(1, 30))
+    return F(rng.randint(-(10**300), 10**300), rng.randint(1, 10**300))
+
+
+def _oracle_values(rng, d):
+    # zero, rationals, negatives and 300-digit parts, every kind against every kind
+    kinds = ("zero", "small", "big")
+    values = [QuadExt(_oracle_part(rng, ka), _oracle_part(rng, kb), d) for ka in kinds for kb in kinds]
+    values += [QuadExt(-abs(_oracle_part(rng, "small")), F(1, rng.randint(1, 9)), d), QuadExt(1, 0, d)]
+    return values
+
+
+@pytest.mark.parametrize("d", ORACLE_RADICANDS)
+def test_integer_form_matches_fraction_pair_oracle(d):
+    rng = random.Random(29_000 + d % 1000)
+    values = _oracle_values(rng, d)
+    scalars = [0, 1, -7, F(-5, 3), F(10**300 + 1, 3**200)]
+    for x in values:
+        xp = _pair(_canonical(x))
+        assert _canonical(-x) == QuadExt(-x.a, -x.b, d)
+        assert x.sign() == _o_sign(*xp, d)
+        assert x.is_rational() == (xp[1] == 0) and x.is_zero() == (xp == (0, 0))
+        assert (x.floor(), x.ceil()) == (_o_floor(*xp, d), -_o_floor(-xp[0], -xp[1], d))
+        for n in (0, 1, 10**40):
+            assert x.floor_scaled(n) == _o_floor(xp[0] * n, xp[1] * n, d)
+            assert x.ceil_scaled(n) == -_o_floor(-xp[0] * n, -xp[1] * n, d)
+        for digits in (1, 30, 500):
+            assert x.to_decimal(digits) == _o_decimal(xp, digits, d)
+        assert x.minimal_quadratic() == _o_minimal_quadratic(xp, d)
+        for k in (-3, -1, 0, 1, 2, 3, 5) if not x.is_zero() else (0, 1, 2, 3, 5):
+            assert _pair(_canonical(x**k)) == _o_pow(xp, k, d)
+        if not x.is_zero():
+            assert _pair(_canonical(x.inverse())) == _o_inverse(xp, d)
+        for y in values + [QuadExt.from_rational(c, d) for c in scalars]:
+            yp = _pair(y)
+            assert _pair(_canonical(x + y)) == (xp[0] + yp[0], xp[1] + yp[1])
+            assert _pair(_canonical(x - y)) == (xp[0] - yp[0], xp[1] - yp[1])
+            assert _pair(_canonical(x * y)) == _o_mul(xp, yp, d)
+            if not y.is_zero():
+                assert _pair(_canonical(x / y)) == _o_mul(xp, _o_inverse(yp, d), d)
+            s = _o_sign(xp[0] - yp[0], xp[1] - yp[1], d)
+            assert (x < y, x <= y, x > y, x >= y, x == y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
+        for c in scalars:
+            assert _pair(_canonical(x + c)) == _pair(_canonical(c + x)) == (xp[0] + c, xp[1])
+            assert _pair(_canonical(c - x)) == (c - xp[0], -xp[1])
+            assert _pair(_canonical(c * x)) == (c * xp[0], c * xp[1])
+            if c:
+                assert _pair(_canonical(x / c)) == (xp[0] / c, xp[1] / c)
+            if not x.is_zero():
+                assert _pair(_canonical(c / x)) == _o_mul((F(c), F(0)), _o_inverse(xp, d), d)
+            assert (x < c) == (_o_sign(xp[0] - c, xp[1], d) < 0)
+            assert (x == c) == (xp == (c, 0))
+
+
+def test_no_fraction_is_made_in_quadext_arithmetic(monkeypatch):
+    # a seeded run of + - * / **, sign, comparisons, floors and decimals on
+    # QuadExt operands, with every Fraction construction counted
+    rng = random.Random(2929)
+    values = [v for d in (3, 999999999989) for v in _oracle_values(rng, d)]
+    made = []
+    real = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    for _ in range(400):
+        x, y = rng.choice(values), rng.choice(values)
+        if x.d != y.d and not (x.is_rational() or y.is_rational()):
+            continue
+        x + y, x - y, x * y, -x, abs(x), x**rng.randint(0, 4)
+        if not y.is_zero():
+            x / y, y**-2
+        x.sign(), x < y, x <= y, x > y, x >= y, x == y, x != y
+        x.floor(), x.ceil(), x.floor_scaled(10**6), x.ceil_scaled(10**6), x.fractional_part()
+        x.to_decimal(30), x.minimal_quadratic()
+    assert made == []
+    F(1, 2)  # the count itself works
+    assert made == [(1, 2)]
+
+
+@pytest.mark.parametrize("slot", ["a", "b"])
+@pytest.mark.parametrize("value", [0.1, "1/3", Decimal("0.1"), None], ids=["float", "str", "Decimal", "None"])
+def test_components_are_an_int_or_a_fraction(slot, value):
+    # 0.1 would otherwise become 3602879701896397/36028797018963968; a bool
+    # is refused too (tests/test_int_parameters.py)
+    args = {"a": 0, "b": 1, "d": 3, slot: value}
+    with pytest.raises(ParameterError, match=f"^{slot} must be an int or a Fraction, got "):
+        QuadExt(**args)
+
+
+def test_operands_of_other_types_do_not_mix():
+    for op in (lambda: ALPHA + 0.5, lambda: 0.5 - ALPHA, lambda: ALPHA * "2", lambda: ALPHA < 0.5):
+        with pytest.raises(TypeError):
+            op()
+    assert (ALPHA == 0.5) is False
+
+
+def test_values_are_immutable_and_round_trip():
+    for name in ("a", "b", "d", "_t", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ALPHA, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(ALPHA, name)
+    big = QuadExt(10**300 + 1, F(-1, 10**300 + 7), 999999999989)
+    for x in (ALPHA, QuadExt(F(-7, 3), 0, 5), QuadExt(0, 0, 2), big):
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert (twin, twin.d, twin._cleared(), hash(twin), repr(twin)) == (x, x.d, x._cleared(), hash(x), repr(x))
+
+
+def test_hashes_follow_equality():
+    # a rational value hashes like its Fraction; equal rationals of two
+    # fields are one dict key and one set member; irrationals of two fields differ
+    assert hash(QuadExt.from_rational(F(3, 4), 3)) == hash(F(3, 4))
+    r2, r3 = QuadExt.from_rational(F(3, 4), 2), QuadExt.from_rational(F(3, 4), 3)
+    assert r2 == r3 and hash(r2) == hash(r3)
+    table = {r2: "three quarters", QuadExt(5, 0, 7): "five", ALPHA: "alpha"}
+    assert table[r3] == table[F(3, 4)] == "three quarters"
+    assert table[5] == table[QuadExt(F(10, 2), 0, 3)] == "five"
+    assert table[QuadExt(F(18, 52), F(2, 52), 3)] == "alpha"
+    assert len({r2, r3, F(3, 4), QuadExt.sqrt(2), QuadExt.sqrt(3), QuadExt.sqrt(2) * 1}) == 3
+    assert repr(ALPHA) == "QuadExt(Fraction(9, 26), Fraction(1, 26), 3)"
+    assert str(ALPHA - 1) == "-17/26 + 1/26*sqrt(3)" and str(1 - ALPHA) == "17/26 - 1/26*sqrt(3)"
