@@ -47,8 +47,8 @@ from math import lcm
 
 from divfilt.intersection import (
     BivariatePolynomial,
-    DivisorExpr,
     IntersectionForm,
+    POLY_ONE,
     POLY_X,
     POLY_Y,
     difference_polynomial,
@@ -125,8 +125,8 @@ def model_from_form(form: IntersectionForm) -> ExampleModel:
     The table must have generators S, F and K and every triple the two
     expansions touch; a missing one raises `UnknownSymbolError`.
     """
-    dn = DivisorExpr({"S": POLY_X, "F": POLY_Y})
-    k = DivisorExpr.single("K")
+    dn = {"S": POLY_X, "F": POLY_Y}
+    k = {"K": POLY_ONE}
     return ExampleModel(
         example_alpha(), triple_product(form, dn, dn, dn), triple_product(form, dn, dn, k)
     )
@@ -152,10 +152,6 @@ REFERENCE_SIGMA_LIMITS = {
 }
 
 
-def _as_quad(value, d: int) -> QuadExt:
-    return value if isinstance(value, QuadExt) else QuadExt.from_rational(value, d)
-
-
 def model_length(model: ExampleModel, n: int) -> Fraction:
     """(1/6) p3 + (1/4) p2 at (ceil(alpha*n), n), exact rational."""
     x = model.alpha.ceil_scaled(_int_parameter("n", n, 0))
@@ -168,7 +164,7 @@ def multiplicity(model: ExampleModel) -> tuple[QuadExt, QuadExt]:
     The two differ by the normalizing factor 3!; both are headline values of
     the reference computation, so both are exposed.
     """
-    cubic = _as_quad(model.p3.evaluate(model.alpha, 1), model.alpha.d)
+    cubic = model.p3.evaluate(model.alpha, 1)
     return cubic, 6 * cubic
 
 
@@ -181,14 +177,14 @@ def subsequence_limit(model: ExampleModel, sigma: int) -> QuadExt:
     if sigma not in (0, 1):
         raise ValueError(f"sigma must be 0 or 1, got {sigma!r}")
     q2 = difference_polynomial(model.p3, sigma).homogeneous_part(2)
-    return _F(1, 6) * _as_quad(q2.evaluate(model.alpha, 1), model.alpha.d)
+    return _F(1, 6) * q2.evaluate(model.alpha, 1)
 
 
 def reference_sigma_limit(alpha: QuadExt, sigma: int) -> QuadExt:
     """Reference closed form for the class-sigma limit (audit target only)."""
     if sigma not in (0, 1):
         raise ValueError(f"sigma must be 0 or 1, got {sigma!r}")
-    return _F(1, 6) * _as_quad(_REFERENCE_SIGMA_QUADRATICS[sigma].evaluate(alpha, 1), alpha.d)
+    return _F(1, 6) * _REFERENCE_SIGMA_QUADRATICS[sigma].evaluate(alpha, 1)
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,7 @@ def cesaro_consistency(model: ExampleModel, L0: QuadExt, L1: QuadExt) -> CesaroR
     p3(alpha, 1)/6 times N^3.
     """
     alpha = model.alpha
-    lhs = (1 - alpha) * _as_quad(L0, alpha.d) + alpha * _as_quad(L1, alpha.d)
+    lhs = (1 - alpha) * L0 + alpha * L1
     cubic, _ = multiplicity(model)
     rhs = _F(1, 2) * cubic
     return CesaroResult(lhs, rhs, lhs == rhs)

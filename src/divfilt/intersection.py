@@ -5,9 +5,10 @@ A cubic growth law like (D_n^3) for a family of divisors D_n = x*S + y*F
 intersection form, into a polynomial in the two formal variables x and y
 whose coefficients come from a finite table of triple products of the
 lattice generators.  This module provides the table (`IntersectionForm`),
-the formal divisor combinations (`DivisorExpr`), the polynomial carrier
-(`BivariatePolynomial`), and the expansion/difference/evaluation operations
-on them.  All coefficients are exact rationals.
+the polynomial carrier (`BivariatePolynomial`), and the expansion/difference/
+evaluation operations on them.  A formal divisor is a plain mapping
+{generator symbol: BivariatePolynomial}, e.g. {"S": POLY_X, "F": POLY_Y} for
+D_n.  All coefficients are exact rationals.
 
 Tables are ingested from JSON documents of the shape
 
@@ -27,14 +28,13 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from divfilt.quadfield import ParameterError, parse_rational, rational_str
+from divfilt.quadfield import ParameterError, _excerpt, parse_rational, rational_str
 
 __all__ = [
     "DivisorSymbol",
     "UnknownSymbolError",
     "BivariatePolynomial",
     "IntersectionForm",
-    "DivisorExpr",
     "POLY_X",
     "POLY_Y",
     "POLY_ONE",
@@ -55,6 +55,8 @@ Scalar = Fraction | int
 
 
 def _as_fraction(value: Scalar) -> Fraction:
+    if type(value) is not int and not isinstance(value, Fraction):  # a bool, float, str or Decimal
+        raise ParameterError(f"expected an int or a Fraction, got {_excerpt(value)}")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -130,7 +132,7 @@ class BivariatePolynomial:
                     key = (i1 + i2, j1 + j2)
                     terms[key] = terms.get(key, Fraction(0)) + c1 * c2
             return BivariatePolynomial(terms)
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return BivariatePolynomial({k: c * other for k, c in self.terms.items()})
         return NotImplemented
 
@@ -160,19 +162,18 @@ class BivariatePolynomial:
         """Exact evaluation; x and y may be QuadExt, Fraction or int.
 
         Irrational arguments must share their radicand (a rational argument
-        adopts the other's field).  Each power is formed once, from x**0 and y**0.
+        adopts the other's field).  Each power is formed once, from x**0 and
+        y**0, and the sum starts at zero in the arguments' own field, so a
+        QuadExt argument gives a QuadExt even for the zero polynomial.
         """
-        acc = None
         xs, ys = [x**0], [y**0]
+        acc = 0 * xs[0] * ys[0]
         for (i, j), c in sorted(self.terms.items()):
             while len(xs) <= i:
                 xs.append(xs[-1] * x)
             while len(ys) <= j:
                 ys.append(ys[-1] * y)
-            term = c * xs[i] * ys[j]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Fraction(0)
+            acc = acc + c * xs[i] * ys[j]
         return acc
 
     def __str__(self) -> str:
@@ -258,49 +259,22 @@ def _all_triples(symbols: Iterable[str]) -> list[tuple[str, str, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class DivisorExpr:
-    """Formal divisor: a sum of generators with polynomial coefficients.
-
-    Coefficients are `BivariatePolynomial`s in x and y; in this artifact
-    they are (at most) linear, e.g. D_n = x*S + y*F.
-    """
-
-    coefficients: Mapping[DivisorSymbol, BivariatePolynomial]
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for sym, poly in self.coefficients.items():
-            if not isinstance(sym, str) or not sym:
-                raise ValueError(f"bad divisor symbol {sym!r}")
-            if isinstance(poly, (int, Fraction)):
-                poly = BivariatePolynomial.constant(poly)
-            if not poly.is_zero():
-                clean[sym] = poly
-        object.__setattr__(self, "coefficients", clean)
-
-    @classmethod
-    def single(cls, symbol: DivisorSymbol) -> DivisorExpr:
-        return cls({symbol: BivariatePolynomial.constant(1)})
-
-    def symbols(self) -> set[DivisorSymbol]:
-        return set(self.coefficients)
+Divisor = Mapping[DivisorSymbol, BivariatePolynomial]
 
 
-def triple_product(
-    form: IntersectionForm, A: DivisorExpr, B: DivisorExpr, C: DivisorExpr
-) -> BivariatePolynomial:
-    """Full multilinear expansion of the triple intersection of A, B, C."""
+def triple_product(form: IntersectionForm, A: Divisor, B: Divisor, C: Divisor) -> BivariatePolynomial:
+    """Full multilinear expansion of the triple intersection of the formal
+    divisors A, B, C, each a mapping {symbol: polynomial coefficient}."""
     known = set(form.generators)
     for expr in (A, B, C):
-        missing = expr.symbols() - known
+        missing = set(expr) - known
         if missing:
             raise UnknownSymbolError(f"unknown symbols {sorted(missing)!r}")
     total = BivariatePolynomial.zero()
-    for s1, c1 in A.coefficients.items():
-        for s2, c2 in B.coefficients.items():
+    for s1, c1 in A.items():
+        for s2, c2 in B.items():
             partial = c1 * c2
-            for s3, c3 in C.coefficients.items():
+            for s3, c3 in C.items():
                 total = total + partial * c3 * form.value(s1, s2, s3)
     return total
 

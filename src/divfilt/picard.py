@@ -39,6 +39,7 @@ per run by `exceptional_pairing_holds`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
@@ -426,8 +427,8 @@ class QnPoints:
             if type(pt) is tuple:
                 x, x_den, y, y_den = pt
                 yield f"{x}" if x_den == 1 else f"{x}/{x_den}", f"{y}" if y_den == 1 else f"{y}/{y_den}"
-            else:  # O, or a CurvePoint that the report was built from
-                yield None if pt.is_infinity else (rational_str(pt.x), rational_str(pt.y))
+            else:  # O
+                yield None
 
     def __iter__(self):
         return iter(_without_digit_limit(
@@ -441,10 +442,11 @@ class QnPoints:
 class QnReport:
     """q_n audit: `q_hits` lists every n with q_n = q; `avoids_q` means the
     sequence never returns to q after the definitional hit q_1 = q.  `coords`
-    keeps the q_n as computed, quadruples or O, and `points` is made from it
-    on its first read, with int coordinates when `modulus` names F_p."""
+    keeps the q_n as computed, quadruples (X, X', Y, Y') or O, and `points`
+    is made from it on its first read, with int coordinates when `modulus`
+    names F_p."""
 
-    points: tuple
+    coords: tuple
     all_distinct: bool
     collisions: tuple
     collisions_certified: bool
@@ -452,14 +454,9 @@ class QnReport:
     q_hits: tuple
     modulus: int | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        vars(self)["coords"] = vars(self).pop("points")
-
-    def __getattr__(self, name: str):
-        if name != "points":
-            raise AttributeError(name)
-        vars(self)["points"] = points = tuple(_point(pt, self.modulus) for pt in self.coords)
-        return points
+    @functools.cached_property
+    def points(self) -> tuple:
+        return tuple(_point(pt, self.modulus) for pt in self.coords)
 
     def to_json(self) -> dict:
         return {
@@ -498,7 +495,7 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
     collisions = tuple(((n - 1) % k + 1, n) for n in range(k + 1, n_max + 1))
     q_hits = tuple(range(1, n_max + 1, k))
     return QnReport(
-        points=points,
+        coords=tuple(points),
         all_distinct=not collisions,
         collisions=collisions,
         collisions_certified=not collisions or E.mul(k, step).is_infinity,
@@ -649,35 +646,34 @@ def _jacobian_replay(E: EllipticCurve, q: CurvePoint, quadruples: Sequence[tuple
 
 
 def restriction_replay(
-    E: EllipticCurve, p: CurvePoint, q: CurvePoint, levels: int, points: Sequence[CurvePoint]
+    E: EllipticCurve, p: CurvePoint, q: CurvePoint, levels: int, coords: Sequence
 ) -> list[RestrictionReport]:
     """`restriction_report(E, p, q, n)` for 1 <= n <= levels, in one pass.
 
-    q_n is read off `points` (q_1, q_2, ... as `qn_sequence(...).coords` or
-    `.points` gives them) when it reaches level `levels`, else off the
-    sequence recomputed to that level.  The ledger [n]q + [1 - n]p is a
-    second computation by the group law on its own chain: `_jacobian_replay`
-    for `.coords` quadruples with no O (p = O over Q, an integer A), else
-    [n]q by double-and-add, [2m]q = [2]([m]q) and [2m+1]q = [2m]q + q, and
-    [1 - n]p as a running sum, which share only odd steps with the pair
-    ladder q_(n-1) + q.
+    q_n is read off `coords` (q_1, q_2, ... as quadruples or O, as
+    `qn_sequence(...).coords` gives them) when it reaches level `levels`,
+    else off the sequence recomputed to that level.  The ledger
+    [n]q + [1 - n]p is a second computation by the group law on its own
+    chain: `_jacobian_replay` for quadruples with no O (p = O over Q, an
+    integer A), else [n]q by double-and-add, [2m]q = [2]([m]q) and
+    [2m+1]q = [2m]q + q, and [1 - n]p as a running sum, which share only odd
+    steps with the pair ladder q_(n-1) + q.
     """
     _int_parameter("levels", levels, 1)
     E.check(p)
     E.check(q)
-    quadruples = all(type(pt) is tuple for pt in points)  # `.coords`, or none
-    if len(points) < levels:
-        points = _sequence_points(E, p, E.sub(q, p), levels)
-    if quadruples and p.is_infinity and E.p is None and E.a.denominator == 1 and all(
-            type(pt) is tuple for pt in points[:levels]):
-        return _jacobian_replay(E, q, points[:levels])
+    if len(coords) < levels:
+        coords = _sequence_points(E, p, E.sub(q, p), levels)
+    if p.is_infinity and E.p is None and E.a.denominator == 1 and all(
+            type(pt) is tuple for pt in coords[:levels]):
+        return _jacobian_replay(E, q, coords[:levels])
     neg_p = E.neg(p)
     kq, mp = [O], p  # [0]q and [1 - 0]p; kq[k] is [k]q
     reports = []
     for n in range(1, levels + 1):
         kq.append(E.add(kq[n // 2], kq[n // 2]) if n % 2 == 0 else E.add(kq[n - 1], q))
         mp = E.add(mp, neg_p)
-        qn = _point(points[n - 1], E.p)
+        qn = _point(coords[n - 1], E.p)
         reports.append(RestrictionReport(n, qn, DivisorClass(0, E.sub(E.add(kq[n], mp), qn))))
     return reports
 

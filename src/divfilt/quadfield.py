@@ -36,10 +36,9 @@ __all__ = [
 
 MAX_DECIMAL_DIGITS = 10_000
 
-# Squarefreeness is certified by trial division with primes up to 10^6,
-# which decides every radicand below 10^12.
-_SQUAREFREE_TRIAL_BOUND = 10**6
-_MAX_CERTIFIABLE_RADICAND = _SQUAREFREE_TRIAL_BOUND**2
+# Squarefreeness is certified by trial division up to the cube root of the
+# cofactor and one perfect-square test, for every radicand up to 10^12.
+_MAX_CERTIFIABLE_RADICAND = 10**12
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -146,15 +145,19 @@ def _validate_radicand(d: int) -> None:
             f"radicand {d} exceeds {_MAX_CERTIFIABLE_RADICAND}; "
             "squarefreeness cannot be certified by trial division"
         )
-    m = d
-    p = 2
-    while p * p <= m:
+    m, p = d, 2
+    while p * p * p <= m and m % (p * p):
         if m % p == 0:
             m //= p
-            if m % p == 0:
-                raise ParameterError(f"radicand must be squarefree, got {d} (divisible by {p}^2)")
         p += 1 if p == 2 else 2
-    _validated_radicands.add(d)
+    if p * p * p > m:
+        # every prime factor of the cofactor m is >= p > m^(1/3), so m has at
+        # most two: it is squarefree unless it is the square of a prime
+        p = isqrt(m)
+        if p == 1 or p * p != m:
+            _validated_radicands.add(d)
+            return
+    raise ParameterError(f"radicand must be squarefree, got {d} (divisible by {p}^2)")
 
 
 def _sign(A: int, B: int, d: int) -> int:
@@ -245,7 +248,7 @@ class QuadExt:
             if not B:
                 return A, 0, q, e
             raise RadicandMismatchError(f"cannot combine sqrt({e}) with sqrt({d})")
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):  # not a bool
             return other.numerator, 0, other.denominator, self._t[3]
         return None
 
@@ -324,7 +327,7 @@ class QuadExt:
         if isinstance(other, QuadExt):
             # Distinct squarefree radicands: equality only between rationals.
             return self._t[:3] == other._t[:3] and (self._t[3] == other._t[3] or not self._t[1])
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             A, B, q, _ = self._t
             return not B and A == other.numerator and q == other.denominator
         return NotImplemented

@@ -244,7 +244,8 @@ def _scan_oracle(curve, p, q, points):
         if pt == q:
             q_hits.append(idx)
     return QnReport(
-        points=tuple(points),
+        coords=tuple(pt if pt.is_infinity else (*pt.x.as_integer_ratio(), *pt.y.as_integer_ratio())
+                     for pt in points),
         all_distinct=not collisions,
         collisions=tuple(collisions),
         collisions_certified=certified,
@@ -507,8 +508,8 @@ REPLAY_CASES = RESTRICTION_CASES + [
 @pytest.mark.parametrize("known", [20, 6, 0], ids=["from-sequence", "past-sequence", "no-points"])
 @pytest.mark.parametrize("curve,p,q", [c[1:] for c in REPLAY_CASES], ids=[c[0] for c in REPLAY_CASES])
 def test_restriction_replay_matches_per_level_reports(curve, p, q, known):
-    points = qn_sequence(curve, p, q, 20).points[:known]
-    got = restriction_replay(curve, p, q, 20, points)
+    coords = qn_sequence(curve, p, q, 20).coords[:known]
+    got = restriction_replay(curve, p, q, 20, coords)
     assert got == [restriction_report(curve, p, q, n) for n in range(1, 21)]
 
 
@@ -517,7 +518,7 @@ def test_restriction_replay_perturbed_group_law_flagged(monkeypatch):
     # [n]q + [1 - n]p at level 7, breaks that level's ledger in the replay
     # as it does in the per-level report
     p = E.mul(3, Q0)
-    points = qn_sequence(E, p, Q0, 10).points
+    coords = qn_sequence(E, p, Q0, 10).coords
     wrong = (E.mul(7, Q0), E.mul(-6, p))
     add = EllipticCurve.add
 
@@ -527,25 +528,29 @@ def test_restriction_replay_perturbed_group_law_flagged(monkeypatch):
     monkeypatch.setattr(EllipticCurve, "add", perturbed)
     oracle = restriction_report(E, p, Q0, 7)
     assert not oracle.trivial
-    replay = restriction_replay(E, p, Q0, 10, points)
+    replay = restriction_replay(E, p, Q0, 10, coords)
     assert replay[6] == oracle
     assert [r.n for r in replay if not r.trivial] == [7]
 
 
 def test_restriction_replay_past_sequence_flags_wrong_chord_step(monkeypatch):
     # a group law wrong on the step of q that lands on [11]q: past the end of
-    # `points` the replay must not take q_n from a chord step, which for p = O
+    # `coords` the replay must not take q_n from a chord step, which for p = O
     # is the ledger's addition [10]q + q.  From level 12 on the ledger's
-    # double-and-add chain goes round the wrong step, so only level 11 is off
-    points = qn_sequence(E, P0, Q0, 10).points
-    q10, q11 = E.mul(10, Q0), E.mul(11, Q0)
+    # double-and-add chain goes round the wrong step, so only level 11 is off.
+    # Over F_97 the ledger is the `E.add` chain (over Q with p = O and an
+    # integral model it is the Jacobian replay, which takes no `E.add` step)
+    Ep = EllipticCurve(2, 3, 97)
+    q = Ep.check(CurvePoint(0, 10))
+    coords = qn_sequence(Ep, O, q, 10).coords
+    q10, q11 = Ep.mul(10, q), Ep.mul(11, q)
     add = EllipticCurve.add
 
     def perturbed(self, P, Q):
-        return add(self, q11, q11) if (P, Q) == (q10, Q0) else add(self, P, Q)
+        return add(self, q11, q11) if (P, Q) == (q10, q) else add(self, P, Q)
 
     monkeypatch.setattr(EllipticCurve, "add", perturbed)
-    replay = restriction_replay(E, P0, Q0, 15, points)
+    replay = restriction_replay(Ep, O, q, 15, coords)
     assert [r.n for r in replay if not r.trivial] == [11]
 
 
@@ -571,9 +576,9 @@ def test_restriction_replay_ledger_differs_from_the_ladder(monkeypatch):
 
     monkeypatch.setattr(picard, "_pair_add", perturbed_pairs)
     monkeypatch.setattr(EllipticCurve, "add", perturbed)
-    points = qn_sequence(Ep, O, q, 15).points
-    assert points[10] != q11
-    replay = restriction_replay(Ep, O, q, 15, points)
+    rep = qn_sequence(Ep, O, q, 15)
+    assert rep.points[10] != q11
+    replay = restriction_replay(Ep, O, q, 15, rep.coords)
     assert [r.n for r in replay if not r.trivial] == [12, 13, 14, 15]
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from divfilt import quadfield
+from divfilt.intersection import POLY_X, POLY_Y, BivariatePolynomial, IntersectionForm
 from divfilt.quadfield import (
     ParameterError,
     QuadExt,
@@ -58,6 +60,39 @@ def test_radicand_must_be_squarefree():
         QuadExt(F(1), F(1), 10**13)  # beyond the certifiable bound
     QuadExt(F(1), F(1), 2)  # fine
     QuadExt(F(1), F(1), 9999999967)  # large prime below the bound
+
+
+def _smallest_square_factor(d):
+    # brute-force oracle: the least p >= 2 with p^2 dividing d, else None
+    return next((p for p in range(2, math.isqrt(d) + 1) if d % (p * p) == 0), None)
+
+
+@pytest.mark.parametrize("d,square_root", [
+    (999983**2, 999983),  # the square of a prime is left as the cofactor
+    (999979 * 999983, None),  # a product of two primes above the cube root
+    (999999999989, None),  # a prime just below the bound
+])
+def test_radicand_verdicts_past_the_cube_root(monkeypatch, d, square_root):
+    monkeypatch.setattr(quadfield, "_validated_radicands", set())
+    if square_root is None:
+        assert QuadExt(0, 1, d).d == d
+    else:
+        message = rf"^radicand must be squarefree, got {d} \(divisible by {square_root}\^2\)$"
+        with pytest.raises(ParameterError, match=message):
+            QuadExt(0, 1, d)
+
+
+def test_radicand_verdicts_match_a_squarefree_oracle(monkeypatch):
+    rng = random.Random(4242)
+    squares = [rng.randrange(2, 3000) ** 2 * rng.randrange(1, 4) for _ in range(100)]
+    for d in [rng.randrange(2, 10**7) for _ in range(300)] + squares:
+        monkeypatch.setattr(quadfield, "_validated_radicands", set())
+        square = _smallest_square_factor(d)
+        if square is None:
+            QuadExt(0, 1, d)
+        else:
+            with pytest.raises(ParameterError, match=rf"\(divisible by {square}\^2\)$"):
+                QuadExt(0, 1, d)
 
 
 def test_float_radicand_rejected_after_int_validated():
@@ -575,6 +610,46 @@ def test_operands_of_other_types_do_not_mix():
         with pytest.raises(TypeError):
             op()
     assert (ALPHA == 0.5) is False
+
+
+# Every rational value takes the `QuadExt` constructor's rule, an int (not a
+# bool) or a Fraction.  A constructor or `shift` refuses any other type with a
+# ParameterError; an operator returns NotImplemented, so `+`, `*` and `<`
+# raise TypeError and `==` is False.  The operators already refused a float,
+# str or Decimal, so their rows take a bool only.
+BAD_RATIONALS = {"float": 0.5, "bool": True, "str": "1/3", "Decimal": Decimal("0.5")}
+RATIONAL_ENTRIES = {
+    "poly-terms": lambda v: BivariatePolynomial({(1, 0): v}),
+    "poly-constant": lambda v: BivariatePolynomial.constant(v),
+    "poly-monomial": lambda v: BivariatePolynomial.monomial(1, 0, v),
+    "shift-dx": lambda v: POLY_X.shift(v, 0),
+    "shift-dy": lambda v: POLY_Y.shift(0, v),
+    "form-value": lambda v: IntersectionForm(("S",), {("S", "S", "S"): v}),
+    "poly-mul": lambda v: POLY_X * v,
+    "quad-add": lambda v: ALPHA + v,
+    "quad-radd": lambda v: v + ALPHA,
+    "quad-mul": lambda v: ALPHA * v,
+    "quad-lt": lambda v: ALPHA < v,
+    "quad-eq": lambda v: QuadExt.from_rational(1, 3) == v,
+}
+OPERATORS = {"poly-mul", "quad-add", "quad-radd", "quad-mul", "quad-lt", "quad-eq"}
+REFUSED_RATIONALS = [
+    (entry, kind)
+    for entry in RATIONAL_ENTRIES
+    for kind in BAD_RATIONALS
+    if entry not in OPERATORS or kind == "bool"
+]
+
+
+@pytest.mark.parametrize("entry,kind", REFUSED_RATIONALS, ids=[f"{e}-{k}" for e, k in REFUSED_RATIONALS])
+def test_rational_values_are_an_int_or_a_fraction(entry, kind):
+    call, value = RATIONAL_ENTRIES[entry], BAD_RATIONALS[kind]
+    if entry == "quad-eq":
+        assert call(value) is False
+        return
+    error = TypeError if entry in OPERATORS else ParameterError
+    with pytest.raises(error, match=None if entry in OPERATORS else "^expected an int or a Fraction, got "):
+        call(value)
 
 
 def test_values_are_immutable_and_round_trip():
