@@ -24,7 +24,7 @@ from divfilt.picard import (
 E, p, q = default_curve()
 print("curve:", E, " p = O, q =", q)
 
-witness = infinite_order_witness(E, E.sub(q, p), 12)
+witness = infinite_order_witness(E, E.sub(q, p))
 print("infinite-order witness (bound 12): passed =", witness.passed,
       " certified =", witness.certified_infinite)
 print()

@@ -259,7 +259,7 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
     restrict_max = _int_parameter("--restriction-max", args.restriction_max, 1)
     flags: list[str] = []
     step = curve.sub(q, p)
-    witness = picard.infinite_order_witness(curve, step, picard.RATIONAL_TORSION_BOUND)
+    witness = picard.infinite_order_witness(curve, step)
     if not witness.passed:
         flags.append(f"discrepancy:torsion-step order={witness.failed_at}")
     seq = picard.qn_sequence(curve, p, q, args.n_max)

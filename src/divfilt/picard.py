@@ -2,9 +2,11 @@
 
 Curves are short Weierstrass y^2 = x^3 + A x + B over the rationals
 (Fraction coordinates) or over a prime field F_p with p an odd prime.
-The chord-tangent group law realizes the Jacobian: a degree-d divisor
-class is represented by the pair (d, P) where P is the group-law sum of
-its points with multiplicities (Abel-Jacobi).
+The chord-tangent group law is written once, `_pair_add` on affine pairs;
+`EllipticCurve.add` wraps it for points and the q_n ladder below calls it
+directly.  It realizes the Jacobian: a degree-d divisor class is
+represented by the pair (d, P) where P is the group-law sum of its points
+with multiplicities (Abel-Jacobi).
 
 On top of the group law the module generates the point sequence
 
@@ -22,10 +24,9 @@ The module audits the sequence's pairwise distinctness and q-avoidance.
 Both verdicts come from the order of q - p: the first n with q_n = p gives
 every collision and every return to q, and the one torsion relation behind
 them is re-verified on the spot.  It also certifies infinite order over Q
-via the bounded multiple check against the uniform rational torsion bound
-12 (a general number-theoretic fact, used as a design choice; over F_p the
-verdict is only a bounded check), and replays the blowup restriction
-bookkeeping whose assembled divisor class
+by checking [m](q - p) != O up to the uniform rational torsion bound 12
+(Mazur; over F_p the verdict is only a bounded check), and replays the
+blowup restriction bookkeeping whose assembled divisor class
 
     n(q - p) + p - q_n
 
@@ -217,19 +218,8 @@ class EllipticCurve:
         return CurvePoint(pt.x, self._norm(-pt.y))
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        if P.is_infinity:
-            return Q
-        if Q.is_infinity:
-            return P
-        if P.x == Q.x:
-            if self._norm(P.y + Q.y) == 0:
-                return O  # P = -Q, includes the 2-torsion case y = 0
-            lam = self._div(3 * P.x * P.x + self.a, 2 * P.y)
-        else:
-            lam = self._div(Q.y - P.y, Q.x - P.x)
-        x3 = self._norm(lam * lam - P.x - Q.x)
-        y3 = self._norm(lam * (P.x - x3) - P.y)
-        return CurvePoint(x3, y3)
+        R = _pair_add(self, None if P.x is None else (P.x, P.y), None if Q.x is None else (Q.x, Q.y))
+        return O if R is None else CurvePoint(*R)
 
     def sub(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         return self.add(P, self.neg(Q))
@@ -366,8 +356,9 @@ def _point(pt, modulus: int | None = None) -> CurvePoint:
 
 
 def _pair_add(E: EllipticCurve, P: tuple | None, Q: tuple | None) -> tuple | None:
-    """P + Q for affine pairs (x, y) of E's field, None for O: the chord or
-    tangent of `E.add` with the field's own inverse, and no point objects."""
+    """P + Q for affine pairs (x, y) of E's field, None for O: the module's one
+    chord-tangent law (Silverman, AEC III.2), with the field's own inverse and
+    no point objects.  `E.add` wraps it for CurvePoints."""
     if P is None:
         return Q
     if Q is None:
@@ -375,7 +366,7 @@ def _pair_add(E: EllipticCurve, P: tuple | None, Q: tuple | None) -> tuple | Non
     (x1, y1), (x2, y2) = P, Q
     if x1 == x2:
         if E._norm(y1 + y2) == 0:
-            return None
+            return None  # P = -Q, includes the 2-torsion case y = 0
         lam = E._div(3 * x1 * x1 + E.a, 2 * y1)
     else:
         lam = E._div(y2 - y1, x2 - x1)
@@ -523,18 +514,17 @@ class WitnessVerdict:
         }
 
 
-def infinite_order_witness(E: EllipticCurve, P: CurvePoint, bound: int) -> WitnessVerdict:
-    """Check [m]P != O for 1 <= m <= bound.
+def infinite_order_witness(E: EllipticCurve, P: CurvePoint) -> WitnessVerdict:
+    """Check [m]P != O for 1 <= m <= RATIONAL_TORSION_BOUND (12), by E.add.
 
-    Over Q a pass with bound >= 12 certifies infinite order (torsion orders
-    are at most 12).  Over a finite field every point is torsion, so the
-    verdict is labeled a bounded check only.
+    Over Q a pass certifies infinite order, since a rational torsion point
+    has order at most 12 (Mazur).  Over a finite field every point is
+    torsion, so the verdict is labeled a bounded check only.
     """
-    _int_parameter("bound", bound, 1)
     E.check(P)
     acc = O
     failed_at = None
-    for m in range(1, bound + 1):
+    for m in range(1, RATIONAL_TORSION_BOUND + 1):
         acc = E.add(acc, P)
         if acc.is_infinity:
             failed_at = m
@@ -542,9 +532,9 @@ def infinite_order_witness(E: EllipticCurve, P: CurvePoint, bound: int) -> Witne
     passed = failed_at is None
     return WitnessVerdict(
         passed=passed,
-        bound=bound,
+        bound=RATIONAL_TORSION_BOUND,
         failed_at=failed_at,
-        certified_infinite=passed and E.p is None and bound >= RATIONAL_TORSION_BOUND,
+        certified_infinite=passed and E.p is None,
         bounded_only=E.p is not None,
     )
 

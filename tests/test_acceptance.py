@@ -135,7 +135,7 @@ def test_criterion_09_monomial_suite():
 def test_criterion_10_picard_suite():
     E, p, q = default_curve()
     step = E.sub(q, p)
-    assert infinite_order_witness(E, step, 12).certified_infinite
+    assert infinite_order_witness(E, step).certified_infinite
     rep = qn_sequence(E, p, q, 200)
     assert rep.all_distinct
     assert rep.q_hits == (1,)  # q_1 = q definitionally; no later returns

@@ -32,7 +32,6 @@ CALLS = {
     "filtration_check-n_max": lambda: monomial.filtration_check(SIGMA, 1, True),
     "curve-mul": lambda: E.mul(True, Q),
     "qn_sequence": lambda: picard.qn_sequence(E, P, Q, True),
-    "witness-bound": lambda: picard.infinite_order_witness(E, Q, True),
     "restriction_report": lambda: picard.restriction_report(E, P, Q, True),
     "restriction_replay": lambda: picard.restriction_replay(E, P, Q, True, []),
     "decimal_column": lambda: decimal_column(True),
