@@ -599,37 +599,47 @@ def restriction_report(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n: int) -
 def _jacobian_replay(E: EllipticCurve, q: CurvePoint, quadruples: Sequence[tuple]) -> list:
     """The replay of `_multiples` quadruples (X, X', Y, Y'), p = O, with no gcd.
 
-    Level 1 must be q; level n > 1 is J = [2]q_(n/2) or q_(n-1) + q in
-    Jacobian coordinates, (X : Y : Z) for (X/Z^2, Y/Z^3), from a certified
-    predecessor (X : Y : d), d = Y' // X'.  J = (X3 : Y3 : Z3) matches iff
-    X' = d^2, Y' = d X', Z3 = u d, u != 0, X3 = u^2 X and Y3 = u^3 Y: then
-    J = q_n, so q_n = [n]q by induction.  A q_n = J in lowest terms matches,
-    as d^2 divides Z3^2.  Other levels get the Fraction ledger, [n]q - q_n.
+    Level 1 must be q; level n > 1 is J = [2]q_(n/2) or q_(m+1) + q_m for
+    n = 2m + 1 (Cohen, Miyaji and Ono 1998), in Jacobian coordinates,
+    (X : Y : Z) for (X/Z^2, Y/Z^3), from certified predecessors (X : Y : d),
+    d = Y' // X'.  J = (X3 : Y3 : Z3) matches iff X' = d^2, Y' = d X',
+    Z3 = u d, u != 0, X3 = u^2 X and Y3 = u^3 Y: then J = q_n, so q_n = [n]q
+    by induction.  A q_n = J in lowest terms matches, as d^2 divides Z3^2.
+    Other levels get the Fraction ledger, [n]q - q_n.  The shape checks run
+    in the quadruples' own type under `_EXACT`; only X, Y and d (0 when
+    they fail) become ints, each once.
     """
     A, a, b, e = int(E.a), q.x.numerator, q.y.numerator, q.y.denominator // q.x.denominator
-    ints = _without_digit_limit(lambda: [tuple(int(str(v)) for v in pt) for pt in quadruples])
+
+    def shaped(X, X_den, Y, Y_den):
+        d = Y_den // X_den
+        return X, Y, d if X_den == d * d and Y_den == d * X_den else 0
+
+    with localcontext(_EXACT):
+        ints = _without_digit_limit(lambda: [[int(str(v)) for v in shaped(*pt)] for pt in quadruples])
     jac, reports = [None], []  # (X, Y, d) of each certified q_k, else None, which makes Z3 = 0
-    for n, (X, X_den, Y, Y_den) in enumerate(ints, start=1):
-        X1, Y1, Z1 = (jac[n // 2] if n % 2 == 0 else jac[n - 1]) or (0, 0, 0)
+    for n, (X, Y, d) in enumerate(ints, start=1):
         if n == 1:
             X3, Y3, Z3 = a, b, e
         elif n % 2 == 0:
+            X1, Y1, Z1 = jac[n // 2] or (0, 0, 0)
             YY = Y1 * Y1
             S, M = 4 * X1 * YY, 3 * X1 * X1 + A * Z1**4
             X3 = M * M - 2 * S
             Y3, Z3 = M * (S - X3) - 8 * YY * YY, 2 * Y1 * Z1
         else:
-            ZZ, U1, S1 = Z1 * Z1, X1 * e * e, Y1 * e**3
-            H, R = a * ZZ - U1, b * ZZ * Z1 - S1
+            (X1, Y1, Z1), (X2, Y2, Z2) = (jac[k] or (0, 0, 0) for k in (n // 2 + 1, n // 2))
+            Z1Z1, Z2Z2 = Z1 * Z1, Z2 * Z2
+            U1, S1 = X1 * Z2Z2, Y1 * Z2Z2 * Z2
+            H, R = X2 * Z1Z1 - U1, Y2 * Z1Z1 * Z1 - S1
             HH = H * H
             HHH, V = H * HH, U1 * HH
             X3 = R * R - HHH - 2 * V
-            Y3, Z3 = R * (V - X3) - S1 * HHH, Z1 * e * H
-        d = Y_den // X_den
-        u = Z3 // d if X_den == d * d and Y_den == d * X_den and Z3 and Z3 % d == 0 else 0
+            Y3, Z3 = R * (V - X3) - S1 * HHH, Z1 * Z2 * H
+        u = Z3 // d if d and Z3 and Z3 % d == 0 else 0
         ok = u and X3 == u * u * X and Y3 == u**3 * Y
         jac.append((X, Y, d) if ok else None)
-        qn = ints[n - 1] if ok else _point(ints[n - 1])
+        qn = quadruples[n - 1] if ok else _point(quadruples[n - 1])
         ledger_minus_qn = O if ok else E.sub(E.mul(n, q), qn)  # the Fraction ledger is [n]q
         reports.append(RestrictionReport(n, qn, DivisorClass(0, ledger_minus_qn)))
     return reports
@@ -645,7 +655,8 @@ def restriction_replay(
     else off the sequence recomputed to that level.  The ledger
     [n]q + [1 - n]p is a second computation by the group law on its own
     chain: `_jacobian_replay` for quadruples with no O (p = O over Q, an
-    integer A), else [n]q by double-and-add, [2m]q = [2]([m]q) and
+    integer A), whose q_n is [2]q_(n/2) or q_(m+1) + q_m for n = 2m + 1,
+    else [n]q by double-and-add, [2m]q = [2]([m]q) and
     [2m+1]q = [2m]q + q, and [1 - n]p as a running sum, which share only odd
     steps with the pair ladder q_(n-1) + q.
     """

@@ -2,6 +2,7 @@
 bookkeeping.  Hand-derived doubling values and torsion counterexamples act
 as oracles; group axioms are spot-checked on random multiples."""
 
+import decimal
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -710,6 +711,51 @@ def test_jacobian_replay_flags_a_mutated_level(mutant, level):
     coords = _int_coords(50)
     coords[level - 1] = MUTANTS[mutant](*coords[level - 1])
     _assert_flags_exactly(coords, level)
+
+
+def _chain_dependents(level, levels):
+    # level and every level whose Jacobian chain passes through it: n even
+    # reads q_(n/2), n odd reads q_((n-1)/2) and q_((n+1)/2)
+    reached = {level}
+    for n in range(level + 1, levels + 1):
+        if {n // 2, n - n // 2} & reached:
+            reached.add(n)
+    return sorted(reached)
+
+
+@pytest.mark.parametrize("level", [3, 17, 24])
+def test_jacobian_replay_reruns_only_the_levels_a_mutant_reaches(monkeypatch, level):
+    # a wrong q_m is flagged at m alone, and the Fraction ledger runs at m and
+    # at each level certified through it, which then holds no Jacobian point
+    coords = _int_coords(50)
+    coords[level - 1] = MUTANTS["x+1"](*coords[level - 1])
+    mul, ledger = EllipticCurve.mul, []
+
+    def counted_mul(self, k, P):
+        ledger.append(k)
+        return mul(self, k, P)
+
+    monkeypatch.setattr(EllipticCurve, "mul", counted_mul)
+    replay = restriction_replay(E, P0, Q0, 50, coords)
+    monkeypatch.undo()
+    assert [r.n for r in replay if not r.trivial] == [level]
+    assert ledger == _chain_dependents(level, 50)
+
+
+@pytest.mark.parametrize("context", [decimal.Context(), decimal.Context(prec=decimal.MAX_PREC)],
+                         ids=["default-prec-28", "max-prec"])
+def test_jacobian_replay_at_depth_runs_no_fraction_ledger(monkeypatch, context):
+    # 120 levels are all certified in Jacobian coordinates whatever the
+    # caller's decimal context: the replay sets its exact context itself
+    coords = qn_sequence(E, P0, Q0, 120).coords
+
+    def no_ledger(self, k, P):
+        raise AssertionError("the Fraction ledger ran")
+
+    monkeypatch.setattr(EllipticCurve, "mul", no_ledger)
+    with decimal.localcontext(context):
+        replay = restriction_replay(E, P0, Q0, 120, coords)
+    assert len(replay) == 120 and all(r.trivial for r in replay)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 17, 50])
