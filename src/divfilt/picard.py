@@ -123,10 +123,6 @@ class CurvePoint:
         if (self.x is None) != (self.y is None):
             raise ValueError("both coordinates or neither")
 
-    @classmethod
-    def infinity(cls) -> CurvePoint:
-        return cls(None, None)
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -142,7 +138,7 @@ class CurvePoint:
         return {"x": rational_str(self.x), "y": rational_str(self.y)}
 
 
-O = CurvePoint.infinity()
+O = CurvePoint()
 
 
 @dataclass(frozen=True)
@@ -545,21 +541,19 @@ def infinite_order_witness(E: EllipticCurve, P: CurvePoint) -> WitnessVerdict:
 @dataclass(frozen=True)
 class RestrictionReport:
     """Level n: q_n and the assembled class (0, ledger - q_n), where the
-    ledger point [n]q + [1 - n]p is the Abel-Jacobi sum of n q + (1 - n) p."""
+    ledger point [n]q + [1 - n]p is the Abel-Jacobi sum of n q + (1 - n) p.
+    `coords` keeps q_n as the sequence holds it, a quadruple (X, X', Y, Y')
+    or O, and `qn` is made from it on its first read, with int coordinates
+    when `modulus` names F_p."""
 
     n: int
-    qn: CurvePoint
+    coords: tuple | CurvePoint
     assembled: DivisorClass
+    modulus: int | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:  # a `_multiples` quadruple is made a CurvePoint on first read
-        if type(self.qn) is tuple:
-            vars(self)["quadruple"] = vars(self).pop("qn")
-
-    def __getattr__(self, name: str):
-        if name != "qn" or "quadruple" not in vars(self):
-            raise AttributeError(name)
-        vars(self)["qn"] = qn = _point(self.quadruple)
-        return qn
+    @functools.cached_property
+    def qn(self) -> CurvePoint:
+        return _point(self.coords, self.modulus)
 
     @property
     def trivial(self) -> bool:
@@ -593,7 +587,8 @@ def restriction_report(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n: int) -
     E.check(q)
     qn = E.add(p, E.mul(n, E.sub(q, p)))
     ledger = E.add(E.mul(n, q), E.mul(1 - n, p))  # class(n q + (1 - n) p) = (1, ledger)
-    return RestrictionReport(n, qn, DivisorClass(0, E.sub(ledger, qn)))
+    coords = _quadruple(None if qn.is_infinity else (qn.x, qn.y))
+    return RestrictionReport(n, coords, DivisorClass(0, E.sub(ledger, qn)), E.p)
 
 
 def _jacobian_replay(E: EllipticCurve, q: CurvePoint, quadruples: Sequence[tuple]) -> list:
@@ -639,9 +634,8 @@ def _jacobian_replay(E: EllipticCurve, q: CurvePoint, quadruples: Sequence[tuple
         u = Z3 // d if d and Z3 and Z3 % d == 0 else 0
         ok = u and X3 == u * u * X and Y3 == u**3 * Y
         jac.append((X, Y, d) if ok else None)
-        qn = quadruples[n - 1] if ok else _point(quadruples[n - 1])
-        ledger_minus_qn = O if ok else E.sub(E.mul(n, q), qn)  # the Fraction ledger is [n]q
-        reports.append(RestrictionReport(n, qn, DivisorClass(0, ledger_minus_qn)))
+        ledger_minus_qn = O if ok else E.sub(E.mul(n, q), _point(quadruples[n - 1]))
+        reports.append(RestrictionReport(n, quadruples[n - 1], DivisorClass(0, ledger_minus_qn)))
     return reports
 
 
@@ -658,7 +652,9 @@ def restriction_replay(
     integer A), whose q_n is [2]q_(n/2) or q_(m+1) + q_m for n = 2m + 1,
     else [n]q by double-and-add, [2m]q = [2]([m]q) and
     [2m+1]q = [2m]q + q, and [1 - n]p as a running sum, which share only odd
-    steps with the pair ladder q_(n-1) + q.
+    steps with the pair ladder q_(n-1) + q.  Each report keeps its entry of
+    `coords` as it is; a CurvePoint is built where `E.sub` needs one (a
+    failing Jacobian level, each ledger level) or `qn` is read.
     """
     _int_parameter("levels", levels, 1)
     E.check(p)
@@ -674,8 +670,8 @@ def restriction_replay(
     for n in range(1, levels + 1):
         kq.append(E.add(kq[n // 2], kq[n // 2]) if n % 2 == 0 else E.add(kq[n - 1], q))
         mp = E.add(mp, neg_p)
-        qn = _point(coords[n - 1], E.p)
-        reports.append(RestrictionReport(n, qn, DivisorClass(0, E.sub(E.add(kq[n], mp), qn))))
+        ledger_minus_qn = E.sub(E.add(kq[n], mp), _point(coords[n - 1], E.p))
+        reports.append(RestrictionReport(n, coords[n - 1], DivisorClass(0, ledger_minus_qn), E.p))
     return reports
 
 

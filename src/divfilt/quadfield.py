@@ -132,14 +132,8 @@ def decimal_column(digits: int) -> Callable[..., list[str]]:
     return column
 
 
-_validated_radicands: set[int] = set()
-
-
 def _validate_radicand(d: int) -> None:
-    # type first: 3.0 hashes like 3 and would pass the cache lookup
     _int_parameter("radicand", d, 2)
-    if d in _validated_radicands:
-        return
     if d > _MAX_CERTIFIABLE_RADICAND:
         raise ParameterError(
             f"radicand {d} exceeds {_MAX_CERTIFIABLE_RADICAND}; "
@@ -155,7 +149,6 @@ def _validate_radicand(d: int) -> None:
         # most two: it is squarefree unless it is the square of a prime
         p = isqrt(m)
         if p == 1 or p * p != m:
-            _validated_radicands.add(d)
             return
     raise ParameterError(f"radicand must be squarefree, got {d} (divisible by {p}^2)")
 

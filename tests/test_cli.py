@@ -616,6 +616,40 @@ def test_restriction_failure_matches_the_schema(capsys, monkeypatch):
     doc = json.loads(out)
     assert [failure["n"] for failure in doc["restriction"]["failures"]] == [3]
     validate(doc, "elliptic_report.schema.json")
+    assert doc["restriction"]["failures"] == [{
+        "n": 3,
+        "qn": {"x": "164324/29241", "y": "-66234835/5000211"},
+        "assembled": {"degree": 0, "point": {"x": "923590182609487/1539",
+                                             "y": "-2324606047383083273608265/5000211"}},
+        "trivial": False,
+    }]
+
+
+def test_restriction_failure_on_the_ledger_path_keeps_its_bytes(capsys, tmp_path, monkeypatch):
+    # over F_97 the sequence is the pair ladder and the ledger is E.add's
+    # double-and-add: a wrong step [10]q + q breaks q_11 onward, the ledger
+    # recovers at [12]q = [2]([6]q), and each failing level renders its q_n
+    # and its class (0, ledger - q_n)
+    Ep = picard.EllipticCurve(2, 3, 97)
+    q = Ep.check(picard.CurvePoint(0, 10))
+    q10, wrong = Ep.mul(10, q), Ep.mul(22, q)
+    pair_add = picard._pair_add
+
+    def perturbed(E, P, Q):
+        return (wrong.x, wrong.y) if (P, Q) == ((q10.x, q10.y), (q.x, q.y)) else pair_add(E, P, Q)
+
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(FP_ORDER_50_CURVE))
+    monkeypatch.setattr(picard, "_pair_add", perturbed)
+    _, out = run_cli(capsys, "elliptic-qn", "--curve", str(path), "--n-max", "15", "--restriction-max", "15")
+    doc = json.loads(out)
+    validate(doc, "elliptic_report.schema.json")
+    qns = {12: ("49", "34"), 13: ("24", "2"), 14: ("30", "0"), 15: ("24", "95")}
+    assert doc["restriction"]["failures"] == [
+        {"n": n, "qn": {"x": x, "y": y}, "assembled": {"degree": 0, "point": {"x": "17", "y": "10"}},
+         "trivial": False}
+        for n, (x, y) in qns.items()
+    ]
 
 
 def subschemas(node, path=()):
@@ -982,6 +1016,29 @@ def test_misshapen_documents_exit_three(capsys, tmp_path, flag, doc, fragment):
     path.write_text(json.dumps(doc))
     command = "example-limits" if flag == "--table" else "elliptic-qn"
     assert_ingestion_error(capsys, [command, flag, str(path)], path, fragment)
+
+
+# well-formed documents that lack what the command needs: the command, not the
+# reader, refuses them, so the message names no path
+SHORT_DOCUMENTS = {
+    "sigma-short-of-filtration-max": (
+        ("monomial-check", "--n-max", "1", "--filtration-max", "2", "--sigma"), [1, 2, 3],
+        "divfilt: ingestion error: filtration check up to 2 needs 4 sigma entries\n"),
+    "curve-without-p": (
+        ("elliptic-qn", "--curve"), {**CURVE_HEAD, "points": {"q": {"x": "3", "y": "5"}}},
+        "divfilt: ingestion error: curve document must name points 'p' and 'q'\n"),
+    "curve-without-q": (
+        ("elliptic-qn", "--curve"), {**CURVE_HEAD, "points": {"p": "O"}},
+        "divfilt: ingestion error: curve document must name points 'p' and 'q'\n"),
+}
+
+
+@pytest.mark.parametrize("argv,doc,message", SHORT_DOCUMENTS.values(), ids=SHORT_DOCUMENTS)
+def test_documents_short_of_the_command_exit_three(capsys, tmp_path, argv, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, str(path)]) == 3
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize("extra", [(), ("--filtration-max", "1")], ids=["rows", "filtration"])

@@ -766,7 +766,8 @@ def test_jacobian_replay_unreduced_point_keeps_its_verdict(level):
     x, x_den, y, y_den = coords[level - 1]
     coords[level - 1] = (4 * x, 4 * x_den, 8 * y, 8 * y_den)
     replay = restriction_replay(E, P0, Q0, 50, coords)
-    assert replay == [restriction_report(E, P0, Q0, n) for n in range(1, 51)]
+    oracle = [restriction_report(E, P0, Q0, n) for n in range(1, 51)]
+    assert [(r.n, r.qn, r.assembled) for r in replay] == [(r.n, r.qn, r.assembled) for r in oracle]
 
 
 def test_jacobian_replay_takes_no_group_law_step(monkeypatch):

@@ -15,7 +15,6 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from divfilt import quadfield
 from divfilt.intersection import POLY_X, POLY_Y, BivariatePolynomial, IntersectionForm
 from divfilt.quadfield import (
     ParameterError,
@@ -72,8 +71,7 @@ def _smallest_square_factor(d):
     (999979 * 999983, None),  # a product of two primes above the cube root
     (999999999989, None),  # a prime just below the bound
 ])
-def test_radicand_verdicts_past_the_cube_root(monkeypatch, d, square_root):
-    monkeypatch.setattr(quadfield, "_validated_radicands", set())
+def test_radicand_verdicts_past_the_cube_root(d, square_root):
     if square_root is None:
         assert QuadExt(0, 1, d).d == d
     else:
@@ -82,11 +80,10 @@ def test_radicand_verdicts_past_the_cube_root(monkeypatch, d, square_root):
             QuadExt(0, 1, d)
 
 
-def test_radicand_verdicts_match_a_squarefree_oracle(monkeypatch):
+def test_radicand_verdicts_match_a_squarefree_oracle():
     rng = random.Random(4242)
     squares = [rng.randrange(2, 3000) ** 2 * rng.randrange(1, 4) for _ in range(100)]
     for d in [rng.randrange(2, 10**7) for _ in range(300)] + squares:
-        monkeypatch.setattr(quadfield, "_validated_radicands", set())
         square = _smallest_square_factor(d)
         if square is None:
             QuadExt(0, 1, d)
@@ -96,7 +93,7 @@ def test_radicand_verdicts_match_a_squarefree_oracle(monkeypatch):
 
 
 def test_float_radicand_rejected_after_int_validated():
-    QuadExt(F(1), F(1), 3)  # 3 is now in the validated-radicand cache
+    QuadExt(F(1), F(1), 3)
     with pytest.raises(ValueError):
         QuadExt(F(1), F(1), 3.0)  # 3.0 == 3 and hashes alike
     with pytest.raises(ValueError):
@@ -216,6 +213,22 @@ def test_field_axioms():
         if not x.is_zero():
             assert x * x.inverse() == 1
             assert x / x == 1
+
+
+ZERO = QuadExt(0, 0, 3)
+DIVISIONS_BY_ZERO = {
+    "x / 0": lambda: ALPHA / 0,
+    "x / zero": lambda: ALPHA / ZERO,
+    "1 / zero": lambda: 1 / ZERO,
+    "zero.inverse()": lambda: ZERO.inverse(),
+    "zero ** -1": lambda: ZERO**-1,
+}
+
+
+@pytest.mark.parametrize("divide", DIVISIONS_BY_ZERO.values(), ids=DIVISIONS_BY_ZERO)
+def test_division_by_zero_raises(divide):
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q\(sqrt\(d\)\)$"):
+        divide()
 
 
 # -- floors and ceilings ------------------------------------------------------------
