@@ -38,10 +38,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from itertools import chain, islice
 from math import lcm
 
@@ -55,7 +54,7 @@ from divfilt.intersection import (
     form_from_json,
     triple_product,
 )
-from divfilt.quadfield import QuadExt, _int_parameter, floor_cleared, rational_str
+from divfilt.quadfield import QuadExt, _Record, _int_parameter, floor_cleared, rational_str
 
 __all__ = [
     "ExampleModel",
@@ -90,15 +89,14 @@ def example_alpha() -> QuadExt:
 
 
 def example_form() -> IntersectionForm:
-    """Triple table of the bundled example, parsed from the package resource
-    `data/intersection_table.json`: lattice generators S, F plus the
-    canonical class K (mixed rows only)."""
-    text = resources.files("divfilt").joinpath("data/intersection_table.json").read_text()
-    return form_from_json(json.loads(text))
+    """Triple table of the bundled example, read by the module's own loader
+    (zip-safe) from `data/intersection_table.json`: lattice generators S, F
+    plus the canonical class K (mixed rows only)."""
+    path = os.path.join(os.path.dirname(__file__), "data", "intersection_table.json")
+    return form_from_json(json.loads(__spec__.loader.get_data(path)))
 
 
-@dataclass(frozen=True)
-class ExampleModel:
+class ExampleModel(_Record):
     """Principal-part length model: alpha plus the two growth polynomials.
 
     `p3` must be homogeneous of degree 3 and `p2` homogeneous of degree 2
@@ -187,8 +185,7 @@ def reference_sigma_limit(alpha: QuadExt, sigma: int) -> QuadExt:
     return _F(1, 6) * _REFERENCE_SIGMA_QUADRATICS[sigma].evaluate(alpha, 1)
 
 
-@dataclass(frozen=True)
-class CesaroResult:
+class CesaroResult(_Record):
     lhs: QuadExt
     rhs: QuadExt
     passed: bool
@@ -241,8 +238,7 @@ class ScanRows:
         return self._deltas.chunks(chain.from_iterable(self._pieces))
 
 
-@dataclass
-class SigmaStats:
+class SigmaStats(_Record, frozen=False):
     """Count, extremes and last index of delta(n)/n^2 within one sigma
     class on [1, n_max]; each extreme is at its earliest index."""
 
@@ -269,8 +265,7 @@ class SigmaStats:
         }
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(_Record):
     """Exact scan summary over [1, n_max]; rows sampled by stride.
 
     `monotone_from` is the smallest index from which the model length never
@@ -575,8 +570,7 @@ def empirical_scan(
 # -- assembled report ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(_Record):
     alpha: QuadExt
     cubic_limit: QuadExt
     multiplicity: QuadExt

@@ -18,10 +18,10 @@ floor is exact: one integer square root on cleared denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from divfilt.quadfield import ParameterError, QuadExt, _int_parameter, _quad, floor_cleared, rational_str
+from divfilt.quadfield import _Record
 
 __all__ = [
     "BeattySequence",
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BeattySequence:
+class BeattySequence(_Record):
     """Exact sigma generator for a positive irrational alpha."""
 
     alpha: QuadExt
@@ -58,8 +57,7 @@ class BeattySequence:
         return self.alpha.floor_scaled(n + 1) - self.alpha.floor_scaled(n)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(_Record):
     """Counts of the two sigma values on [1, n_max], plus optional histogram.
 
     sigma1_count counts indices with the low value (floor(alpha)) and
@@ -75,7 +73,7 @@ class PartitionReport:
     histogram: tuple[int, ...] = ()
     low_value: int = 0
     high_value: int = 1
-    max_gap: dict = field(default_factory=dict)
+    max_gap: dict = {}
 
     def __post_init__(self) -> None:
         if self.sigma1_count + self.sigma2_count != self.n_max:

@@ -100,12 +100,18 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
+_MAX_DOCUMENT_BYTES = 1 << 20  # input documents of the README's sizes are a few kilobytes
+
+
 def _read(path: str, parse):
-    """parse(doc) for the UTF-8 JSON document at `path`.  A file that cannot
-    be read, decoded or parsed, or that `parse` rejects, is an IngestError."""
+    """parse(doc) for the UTF-8 JSON document at `path`.  One that cannot be read, decoded,
+    parsed or `parse`d, or is longer than `_MAX_DOCUMENT_BYTES`, is an IngestError."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse(json.load(handle))
+        with open(path, "rb") as handle:
+            data = handle.read(_MAX_DOCUMENT_BYTES + 1)
+        if len(data) > _MAX_DOCUMENT_BYTES:
+            raise ValueError(f"larger than the {_MAX_DOCUMENT_BYTES}-byte cap on input documents")
+        return parse(json.loads(data.decode("utf-8")))
     except (OSError, ValueError, RecursionError) as exc:
         raise IngestError(f"{path}: {exc}") from exc
 

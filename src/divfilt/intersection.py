@@ -23,12 +23,11 @@ required only among generators that do have a pure cube in the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping
 
-from divfilt.quadfield import ParameterError, _excerpt, parse_rational, rational_str
+from divfilt.quadfield import ParameterError, _Record, _excerpt, parse_rational, rational_str
 
 __all__ = [
     "DivisorSymbol",
@@ -60,8 +59,7 @@ def _as_fraction(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(_Record):
     """Polynomial in formal variables x and y with exact rational coefficients.
 
     `terms` maps (x_degree, y_degree) to a nonzero coefficient; the zero
@@ -70,9 +68,9 @@ class BivariatePolynomial:
 
     terms: Mapping[tuple[int, int], Fraction]
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: Mapping[tuple[int, int], Fraction]) -> None:
         clean = {}
-        for (i, j), c in self.terms.items():
+        for (i, j), c in terms.items():
             if not (type(i) is int and type(j) is int and i >= 0 and j >= 0):
                 raise ParameterError(f"bad exponent pair {(i, j)!r}")
             c = _as_fraction(c)
@@ -206,8 +204,7 @@ def _sorted_triple(names: Iterable[DivisorSymbol]) -> tuple[str, str, str]:
     return t  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(_Record):
     """Symmetric trilinear form on named generators, given by a triple table.
 
     Values are stored on sorted triples, which makes symmetry structural.
@@ -218,7 +215,7 @@ class IntersectionForm:
     """
 
     generators: tuple[DivisorSymbol, ...]
-    table: Mapping[tuple[str, str, str], Fraction] = field(default_factory=dict)
+    table: Mapping[tuple[str, str, str], Fraction] = {}
 
     def __post_init__(self) -> None:
         gens = tuple(self.generators)

@@ -21,10 +21,9 @@ callable, is checked once against 0 < sigma < 2^63 where it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from divfilt.quadfield import ParameterError, _int_parameter
+from divfilt.quadfield import ParameterError, _Record, _int_parameter
 
 __all__ = [
     "Vector",
@@ -42,8 +41,7 @@ Vector = tuple[int, int, int]
 _MAX_EXPONENT = 2**63
 
 
-@dataclass(frozen=True)
-class SigmaFiltration:
+class SigmaFiltration(_Record):
     """A positive-integer function n -> sigma(n), from a table or callable."""
 
     table: tuple = ()
@@ -120,8 +118,7 @@ def socle_certificate(n: int, s: int) -> tuple[Vector, bool]:
     return u, not in_In(n, s, u) and all(in_In(n, s, w) for w in shifts)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(_Record):
     m_max: int
     n_max: int
     ok: bool

@@ -41,13 +41,12 @@ per run by `exceptional_pairing_holds`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Sequence
 
-from divfilt.quadfield import ParameterError, parse_rational, rational_str
+from divfilt.quadfield import ParameterError, _Record, parse_rational, rational_str
 from divfilt.quadfield import _int_parameter, _without_digit_limit
 
 __all__ = [
@@ -112,16 +111,17 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(_Record):
     """Affine point (x, y) or the point at infinity (both coordinates None)."""
 
     x: object = None
     y: object = None
 
-    def __post_init__(self) -> None:
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: object = None, y: object = None) -> None:
+        if (x is None) != (y is None):
             raise ValueError("both coordinates or neither")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def is_infinity(self) -> bool:
@@ -141,8 +141,7 @@ class CurvePoint:
 O = CurvePoint()
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
+class EllipticCurve(_Record):
     """y^2 = x^3 + A x + B over Q (p None) or over F_p (p an odd prime)."""
 
     a: object
@@ -240,13 +239,16 @@ class EllipticCurve:
         return f"y^2 = x^3 + {self.a}*x + {self.b} over {field}"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Record):
     """Degree plus Abel-Jacobi point: the class of sum(m_i P_i) is
     (sum m_i, group-law sum of [m_i]P_i)."""
 
     degree: int
     point: CurvePoint
+
+    def __init__(self, degree: int, point: CurvePoint) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "point", point)
 
     @property
     def is_trivial(self) -> bool:
@@ -425,8 +427,7 @@ class QnPoints:
         return list(self) == list(other) if isinstance(other, (list, QnPoints)) else NotImplemented
 
 
-@dataclass(frozen=True)
-class QnReport:
+class QnReport(_Record, hidden=("modulus",)):
     """q_n audit: `q_hits` lists every n with q_n = q; `avoids_q` means the
     sequence never returns to q after the definitional hit q_1 = q.  `coords`
     keeps the q_n as computed, quadruples (X, X', Y, Y') or O, and `points`
@@ -439,7 +440,7 @@ class QnReport:
     collisions_certified: bool
     avoids_q: bool
     q_hits: tuple
-    modulus: int | None = field(default=None, compare=False, repr=False)
+    modulus: int | None = None
 
     @functools.cached_property
     def points(self) -> tuple:
@@ -492,8 +493,7 @@ def qn_sequence(E: EllipticCurve, p: CurvePoint, q: CurvePoint, n_max: int) -> Q
     )
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(_Record):
     passed: bool
     bound: int
     failed_at: int | None
@@ -501,13 +501,7 @@ class WitnessVerdict:
     bounded_only: bool
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "bound": self.bound,
-            "failed_at": self.failed_at,
-            "certified_infinite": self.certified_infinite,
-            "bounded_only": self.bounded_only,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def infinite_order_witness(E: EllipticCurve, P: CurvePoint) -> WitnessVerdict:
@@ -538,8 +532,7 @@ def infinite_order_witness(E: EllipticCurve, P: CurvePoint) -> WitnessVerdict:
 # -- restriction bookkeeping -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(_Record, hidden=("modulus",)):
     """Level n: q_n and the assembled class (0, ledger - q_n), where the
     ledger point [n]q + [1 - n]p is the Abel-Jacobi sum of n q + (1 - n) p.
     `coords` keeps q_n as the sequence holds it, a quadruple (X, X', Y, Y')
@@ -549,7 +542,11 @@ class RestrictionReport:
     n: int
     coords: tuple | CurvePoint
     assembled: DivisorClass
-    modulus: int | None = field(default=None, compare=False, repr=False)
+    modulus: int | None = None
+
+    def __init__(self, n: int, coords, assembled: DivisorClass, modulus: int | None = None) -> None:
+        for name, value in (("n", n), ("coords", coords), ("assembled", assembled), ("modulus", modulus)):
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def qn(self) -> CurvePoint:

@@ -4,6 +4,8 @@ conformance of every report, and ingestion of the documented input files."""
 import argparse
 import hashlib
 import json
+import os
+import resource
 import subprocess
 import sys
 from decimal import Decimal
@@ -89,6 +91,22 @@ def test_import_builds_no_parser():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_start_up_loads_no_code_generation_or_resource_chain():
+    # a one-shot call pays for every module it imports, so start-up must not
+    # load these; -S keeps the interpreter's site hooks out of the count
+    code = (
+        "import sys\n"
+        "import divfilt.cli\n"
+        "from divfilt import asymptotics\n"
+        "asymptotics.example_model()\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'importlib.resources', 'pathlib'}"
+        " & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
@@ -987,6 +1005,35 @@ def test_unreadable_documents_exit_three(capsys, tmp_path, argv, case):
     elif case in contents:
         path.write_bytes(contents[case])
     assert_ingestion_error(capsys, [*argv, str(path)], path)
+
+
+@pytest.mark.parametrize("argv", READERS, ids=lambda a: a[0])
+def test_documents_past_the_cap_exit_three(capsys, tmp_path, argv):
+    # padded with spaces, a sigma table of exactly the cap is read, and one
+    # byte more is refused before it is parsed
+    cap = cli._MAX_DOCUMENT_BYTES
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"[1]".ljust(cap + 1))
+    assert_ingestion_error(capsys, [*argv, str(path)], path, f"larger than the {cap}-byte cap")
+    path.write_bytes(b"[1]".ljust(cap))
+    assert main(["monomial-check", "--n-max", "1", "--sigma", str(path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", READERS, ids=lambda a: a[0])
+def test_an_endless_document_exits_three_in_bounded_memory(argv):
+    # never run without the address-space cap: an unbounded read of
+    # /dev/zero grows until memory runs out
+    cap = 512 * 2**20
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))  # noqa: E731
+    proc = subprocess.run(
+        [sys.executable, "-m", "divfilt", *argv, "/dev/zero"], preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"divfilt: ingestion error: /dev/zero: larger than the "
+                           f"{cli._MAX_DOCUMENT_BYTES}-byte cap on input documents\n")
 
 
 def assert_ingestion_error(capsys, argv, path, fragment=""):
