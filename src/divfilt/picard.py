@@ -501,7 +501,8 @@ class WitnessVerdict(_Record):
     bounded_only: bool
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields}
+        return {"passed": self.passed, "bound": self.bound, "failed_at": self.failed_at,
+                "certified_infinite": self.certified_infinite, "bounded_only": self.bounded_only}
 
 
 def infinite_order_witness(E: EllipticCurve, P: CurvePoint) -> WitnessVerdict:

@@ -66,16 +66,15 @@ class RadicandMismatchError(ValueError):
 
 
 class _Record:
-    """Base of the value records, in place of `dataclasses`: each CLI call is a
-    one-shot process, and on CPython 3.11 (2-core host) importing the CLI and
-    building the bundled model took 90 ms with the 17 decorated records (their
-    methods `exec`d at import, after `inspect`, `ast` and `dis`), 72 ms here.
+    """Base of the value records, in place of `dataclasses`: each CLI call is a one-shot
+    process, and on CPython 3.11 (2-core host) importing the CLI and building the bundled
+    model took 90 ms with the 17 decorated records (their methods `exec`d at import, after
+    `inspect`, `ast` and `dis`), 72 ms here.
 
-    Annotations name a subclass's fields in constructor order; a class
-    attribute is a field's default (a dict is copied).  The class keyword
-    `hidden` keeps fields out of ==, hash and repr; `frozen=False` allows
-    assignment.  Fields are set by `object.__setattr__`, as writing `__dict__`
-    slows later reads; a record built often has its own `__init__`.
+    Annotations name a subclass's fields in constructor order; a class attribute is a
+    field's default (a dict is copied).  The class keyword `hidden` keeps fields out of ==,
+    hash and repr; `frozen=False` allows assignment.  Fields are set by `object.__setattr__`,
+    as writing `__dict__` slows later reads; a record built often has its own `__init__`.
     """
 
     def __init_subclass__(cls, frozen: bool = True, hidden: tuple = ()) -> None:

@@ -982,7 +982,7 @@ def test_zero_denominator_documents_fail_their_input_schemas():
             validate(doc, schemas[flag])
 
 
-UNREADABLE = ["missing", "directory", "not-utf8", "malformed", "nested-100000", "int-past-limit"]
+UNREADABLE = ["missing", "directory", "not-utf8", "malformed", "nested-100000", "int-past-limit", "past-cap"]
 READERS = [
     ("example-limits", "--table"),
     ("monomial-check", "--n-max", "1", "--sigma"),
@@ -998,26 +998,27 @@ def test_unreadable_documents_exit_three(capsys, tmp_path, argv, case):
         "malformed": b"{not json",
         "nested-100000": b"[" * 100_000 + b"]" * 100_000,
         "int-past-limit": b"[" + b"9" * (sys.get_int_max_str_digits() + 1) + b"]",
+        "past-cap": b"[1]".ljust(cli._MAX_DOCUMENT_BYTES + 1),
     }
     path = tmp_path / f"{case}.json"
     if case == "directory":
         path.mkdir()
     elif case in contents:
         path.write_bytes(contents[case])
-    assert_ingestion_error(capsys, [*argv, str(path)], path)
+    fragment = f"larger than the {cli._MAX_DOCUMENT_BYTES}-byte cap" if case == "past-cap" else ""
+    assert_ingestion_error(capsys, [*argv, str(path)], path, fragment)
 
 
-@pytest.mark.parametrize("argv", READERS, ids=lambda a: a[0])
-def test_documents_past_the_cap_exit_three(capsys, tmp_path, argv):
-    # padded with spaces, a sigma table of exactly the cap is read, and one
-    # byte more is refused before it is parsed
-    cap = cli._MAX_DOCUMENT_BYTES
-    path = tmp_path / "doc.json"
-    path.write_bytes(b"[1]".ljust(cap + 1))
-    assert_ingestion_error(capsys, [*argv, str(path)], path, f"larger than the {cap}-byte cap")
-    path.write_bytes(b"[1]".ljust(cap))
-    assert main(["monomial-check", "--n-max", "1", "--sigma", str(path)]) == 0
-    capsys.readouterr()
+def test_the_largest_one_digit_sigma_table_fits_the_cap(capsys, tmp_path):
+    # the README's bound: 524287 compact one-digit entries fit, one more would
+    # not; padded to exactly the cap, the table is read
+    cap, entries = cli._MAX_DOCUMENT_BYTES, 524_287
+    body = ("[" + ",".join(["1"] * entries) + "]").encode()
+    assert len(body) <= cap < len(body) + 2
+    path = tmp_path / "sigma.json"
+    path.write_bytes(body.ljust(cap))
+    code, out = run_cli(capsys, "monomial-check", "--n-max", "1", "--sigma", str(path))
+    assert code == 0 and json.loads(out)["rows"][0]["count"] == 3
 
 
 @pytest.mark.parametrize("argv", READERS, ids=lambda a: a[0])
