@@ -12,13 +12,13 @@ model converges after all.
 """
 
 from divfilt.asymptotics import (
+    REFERENCE_SIGMA_LIMITS,
     cesaro_consistency,
     empirical_scan,
     example_model,
     limit_exists_report,
     model_length,
     multiplicity,
-    reference_sigma_limit,
     subsequence_limit,
 )
 
@@ -35,7 +35,7 @@ print()
 
 L0 = subsequence_limit(model, 0)
 L1 = subsequence_limit(model, 1)
-ref1 = reference_sigma_limit(model.alpha, 1)
+ref1 = REFERENCE_SIGMA_LIMITS[1]
 print("derived limit, sigma=0  :", L0, "~", L0.to_decimal(8))
 print("derived limit, sigma=1  :", L1, "~", L1.to_decimal(8))
 print("reference sigma=1 value :", ref1, "~", ref1.to_decimal(8))

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from divfilt.quadfield import QuadExt
 
 alpha = QuadExt(F(9, 26), F(1, 26), 3)
-root3 = QuadExt.sqrt(3)
+root3 = QuadExt(0, 1, 3)
 
 print("alpha          =", alpha, "~", alpha.to_decimal(12))
 print("alpha^2        =", alpha**2)

@@ -70,7 +70,6 @@ __all__ = [
     "model_length",
     "multiplicity",
     "subsequence_limit",
-    "reference_sigma_limit",
     "cesaro_consistency",
     "empirical_scan",
     "limit_exists_report",
@@ -105,7 +104,7 @@ class ExampleModel(_Record):
 
     alpha: QuadExt
     p3: BivariatePolynomial
-    p2: BivariatePolynomial = BivariatePolynomial.zero()
+    p2: BivariatePolynomial = BivariatePolynomial({})
 
     def __post_init__(self) -> None:
         if self.alpha.is_rational() or not (0 < self.alpha < 1):
@@ -140,10 +139,8 @@ def example_model() -> ExampleModel:
 # Reference closed forms the derivation is audited against; exact constants.
 REFERENCE_CUBIC_LIMIT = QuadExt(_F(12042, 169), _F(-27, 169), 3)
 REFERENCE_MULTIPLICITY = QuadExt(_F(72252, 169), _F(-162, 169), 3)
-_REFERENCE_SIGMA_QUADRATICS = {
-    0: BivariatePolynomial({(2, 0): _F(-486), (1, 1): _F(324), (0, 2): _F(162)}),
-    1: BivariatePolynomial({(2, 0): _F(918), (1, 1): _F(-810), (0, 2): _F(324)}),
-}
+# The class-sigma limits at a = alpha: (-486a^2 + 324a + 162)/6 for sigma = 0
+# and (918a^2 - 810a + 324)/6 for sigma = 1.
 REFERENCE_SIGMA_LIMITS = {
     0: QuadExt(_F(144504, 4056), _F(-324, 4056), 3),
     1: QuadExt(_F(106596, 4056), _F(-4536, 4056), 3),
@@ -176,13 +173,6 @@ def subsequence_limit(model: ExampleModel, sigma: int) -> QuadExt:
         raise ValueError(f"sigma must be 0 or 1, got {sigma!r}")
     q2 = difference_polynomial(model.p3, sigma).homogeneous_part(2)
     return _F(1, 6) * q2.evaluate(model.alpha, 1)
-
-
-def reference_sigma_limit(alpha: QuadExt, sigma: int) -> QuadExt:
-    """Reference closed form for the class-sigma limit (audit target only)."""
-    if sigma not in (0, 1):
-        raise ValueError(f"sigma must be 0 or 1, got {sigma!r}")
-    return _F(1, 6) * _REFERENCE_SIGMA_QUADRATICS[sigma].evaluate(alpha, 1)
 
 
 class CesaroResult(_Record):
@@ -388,10 +378,10 @@ def _envelope(coeffs: tuple[int, ...], alpha: QuadExt, s: int, sign: int) -> tup
     and sign * r0(theta) over the class's closed theta-interval."""
     d = alpha.d
     a, b1, b0, c2, c1, c0 = coeffs
-    ends = (alpha, QuadExt.from_rational(1, d)) if s == 0 else (QuadExt.from_rational(0, d), alpha)
+    ends = (alpha, QuadExt(1, 0, d)) if s == 0 else (QuadExt(0, 0, d), alpha)
     thetas = list(ends)
     if a and ends[0] < _F(-b0, 2 * a) < ends[1]:  # vertex of r0
-        thetas.append(QuadExt.from_rational(_F(-b0, 2 * a), d))
+        thetas.append(QuadExt(_F(-b0, 2 * a), 0, d))
     k = sign * ((a * alpha + b1) * alpha + c2)
     r1 = max(sign * ((2 * a * alpha + b1) * t + b0 * alpha + c1) for t in ends)
     r0 = max(sign * ((a * t + b0) * t + c0) for t in thetas)
@@ -403,7 +393,7 @@ def _envelope_max(envelope: tuple, lo: int, hi: int) -> QuadExt:
     at an end, or next to the one critical point n = -2*r0/r1."""
     k, r1, r0 = envelope
     ns = {lo, hi}
-    if not r1.is_zero():
+    if r1.sign():
         v = -2 * r0 / r1
         if lo < v < hi:
             ns |= {v.floor(), v.floor() + 1}
@@ -627,7 +617,7 @@ def limit_exists_report(model: ExampleModel) -> LimitReport:
     flags: list[str] = []
     ref_limits: dict[int, QuadExt] = {}
     if _is_bundled(model):
-        ref_limits = {s: reference_sigma_limit(model.alpha, s) for s in (0, 1)}
+        ref_limits = dict(REFERENCE_SIGMA_LIMITS)
         if L0 != ref_limits[0]:
             flags.append("discrepancy:sigma1-derived-vs-reference")
         if L1 != ref_limits[1]:

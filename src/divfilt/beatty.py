@@ -45,12 +45,6 @@ class BeattySequence(_Record):
         if self.alpha.sign() <= 0:
             raise ParameterError("alpha must be positive")
 
-    def low_value(self) -> int:
-        return self.alpha.floor()
-
-    def high_value(self) -> int:
-        return self.alpha.ceil()
-
     def sigma(self, n: int) -> int:
         """floor(alpha*(n+1)) - floor(alpha*n), exact; requires n >= 1."""
         _int_parameter("n", n, 1)
@@ -168,7 +162,7 @@ def _report(seq: BeattySequence, n_max: int, bins: int | None) -> PartitionRepor
     at floor(k/(1 - frac)).  The high count telescopes to floor(frac*(n_max+1)).
     """
     _int_parameter("n_max", n_max, 1)
-    low, high = seq.low_value(), seq.high_value()
+    low, high = seq.alpha.floor(), seq.alpha.ceil()
     frac = seq.alpha.fractional_part()
     hi_count = frac.floor_scaled(n_max + 1)
     lo_count = n_max - hi_count

@@ -212,7 +212,7 @@ def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
 def _cmd_monomial_check(args) -> tuple[str, list[str]]:
     n_max = _int_parameter("--n-max", args.n_max, 1)
     if args.sigma is None:
-        f = monomial.SigmaFiltration.from_callable(lambda n: n)
+        f = monomial.SigmaFiltration(func=lambda n: n)
         source = "identity"
     else:
         f = _read(args.sigma, monomial.SigmaFiltration.from_json)

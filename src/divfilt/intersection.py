@@ -27,7 +27,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import comb
 
-from divfilt.quadfield import ParameterError, _Record, _excerpt, parse_rational, rational_str
+from divfilt.quadfield import ParameterError, _Record, _excerpt, _is_scalar, parse_rational, rational_str
 
 __all__ = [
     "DivisorSymbol",
@@ -54,7 +54,7 @@ Scalar = Fraction | int
 
 
 def _as_fraction(value: Scalar) -> Fraction:
-    if type(value) is not int and not isinstance(value, Fraction):  # a bool, float, str or Decimal
+    if not _is_scalar(value):  # a bool, float, str or Decimal
         raise ParameterError(f"expected an int or a Fraction, got {_excerpt(value)}")
     return value if isinstance(value, Fraction) else Fraction(value)
 
@@ -77,21 +77,6 @@ class BivariatePolynomial(_Record):
             if c != 0:
                 clean[(i, j)] = c
         object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def zero(cls) -> BivariatePolynomial:
-        return cls({})
-
-    @classmethod
-    def constant(cls, c: Scalar) -> BivariatePolynomial:
-        return cls({(0, 0): _as_fraction(c)})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: Scalar = 1) -> BivariatePolynomial:
-        return cls({(i, j): _as_fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
@@ -130,7 +115,7 @@ class BivariatePolynomial(_Record):
                     key = (i1 + i2, j1 + j2)
                     terms[key] = terms.get(key, Fraction(0)) + c1 * c2
             return BivariatePolynomial(terms)
-        if type(other) is int or isinstance(other, Fraction):
+        if _is_scalar(other):
             return BivariatePolynomial({k: c * other for k, c in self.terms.items()})
         return NotImplemented
 
@@ -192,9 +177,9 @@ class BivariatePolynomial(_Record):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-POLY_X = BivariatePolynomial.monomial(1, 0)
-POLY_Y = BivariatePolynomial.monomial(0, 1)
-POLY_ONE = BivariatePolynomial.constant(1)
+POLY_X = BivariatePolynomial({(1, 0): 1})
+POLY_Y = BivariatePolynomial({(0, 1): 1})
+POLY_ONE = BivariatePolynomial({(0, 0): 1})
 
 
 def _sorted_triple(names: Iterable[DivisorSymbol]) -> tuple[str, str, str]:
@@ -267,7 +252,7 @@ def triple_product(form: IntersectionForm, A: Divisor, B: Divisor, C: Divisor) -
         missing = set(expr) - known
         if missing:
             raise UnknownSymbolError(f"unknown symbols {sorted(missing)!r}")
-    total = BivariatePolynomial.zero()
+    total = BivariatePolynomial({})
     for s1, c1 in A.items():
         for s2, c2 in B.items():
             partial = c1 * c2

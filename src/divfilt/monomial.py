@@ -41,6 +41,16 @@ Vector = tuple[int, int, int]
 _MAX_EXPONENT = 2**63
 
 
+def _sigma_value(value, n: int | None = None) -> int:
+    """`value` if it is an int (not a bool) with 0 < value < 2^63, the rule for
+    every sigma value; else ValueError, naming sigma(n) when n is given."""
+    if type(value) is int and 0 < value < _MAX_EXPONENT:
+        return value
+    if n is None:
+        raise ValueError(f"sigma values must be positive integers below 2^63, got {value!r}")
+    raise ValueError(f"sigma({n}) must be a positive integer below 2^63, got {value!r}")
+
+
 class SigmaFiltration(_Record):
     """A positive-integer function n -> sigma(n), from a table or callable."""
 
@@ -50,10 +60,7 @@ class SigmaFiltration(_Record):
     def __post_init__(self) -> None:
         if (self.func is None) == (not self.table):
             raise ValueError("provide exactly one of table or func")
-        for v in self.table:  # the bound sigma() applies to callable values
-            if type(v) is not int or not 0 < v < _MAX_EXPONENT:  # type(): bool is an int
-                raise ValueError(f"sigma values must be positive integers below 2^63, got {v!r}")
-        object.__setattr__(self, "table", tuple(self.table))
+        object.__setattr__(self, "table", tuple(map(_sigma_value, self.table)))
 
     @classmethod
     def from_json(cls, values: list) -> SigmaFiltration:
@@ -62,20 +69,13 @@ class SigmaFiltration(_Record):
             raise ValueError("sigma table must be a nonempty JSON array")
         return cls(table=tuple(values))
 
-    @classmethod
-    def from_callable(cls, func: Callable) -> SigmaFiltration:
-        return cls(func=func)
-
     def sigma(self, n: int) -> int:
         _int_parameter("n", n, 1)
         if self.func is None:
             if n > len(self.table):
                 raise ValueError(f"sigma table has {len(self.table)} entries; n={n}")
             return self.table[n - 1]
-        value = self.func(n)
-        if type(value) is not int or not 0 < value < _MAX_EXPONENT:
-            raise ValueError(f"sigma({n}) must be a positive integer below 2^63, got {value!r}")
-        return value
+        return _sigma_value(self.func(n), n)
 
 
 def build_In(f: SigmaFiltration, n: int) -> frozenset[Vector]:

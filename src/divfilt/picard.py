@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from divfilt.quadfield import ParameterError, _Record, parse_rational, rational_str
-from divfilt.quadfield import _int_parameter, _without_digit_limit
+from divfilt.quadfield import _int_parameter, _is_scalar, _without_digit_limit
 
 __all__ = [
     "EllipticCurve",
@@ -176,7 +176,7 @@ class EllipticCurve(_Record):
         """`raw` as an element of this curve's field: a Fraction over Q, an
         int in [0, p) over F_p.  Only an int or a Fraction is accepted, and
         over F_p only an integer; anything else raises ValueError."""
-        if type(raw) is not int and not isinstance(raw, Fraction):
+        if not _is_scalar(raw):
             raise ValueError(f"field elements must be int or Fraction, got {raw!r}")
         if self.p is None:
             return Fraction(raw)

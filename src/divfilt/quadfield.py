@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+import operator
 import re
 import sys
 
@@ -55,6 +56,11 @@ def _int_parameter(name: str, value, low: int, high: int | None = None) -> int:
     raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def _is_scalar(value) -> bool:
+    """True for a rational value: an int that is not a bool, or a Fraction."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 def _excerpt(text) -> str:
     """repr(text), a str past 40 characters cut to 40 and its length."""
     long = isinstance(text, str) and len(text) > 40
@@ -80,6 +86,7 @@ class _Record:
     def __init_subclass__(cls, frozen: bool = True, hidden: tuple = ()) -> None:
         cls._fields = tuple(cls.__annotations__)
         cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        cls._key = operator.attrgetter(*cls._shown)
         if not frozen:
             cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
 
@@ -97,14 +104,11 @@ class _Record:
     def __post_init__(self) -> None:
         """Checks or normalizes the fields, where a record defines it."""
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._shown])
-
     def __eq__(self, other) -> bool:
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._shown)})"
@@ -238,7 +242,7 @@ class QuadExt:
     def __new__(cls, a: Fraction | int, b: Fraction | int, d: int) -> QuadExt:
         _validate_radicand(d)
         for name, value in (("a", a), ("b", b)):
-            if type(value) is not int and not isinstance(value, Fraction):
+            if not _is_scalar(value):
                 raise ParameterError(f"{name} must be an int or a Fraction, got {_excerpt(value)}")
         q = lcm(a.denominator, b.denominator)
         return _quad(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, d)
@@ -255,24 +259,10 @@ class QuadExt:
     b = property(lambda self: Fraction(self._t[1], self._t[2]), doc="b = B/q, a Fraction made on demand")
     d = property(lambda self: self._t[3], doc="the radicand")
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int, d: int) -> QuadExt:
-        return cls(value, 0, d)
-
-    @classmethod
-    def sqrt(cls, d: int) -> QuadExt:
-        """The value sqrt(d) itself."""
-        return cls(0, 1, d)
-
     # -- predicates ----------------------------------------------------------
 
     def is_rational(self) -> bool:
         return not self._t[1]
-
-    def is_zero(self) -> bool:
-        return not (self._t[0] or self._t[1])
 
     # -- coercion ------------------------------------------------------------
 
@@ -291,7 +281,7 @@ class QuadExt:
             if not B:
                 return A, 0, q, e
             raise RadicandMismatchError(f"cannot combine sqrt({e}) with sqrt({d})")
-        if type(other) is int or isinstance(other, Fraction):  # not a bool
+        if _is_scalar(other):
             return other.numerator, 0, other.denominator, self._t[3]
         return None
 
@@ -370,7 +360,7 @@ class QuadExt:
         if isinstance(other, QuadExt):
             # Distinct squarefree radicands: equality only between rationals.
             return self._t[:3] == other._t[:3] and (self._t[3] == other._t[3] or not self._t[1])
-        if type(other) is int or isinstance(other, Fraction):
+        if _is_scalar(other):
             A, B, q, _ = self._t
             return not B and A == other.numerator and q == other.denominator
         return NotImplemented

@@ -11,13 +11,13 @@ from fractions import Fraction as F
 import pytest
 
 from divfilt.asymptotics import (
+    REFERENCE_SIGMA_LIMITS,
     cesaro_consistency,
     empirical_scan,
     example_alpha,
     example_model,
     limit_exists_report,
     multiplicity,
-    reference_sigma_limit,
     subsequence_limit,
 )
 from divfilt.beatty import BeattySequence, partition, value_counts, window_constant
@@ -41,7 +41,7 @@ def scan100k():
 
 def test_criterion_01_field_identities():
     assert ALPHA == QuadExt(F(9, 26), F(1, 26), 3)
-    assert ALPHA * (9 - QuadExt.sqrt(3)) == 3  # alpha = 3/(9 - sqrt(3))
+    assert ALPHA * (9 - QuadExt(0, 1, 3)) == 3  # alpha = 3/(9 - sqrt(3))
     assert ALPHA**2 == QuadExt(F(84, 676), F(18, 676), 3)
     assert ALPHA**3 == QuadExt(F(810, 17576), F(246, 17576), 3)
     assert 26 * ALPHA**2 - 18 * ALPHA + 3 == 0
@@ -69,7 +69,7 @@ def test_criterion_04_sigma1_limit():
 
 
 def test_criterion_05_reference_sigma2_value():
-    got = reference_sigma_limit(ALPHA, 1)
+    got = REFERENCE_SIGMA_LIMITS[1]
     assert got == QuadExt(F(106596, 4056), F(-4536, 4056), 3)
     assert got == F(1, 6) * (918 * ALPHA**2 - 810 * ALPHA + 324)
     note(5, "reference sigma=1 closed form evaluates to (106596 - 4536 sqrt(3))/4056")
@@ -78,7 +78,7 @@ def test_criterion_05_reference_sigma2_value():
 def test_criterion_06_derived_sigma2_audit(scan100k):
     L0 = subsequence_limit(MODEL, 0)
     L1 = subsequence_limit(MODEL, 1)
-    ref1 = reference_sigma_limit(ALPHA, 1)
+    ref1 = REFERENCE_SIGMA_LIMITS[1]
     # derived pair satisfies the Cesaro oracle exactly; the reference pair
     # fails the same oracle exactly
     assert cesaro_consistency(MODEL, L0, L1).passed
@@ -93,7 +93,7 @@ def test_criterion_06_derived_sigma2_audit(scan100k):
     # 1e-3 relative, and not the reference value
     st = scan100k.per_sigma[1]
     assert st.last_n > 99_000
-    tol = QuadExt.from_rational(F(1, 1000), 3)
+    tol = QuadExt(F(1, 1000), 0, 3)
     assert abs(st.last_ratio - L1) <= tol * L1
     assert abs(st.last_ratio - ref1) > tol * ref1
     note(6, "derived sigma=1 limit passes Cesaro, reference fails; scan follows derived value")

@@ -29,7 +29,6 @@ from divfilt.asymptotics import (
     model_from_form,
     model_length,
     multiplicity,
-    reference_sigma_limit,
     subsequence_limit,
 )
 from divfilt.beatty import BeattySequence
@@ -39,11 +38,11 @@ from divfilt.quadfield import QuadExt, rational_str
 
 ALPHA = example_alpha()
 MODEL = example_model()
-Y3 = BivariatePolynomial.monomial(0, 3)
+Y3 = BivariatePolynomial({(0, 3): 1})
 
 
 def degenerate_model(c: int = 1) -> ExampleModel:
-    return ExampleModel(ALPHA, BivariatePolynomial.monomial(0, 3, c))
+    return ExampleModel(ALPHA, BivariatePolynomial({(0, 3): c}))
 
 
 # -- model validation -----------------------------------------------------------
@@ -53,9 +52,9 @@ def test_model_requires_homogeneous_polys():
     with pytest.raises(ValueError):
         ExampleModel(ALPHA, BivariatePolynomial({(0, 3): F(1), (0, 1): F(1)}))
     with pytest.raises(ValueError):
-        ExampleModel(ALPHA, Y3, BivariatePolynomial.monomial(0, 3))
+        ExampleModel(ALPHA, Y3, BivariatePolynomial({(0, 3): 1}))
     with pytest.raises(ValueError):
-        ExampleModel(QuadExt.sqrt(3), Y3)  # alpha outside (0, 1)
+        ExampleModel(QuadExt(0, 1, 3), Y3)  # alpha outside (0, 1)
 
 
 # -- model length ----------------------------------------------------------------
@@ -73,7 +72,7 @@ def test_model_length_cubic_normalization():
     cubic, _ = multiplicity(MODEL)
     ratio = model_length(MODEL, n) / F(n) ** 3
     gap = abs(ratio - F(1, 6) * cubic)
-    assert gap < QuadExt.from_rational(F(1, 100), 3)
+    assert gap < QuadExt(F(1, 100), 0, 3)
 
 
 # -- multiplicity ------------------------------------------------------------------
@@ -142,15 +141,17 @@ def test_derived_limits_coincide():
 
 
 def test_sigma_limit_degenerate():
-    m = ExampleModel(ALPHA, BivariatePolynomial.monomial(0, 3, 54))
+    m = ExampleModel(ALPHA, BivariatePolynomial({(0, 3): 54}))
     assert subsequence_limit(m, 0) == 27
     assert subsequence_limit(m, 1) == 27
 
 
 def test_reference_sigma2_value():
-    got = reference_sigma_limit(ALPHA, 1)
+    # the reference closed forms, evaluated at alpha, are the stored constants
+    assert REFERENCE_SIGMA_LIMITS[0] == F(1, 6) * (-486 * ALPHA**2 + 324 * ALPHA + 162)
+    assert REFERENCE_SIGMA_LIMITS[1] == F(1, 6) * (918 * ALPHA**2 - 810 * ALPHA + 324)
+    got = REFERENCE_SIGMA_LIMITS[1]
     assert got == QuadExt(F(106596, 4056), F(-4536, 4056), 3)
-    assert got == REFERENCE_SIGMA_LIMITS[1]
     assert got.to_decimal(3) == "24.344"
     assert got != subsequence_limit(MODEL, 1)
 
@@ -165,9 +166,7 @@ def test_cesaro_derived_pair_passes():
 
 
 def test_cesaro_reference_pair_fails():
-    res = cesaro_consistency(
-        MODEL, reference_sigma_limit(ALPHA, 0), reference_sigma_limit(ALPHA, 1)
-    )
+    res = cesaro_consistency(MODEL, REFERENCE_SIGMA_LIMITS[0], REFERENCE_SIGMA_LIMITS[1])
     assert not res.passed
     assert res.lhs.to_decimal(3) == "30.889"
     assert res.rhs.to_decimal(3) == "35.489"
@@ -175,7 +174,7 @@ def test_cesaro_reference_pair_fails():
 
 def test_cesaro_degenerate():
     m = degenerate_model()
-    res = cesaro_consistency(m, QuadExt.from_rational(F(1, 2), 3), QuadExt.from_rational(F(1, 2), 3))
+    res = cesaro_consistency(m, QuadExt(F(1, 2), 0, 3), QuadExt(F(1, 2), 0, 3))
     assert res.passed and res.lhs == F(1, 2) and res.rhs == F(1, 2)
 
 
@@ -234,10 +233,10 @@ def test_scan_sigma_ratios_near_limits(scan100k):
         st = scan100k.per_sigma[s]
         assert st.last_n > 99_990
         gap = abs(st.last_ratio - L)
-        assert gap <= QuadExt.from_rational(F(1, 1000), 3) * L
-    ref1 = reference_sigma_limit(ALPHA, 1)
+        assert gap <= QuadExt(F(1, 1000), 0, 3) * L
+    ref1 = REFERENCE_SIGMA_LIMITS[1]
     st1 = scan100k.per_sigma[1]
-    assert abs(st1.last_ratio - ref1) > QuadExt.from_rational(F(1, 1000), 3) * ref1
+    assert abs(st1.last_ratio - ref1) > QuadExt(F(1, 1000), 0, 3) * ref1
 
 
 def test_scan_max_ratio_stable(scan100k):
@@ -263,9 +262,7 @@ def test_scan_monotone_threshold(scan100k):
     assert scan100k.monotone_from == 1
     # a model with a heavy negative quadratic part dips first; the scan
     # finds the exact index from which lengths never decrease again
-    m = ExampleModel(
-        ALPHA, Y3, BivariatePolynomial.monomial(0, 2, -100)
-    )
+    m = ExampleModel(ALPHA, Y3, BivariatePolynomial({(0, 2): -100}))
     scan = empirical_scan(m, 200)
     n0 = scan.monotone_from
     assert n0 > 1
@@ -334,7 +331,7 @@ def _csv_oracle(rows, digits):
 
 ORACLE_MODELS = {
     # negative first differences up to n ~ 100: negative decimals and monotone_from
-    "heavy-negative": ExampleModel(ALPHA, Y3, BivariatePolynomial.monomial(0, 2, -100)),
+    "heavy-negative": ExampleModel(ALPHA, Y3, BivariatePolynomial({(0, 2): -100})),
     # alpha = 2 - sqrt(3): the ceiling kernel's B < 0 branch
     "negative-sqrt": ExampleModel(QuadExt(F(2), F(-1), 3), MODEL.p3, MODEL.p2),
 }
@@ -416,13 +413,13 @@ NEVER_CERTIFIES = ExampleModel(
 # length = 71 n^3 - 101 n^2: delta/n^2 = 213 + 11/n - 30/n^2 for every n,
 # largest at n = 5 and n = 6, both of class 0; ties go to the earlier index
 TIES = ExampleModel(
-    ALPHA, BivariatePolynomial.monomial(0, 3, 426), BivariatePolynomial.monomial(0, 2, -404)
+    ALPHA, BivariatePolynomial({(0, 3): 426}), BivariatePolynomial({(0, 2): -404})
 )
 
 # length = 7 n^3 - 9 n^2: delta/n^2 = 21 + 3/n - 2/n^2 is 22 at n = 1 (class 0)
 # and at n = 2 (class 1); the global maximum is at the earlier index
 TIES_ACROSS = ExampleModel(
-    ALPHA, BivariatePolynomial.monomial(0, 3, 42), BivariatePolynomial.monomial(0, 2, -36)
+    ALPHA, BivariatePolynomial({(0, 3): 42}), BivariatePolynomial({(0, 2): -36})
 )
 
 SCAN_CASES = [
@@ -455,7 +452,7 @@ for _seed in range(30):
 SCAN_CASES.append(
     (
         "prime-denominator",
-        ExampleModel(ALPHA, MODEL.p3, MODEL.p2 + BivariatePolynomial.monomial(2, 0, F(1, 999983))),
+        ExampleModel(ALPHA, MODEL.p3, MODEL.p2 + BivariatePolynomial({(2, 0): F(1, 999983)})),
         2000,
         1,
         (1000,),
@@ -671,7 +668,7 @@ def test_bundled_model_built_once(monkeypatch):
 
 def test_report_other_k_rows_not_bundled():
     # same alpha and p3 as the bundled model, but its own canonical pairing
-    other = ExampleModel(ALPHA, MODEL.p3, MODEL.p2 + BivariatePolynomial.monomial(0, 2))
+    other = ExampleModel(ALPHA, MODEL.p3, MODEL.p2 + BivariatePolynomial({(0, 2): 1}))
     rep = limit_exists_report(other)
     assert rep.reference_sigma_limits == {}
     assert rep.audit_flags == ()

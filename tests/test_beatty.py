@@ -65,7 +65,7 @@ def test_sigma_two_values_only():
         BeattySequence(QuadExt(F(7, 2), F(1, 3), 5)), # ~4.245, values {4,5}
     ]
     for seq in seqs:
-        lo, hi = seq.low_value(), seq.high_value()
+        lo, hi = seq.alpha.floor(), seq.alpha.ceil()
         assert hi == lo + 1
         seen = set()
         for n in range(1, 3000):
@@ -96,8 +96,8 @@ def test_partition_counts_sum():
 
 def test_partition_requires_unit_interval():
     with pytest.raises(ValueError):
-        partition(BeattySequence(QuadExt.sqrt(3)), 10)
-    counts = value_counts(BeattySequence(QuadExt.sqrt(3)), 1000)
+        partition(BeattySequence(QuadExt(0, 1, 3)), 10)
+    counts = value_counts(BeattySequence(QuadExt(0, 1, 3)), 1000)
     assert set(counts) == {1, 2}
     assert sum(counts.values()) == 1000
 
@@ -292,7 +292,7 @@ def test_closed_forms_match_scan_oracle(index):
         counts, max_gap, hist = scan_oracle(alpha, n_max, bins)
         assert value_counts(seq, n_max) == counts  # absent values omitted
         rep = equidistribution_histogram(seq, n_max, bins)
-        low, high = seq.low_value(), seq.high_value()
+        low, high = seq.alpha.floor(), seq.alpha.ceil()
         assert (rep.sigma1_count, rep.sigma2_count) == (counts.get(low, 0), counts.get(high, 0))
         assert rep.max_gap == max_gap, (str(alpha), n_max)
         assert list(rep.histogram) == hist, (str(alpha), n_max, bins)

@@ -80,7 +80,7 @@ def random_poly(rng: random.Random, max_deg: int = 3) -> BivariatePolynomial:
 def test_zero_coefficients_dropped():
     p = BivariatePolynomial({(1, 0): F(0), (0, 1): F(2)})
     assert p.terms == {(0, 1): F(2)}
-    assert BivariatePolynomial.zero().is_zero()
+    assert not BivariatePolynomial({}).terms
 
 
 def test_shift_matches_sympy():
@@ -113,7 +113,7 @@ def test_constant_triple(form):
     s_plus_f = {"S": POLY_ONE, "F": POLY_ONE}
     got = triple_product(form, s_plus_f, s_plus_f, s_plus_f)
     # 468 + 3(-162) + 3(54) + 54
-    assert got == BivariatePolynomial.constant(198)
+    assert got == BivariatePolynomial({(0, 0): 198})
 
 
 def test_unknown_symbol_rejected(form):
@@ -148,7 +148,7 @@ def test_permutation_symmetry(form):
 
 def divisor_sum(A, B):
     # the sum of two formal divisors, coefficient by coefficient
-    zero = BivariatePolynomial.zero()
+    zero = BivariatePolynomial({})
     return {s: A.get(s, zero) + B.get(s, zero) for s in A.keys() | B.keys()}
 
 
@@ -171,15 +171,15 @@ def test_multilinearity(form):
 
 
 def test_difference_of_pure_y_cube():
-    p = BivariatePolynomial.monomial(0, 3)
+    p = BivariatePolynomial({(0, 3): 1})
     assert difference_polynomial(p, 0) == BivariatePolynomial(
         {(0, 2): F(3), (0, 1): F(3), (0, 0): F(1)}
     )
 
 
 def test_difference_of_pure_x_cube_sigma_zero():
-    p = BivariatePolynomial.monomial(3, 0)
-    assert difference_polynomial(p, 0).is_zero()
+    p = BivariatePolynomial({(3, 0): 1})
+    assert not difference_polynomial(p, 0).terms
 
 
 def test_difference_degree_two_part(form):
@@ -208,12 +208,12 @@ def test_difference_drops_top_degree():
             continue
         hom = p.homogeneous_part(deg)
         for sigma in (0, 1):
-            assert difference_polynomial(hom, sigma).homogeneous_part(deg).is_zero()
+            assert not difference_polynomial(hom, sigma).homogeneous_part(deg).terms
 
 
 def test_homogeneous_part_basics():
     p = BivariatePolynomial({(0, 2): F(3), (0, 1): F(3), (0, 0): F(1)})
-    assert p.homogeneous_part(2) == BivariatePolynomial.monomial(0, 2, 3)
+    assert p.homogeneous_part(2) == BivariatePolynomial({(0, 2): 3})
     cubic = BivariatePolynomial({(3, 0): F(468), (2, 1): F(-486), (1, 2): F(162), (0, 3): F(54)})
     assert cubic.homogeneous_part(3) == cubic
 
@@ -245,9 +245,9 @@ def test_evaluate_radicand_mismatch():
 
     p = BivariatePolynomial({(1, 1): F(1)})
     with pytest.raises(RadicandMismatchError):
-        p.evaluate(QuadExt.sqrt(2), QuadExt.sqrt(3))
+        p.evaluate(QuadExt(0, 1, 2), QuadExt(0, 1, 3))
     # a rational second argument adopts the first argument's field
-    assert p.evaluate(QuadExt.sqrt(2), QuadExt(F(2), F(0), 3)) == 2 * QuadExt.sqrt(2)
+    assert p.evaluate(QuadExt(0, 1, 2), QuadExt(F(2), F(0), 3)) == 2 * QuadExt(0, 1, 2)
 
 
 def test_evaluate_at_n(form):

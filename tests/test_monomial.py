@@ -43,19 +43,19 @@ def brute_minimalize(gens):
 def test_build_In_exponent_bounds():
     # build_In range-checks its largest exponents, n + 2 and sigma(n)
     with pytest.raises(ValueError, match="2\\^63"):
-        build_In(SigmaFiltration.from_callable(lambda n: 1), 2**63 - 2)
+        build_In(SigmaFiltration(func=lambda n: 1), 2**63 - 2)
     with pytest.raises(ValueError, match="2\\^63"):
-        build_In(SigmaFiltration.from_callable(lambda n: 2**63), 1)
-    assert min_gens_count(build_In(SigmaFiltration.from_callable(lambda n: 1), 2**63 - 3)) == 3
+        build_In(SigmaFiltration(func=lambda n: 2**63), 1)
+    assert min_gens_count(build_In(SigmaFiltration(func=lambda n: 1), 2**63 - 3)) == 3
 
 
 def test_build_In_sigma1():
-    f = SigmaFiltration.from_callable(lambda n: 1)
+    f = SigmaFiltration(func=lambda n: 1)
     assert build_In(f, 1) == {(0, 0, 3), (1, 0, 2), (0, 1, 2)}
 
 
 def test_build_In_sigma2():
-    f = SigmaFiltration.from_callable(lambda n: 2)
+    f = SigmaFiltration(func=lambda n: 2)
     assert build_In(f, 1) == {(0, 0, 3), (2, 0, 2), (1, 1, 2), (0, 2, 2)}
 
 
@@ -81,13 +81,13 @@ def test_generator_count_is_sigma_plus_two():
 
 
 def test_count_constant_sigma():
-    f = SigmaFiltration.from_callable(lambda n: 1)
+    f = SigmaFiltration(func=lambda n: 1)
     for n in range(1, 101):
         assert min_gens_count(build_In(f, n)) == 3
 
 
 def test_count_square_sigma():
-    f = SigmaFiltration.from_callable(lambda n: n * n)
+    f = SigmaFiltration(func=lambda n: n * n)
     assert min_gens_count(build_In(f, 7)) == 51
 
 
@@ -113,7 +113,7 @@ def test_closed_forms_match_build_In_seeded_sweep():
         s = rng.randint(1, 9) if rng.random() < 0.5 else rng.randint(10, 300)
         pairs.append((rng.randint(1, 10**6), s))
     for n, s in pairs:
-        ideal = build_In(SigmaFiltration.from_callable(lambda k, s=s: s), n)
+        ideal = build_In(SigmaFiltration(func=lambda k, s=s: s), n)
         for v in _boundary_vectors(rng, n, s):
             assert in_In(n, s, v) == contains(ideal, v), (n, s, v)
         u, ok = socle_certificate(n, s)
@@ -169,7 +169,7 @@ def test_sigma_rejects_bools():
     for table in ([True, 2, True, 1], [2, 3, True]):
         with pytest.raises(ValueError, match="positive integers"):
             SigmaFiltration.from_json(table)
-    f = SigmaFiltration.from_callable(lambda n: n == 1 or n)
+    f = SigmaFiltration(func=lambda n: n == 1 or n)
     assert f.sigma(2) == 2
     with pytest.raises(ValueError, match="sigma\\(1\\) must be a positive integer"):
         f.sigma(1)
@@ -178,20 +178,20 @@ def test_sigma_rejects_bools():
 def test_sigma_callable_values_get_the_table_bound():
     # the bound 0 < sigma < 2^63 holds for callable values too, so the
     # filtration check, which builds no ideal, still refuses them
-    f = SigmaFiltration.from_callable(lambda n: 2**63 if n == 3 else n)
+    f = SigmaFiltration(func=lambda n: 2**63 if n == 3 else n)
     assert f.sigma(2) == 2
     with pytest.raises(ValueError, match="sigma\\(3\\) must be a positive integer below 2\\^63"):
         f.sigma(3)
     with pytest.raises(ValueError, match="2\\^63"):
         filtration_check(f, 2, 1)
-    assert SigmaFiltration.from_callable(lambda n: 2**63 - 1).sigma(1) == 2**63 - 1
+    assert SigmaFiltration(func=lambda n: 2**63 - 1).sigma(1) == 2**63 - 1
 
 
 # -- filtration check --------------------------------------------------------------
 
 
 def test_filtration_property_linear_sigma():
-    f = SigmaFiltration.from_callable(lambda n: n)
+    f = SigmaFiltration(func=lambda n: n)
     rep = filtration_check(f, 30, 30)
     assert rep.ok and rep.failures == ()
 

@@ -147,14 +147,14 @@ def test_alpha_cube():
 
 
 def test_sqrt_squared():
-    r = QuadExt.sqrt(3)
+    r = QuadExt(0, 1, 3)
     assert r * r == 3
 
 
 def test_defining_relation():
     assert 26 * ALPHA**2 - 18 * ALPHA + 3 == 0
     # equivalent to alpha * (9 - sqrt(3)) = 3
-    assert ALPHA * (9 - QuadExt.sqrt(3)) == 3
+    assert ALPHA * (9 - QuadExt(0, 1, 3)) == 3
 
 
 # -- sign -------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_field_axioms():
         assert (x * y) * z == x * (y * z)
         assert x * y == y * x
         assert x * (y + z) == x * y + x * z
-        if not x.is_zero():
+        if x != 0:
             assert x * x.inverse() == 1
             assert x / x == 1
 
@@ -392,7 +392,7 @@ def test_to_decimal_digit_bounds():
 
 def test_minimal_quadratic():
     assert ALPHA.minimal_quadratic() == (26, -18, 3)
-    assert QuadExt.sqrt(2).minimal_quadratic() == (1, 0, -2)
+    assert QuadExt(0, 1, 2).minimal_quadratic() == (1, 0, -2)
     assert QuadExt(F(3, 4), F(0), 5).minimal_quadratic() == (0, 4, -3)
 
 
@@ -547,7 +547,7 @@ def test_integer_form_matches_fraction_pair_oracle(d):
         xp = _pair(_canonical(x))
         assert _canonical(-x) == QuadExt(-x.a, -x.b, d)
         assert x.sign() == _o_sign(*xp, d)
-        assert x.is_rational() == (xp[1] == 0) and x.is_zero() == (xp == (0, 0))
+        assert x.is_rational() == (xp[1] == 0) and (x == 0) == (xp == (0, 0))
         assert (x.floor(), x.ceil()) == (_o_floor(*xp, d), -_o_floor(-xp[0], -xp[1], d))
         for n in (0, 1, 10**40):
             assert x.floor_scaled(n) == _o_floor(xp[0] * n, xp[1] * n, d)
@@ -555,16 +555,16 @@ def test_integer_form_matches_fraction_pair_oracle(d):
         for digits in (1, 30, 500):
             assert x.to_decimal(digits) == _o_decimal(xp, digits, d)
         assert x.minimal_quadratic() == _o_minimal_quadratic(xp, d)
-        for k in (-3, -1, 0, 1, 2, 3, 5) if not x.is_zero() else (0, 1, 2, 3, 5):
+        for k in (-3, -1, 0, 1, 2, 3, 5) if x != 0 else (0, 1, 2, 3, 5):
             assert _pair(_canonical(x**k)) == _o_pow(xp, k, d)
-        if not x.is_zero():
+        if x != 0:
             assert _pair(_canonical(x.inverse())) == _o_inverse(xp, d)
-        for y in values + [QuadExt.from_rational(c, d) for c in scalars]:
+        for y in values + [QuadExt(c, 0, d) for c in scalars]:
             yp = _pair(y)
             assert _pair(_canonical(x + y)) == (xp[0] + yp[0], xp[1] + yp[1])
             assert _pair(_canonical(x - y)) == (xp[0] - yp[0], xp[1] - yp[1])
             assert _pair(_canonical(x * y)) == _o_mul(xp, yp, d)
-            if not y.is_zero():
+            if y != 0:
                 assert _pair(_canonical(x / y)) == _o_mul(xp, _o_inverse(yp, d), d)
             s = _o_sign(xp[0] - yp[0], xp[1] - yp[1], d)
             assert (x < y, x <= y, x > y, x >= y, x == y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
@@ -574,7 +574,7 @@ def test_integer_form_matches_fraction_pair_oracle(d):
             assert _pair(_canonical(c * x)) == (c * xp[0], c * xp[1])
             if c:
                 assert _pair(_canonical(x / c)) == (xp[0] / c, xp[1] / c)
-            if not x.is_zero():
+            if x != 0:
                 assert _pair(_canonical(c / x)) == _o_mul((F(c), F(0)), _o_inverse(xp, d), d)
             assert (x < c) == (_o_sign(xp[0] - c, xp[1], d) < 0)
             assert (x == c) == (xp == (c, 0))
@@ -598,7 +598,7 @@ def test_no_fraction_is_made_in_quadext_arithmetic(monkeypatch):
         if x.d != y.d and not (x.is_rational() or y.is_rational()):
             continue
         x + y, x - y, x * y, -x, abs(x), x**rng.randint(0, 4)
-        if not y.is_zero():
+        if y != 0:
             x / y, y**-2
         x.sign(), x < y, x <= y, x > y, x >= y, x == y, x != y
         x.floor(), x.ceil(), x.floor_scaled(10**6), x.ceil_scaled(10**6), x.fractional_part()
@@ -633,8 +633,6 @@ def test_operands_of_other_types_do_not_mix():
 BAD_RATIONALS = {"float": 0.5, "bool": True, "str": "1/3", "Decimal": Decimal("0.5")}
 RATIONAL_ENTRIES = {
     "poly-terms": lambda v: BivariatePolynomial({(1, 0): v}),
-    "poly-constant": lambda v: BivariatePolynomial.constant(v),
-    "poly-monomial": lambda v: BivariatePolynomial.monomial(1, 0, v),
     "shift-dx": lambda v: POLY_X.shift(v, 0),
     "shift-dy": lambda v: POLY_Y.shift(0, v),
     "form-value": lambda v: IntersectionForm(("S",), {("S", "S", "S"): v}),
@@ -643,7 +641,7 @@ RATIONAL_ENTRIES = {
     "quad-radd": lambda v: v + ALPHA,
     "quad-mul": lambda v: ALPHA * v,
     "quad-lt": lambda v: ALPHA < v,
-    "quad-eq": lambda v: QuadExt.from_rational(1, 3) == v,
+    "quad-eq": lambda v: QuadExt(1, 0, 3) == v,
 }
 OPERATORS = {"poly-mul", "quad-add", "quad-radd", "quad-mul", "quad-lt", "quad-eq"}
 REFUSED_RATIONALS = [
@@ -680,13 +678,13 @@ def test_values_are_immutable_and_round_trip():
 def test_hashes_follow_equality():
     # a rational value hashes like its Fraction; equal rationals of two
     # fields are one dict key and one set member; irrationals of two fields differ
-    assert hash(QuadExt.from_rational(F(3, 4), 3)) == hash(F(3, 4))
-    r2, r3 = QuadExt.from_rational(F(3, 4), 2), QuadExt.from_rational(F(3, 4), 3)
+    assert hash(QuadExt(F(3, 4), 0, 3)) == hash(F(3, 4))
+    r2, r3 = QuadExt(F(3, 4), 0, 2), QuadExt(F(3, 4), 0, 3)
     assert r2 == r3 and hash(r2) == hash(r3)
     table = {r2: "three quarters", QuadExt(5, 0, 7): "five", ALPHA: "alpha"}
     assert table[r3] == table[F(3, 4)] == "three quarters"
     assert table[5] == table[QuadExt(F(10, 2), 0, 3)] == "five"
     assert table[QuadExt(F(18, 52), F(2, 52), 3)] == "alpha"
-    assert len({r2, r3, F(3, 4), QuadExt.sqrt(2), QuadExt.sqrt(3), QuadExt.sqrt(2) * 1}) == 3
+    assert len({r2, r3, F(3, 4), QuadExt(0, 1, 2), QuadExt(0, 1, 3), QuadExt(0, 1, 2) * 1}) == 3
     assert repr(ALPHA) == "QuadExt(Fraction(9, 26), Fraction(1, 26), 3)"
     assert str(ALPHA - 1) == "-17/26 + 1/26*sqrt(3)" and str(1 - ALPHA) == "17/26 - 1/26*sqrt(3)"
