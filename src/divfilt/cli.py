@@ -1,14 +1,14 @@
 """Deterministic command-line front end.
 
-Every subcommand writes a single JSON (or CSV) artifact to stdout or to
-``--out``; identical inputs produce byte-identical outputs (sorted JSON
-keys, exact rational strings, correctly rounded decimals, no timestamps).
-Commands attach audit flags to their reports; ``--strict`` turns any
-``discrepancy:`` flag into exit status 1.  Exit status 2 marks a
-configuration error (an argument that the library refuses with `ParameterError`),
-3 an ingestion error, 4 an internal error (any other exception, reported in
-one line on stderr).  A reader that closes stdout early ends the report
-there; the exit status stays what the run computed.
+Each subcommand's handler builds one report; `main` alone renders it and writes
+it to stdout or to ``--out``, after any side output such as ``--summary-out``.
+Identical inputs produce byte-identical outputs (sorted JSON keys, exact rational
+strings, correctly rounded decimals, no timestamps).  ``--strict`` reads the
+report's ``audit_flags``: any ``discrepancy:`` flag is exit status 1.  Exit
+status 2 marks a configuration error (an argument that the library refuses with
+`ParameterError`), 3 an ingestion error, 4 an internal error (any other
+exception, reported in one line on stderr).  A reader that closes stdout early
+ends the report there; the exit status stays what the run computed.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from divfilt.intersection import form_from_json
 from divfilt.quadfield import ParameterError, QuadExt, decimal_column, parse_rational
 from divfilt.quadfield import _int_parameter, _without_digit_limit
 
-__all__ = ["main", "ConfigError", "IngestError"]
-
-
-ConfigError = ParameterError  # a refused argument (exit status 2)
+__all__ = ["main", "IngestError"]
 
 
 class IngestError(ValueError):
@@ -97,7 +94,7 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
+        raise ParameterError(f"cannot write {out}: {exc}") from exc
 
 
 _MAX_DOCUMENT_BYTES = 1 << 20  # input documents of the README's sizes are a few kilobytes
@@ -108,7 +105,9 @@ def _read(path: str, parse):
     parsed or `parse`d, or is longer than `_MAX_DOCUMENT_BYTES`, is an IngestError."""
     try:
         with open(path, "rb") as handle:
-            data = handle.read(_MAX_DOCUMENT_BYTES + 1)
+            data = bytearray()  # read in pieces: one read of the cap would allocate it whole
+            while len(data) <= _MAX_DOCUMENT_BYTES and (piece := handle.read(1 << 16)):
+                data += piece
         if len(data) > _MAX_DOCUMENT_BYTES:
             raise ValueError(f"larger than the {_MAX_DOCUMENT_BYTES}-byte cap on input documents")
         return parse(json.loads(data.decode("utf-8")))
@@ -117,9 +116,10 @@ def _read(path: str, parse):
 
 
 # -- subcommands ----------------------------------------------------------------
+# A handler returns (report, side outputs): a dict or the CSV's lines, and (path, dict) pairs.
 
 
-def _cmd_quad_eval(args) -> tuple[str, list[str]]:
+def _cmd_quad_eval(args) -> tuple[dict, tuple]:
     x = QuadExt(parse_rational(args.a), parse_rational(args.b), args.d)
     payload = {
         "value": x.to_json(args.digits),
@@ -132,10 +132,10 @@ def _cmd_quad_eval(args) -> tuple[str, list[str]]:
         payload["scale"] = n = _int_parameter("--scale", args.scale, 1)
         payload["floor_scaled"] = x.floor_scaled(n)
         payload["ceil_scaled"] = x.ceil_scaled(n)
-    return _dumps(payload), []
+    return payload, ()
 
 
-def _cmd_beatty_scan(args) -> tuple[str, list[str]]:
+def _cmd_beatty_scan(args) -> tuple[dict, tuple]:
     alpha = QuadExt(parse_rational(args.alpha_a), parse_rational(args.alpha_b), args.alpha_d)
     seq = beatty.BeattySequence(alpha)
     if args.bins is None:
@@ -151,7 +151,7 @@ def _cmd_beatty_scan(args) -> tuple[str, list[str]]:
     if 0 < alpha < 1:
         gap = abs(report.sigma2_density - alpha)
         payload["density_gap"] = gap.to_json(args.digits)
-    return _dumps(payload), []
+    return payload, ()
 
 
 def _example_model_from_args(args) -> asymptotics.ExampleModel:
@@ -160,19 +160,16 @@ def _example_model_from_args(args) -> asymptotics.ExampleModel:
     return _read(args.table, lambda doc: asymptotics.model_from_form(form_from_json(doc)))
 
 
-def _cmd_example_limits(args) -> tuple[str, list[str]]:
-    model = _example_model_from_args(args)
-    report = asymptotics.limit_exists_report(model)
-    return _dumps(report.to_json(args.digits)), list(report.audit_flags)
+def _cmd_example_limits(args) -> tuple[dict, tuple]:
+    return asymptotics.limit_exists_report(_example_model_from_args(args)).to_json(args.digits), ()
 
 
-def _cmd_example_scan(args) -> tuple[Iterable[str], list[str]]:
+def _cmd_example_scan(args) -> tuple[Iterable[str], tuple]:
     model = _example_model_from_args(args)
     checkpoints = tuple(sorted(set(args.checkpoint or ())))
     scan = asymptotics.empirical_scan(model, args.n_max, args.stride, checkpoints)
-    if args.summary_out is not None:
-        _emit(_dumps(scan.to_json(args.digits)), args.summary_out)
-    return scan_csv_lines(scan.rows, args.digits), []
+    summary = () if args.summary_out is None else ((args.summary_out, scan.to_json(args.digits)),)
+    return scan_csv_lines(scan.rows, args.digits), summary
 
 
 class _LowestTerms(dict):
@@ -209,7 +206,7 @@ def scan_csv_lines(rows: asymptotics.ScanRows, digits: int) -> Iterable[str]:
         )
 
 
-def _cmd_monomial_check(args) -> tuple[str, list[str]]:
+def _cmd_monomial_check(args) -> tuple[dict, tuple]:
     n_max = _int_parameter("--n-max", args.n_max, 1)
     if args.sigma is None:
         f = monomial.SigmaFiltration(func=lambda n: n)
@@ -247,10 +244,10 @@ def _cmd_monomial_check(args) -> tuple[str, list[str]]:
     }
     if filtration is not None:
         payload["filtration"] = filtration.to_json()
-    return _dumps(payload), flags
+    return payload, ()
 
 
-def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
+def _cmd_elliptic_qn(args) -> tuple[dict, tuple]:
     if args.curve is None:
         curve, p, q = picard.default_curve()
         points = {"p": p, "q": q}
@@ -290,7 +287,7 @@ def _cmd_elliptic_qn(args) -> tuple[str, list[str]]:
         },
         "audit_flags": flags,
     }
-    return _dumps(payload), flags
+    return payload, ()
 
 
 @functools.cache
@@ -354,8 +351,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         decimal_column(args.digits)  # refuses --digits before any work
-        text, flags = globals()["_cmd_" + args.command.replace("-", "_")](args)
-        _emit(text, args.out)
+        report, side_outputs = globals()["_cmd_" + args.command.replace("-", "_")](args)
+        for path, doc in (*side_outputs, (args.out, report)):  # side outputs first
+            _emit(_dumps(doc) if isinstance(doc, dict) else doc, path)
+        flags = report["audit_flags"] if isinstance(report, dict) else ()  # the CSV has none
     except ParameterError as exc:
         sys.stderr.write(f"divfilt: configuration error: {exc}\n")
         return 2

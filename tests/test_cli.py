@@ -2,12 +2,14 @@
 conformance of every report, and ingestion of the documented input files."""
 
 import argparse
+import ast
 import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
@@ -1037,6 +1039,20 @@ def test_an_endless_document_exits_three_in_bounded_memory(argv):
                            f"{cli._MAX_DOCUMENT_BYTES}-byte cap on input documents\n")
 
 
+def test_reading_a_small_document_allocates_no_cap_sized_buffer(tmp_path):
+    # `_read` reads in pieces: one read of cap + 1 bytes would allocate 1 MiB
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(FP_CURVE))
+    tracemalloc.start()
+    try:
+        curve, points = cli._read(str(path), picard.curve_from_json)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.p == 1505983 and set(points) == {"p", "q"}
+    assert peak < 256 * 1024
+
+
 def assert_ingestion_error(capsys, argv, path, fragment=""):
     assert main(argv) == 3
     out, err = capsys.readouterr()
@@ -1098,12 +1114,25 @@ def test_sigma_values_past_2_63_exit_three(capsys, tmp_path, extra):
     assert err.startswith("divfilt: ingestion error:") and "2^63" in err
 
 
-@pytest.mark.parametrize("flag", ["--out", "--summary-out"])
-def test_unwritable_output_exits_two(capsys, tmp_path, flag):
-    target = tmp_path / "missing" / "report"
-    assert main(["example-scan", "--n-max", "10", flag, str(target)]) == 2
-    err = capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag,other",
+    [("--out", None), ("--summary-out", None), ("--summary-out", "--out"), ("--out", "--summary-out")],
+    ids=["--out", "--summary-out", "--summary-out-before-out", "--out-after-summary-out"],
+)
+def test_unwritable_output_exits_two(capsys, tmp_path, flag, other):
+    # side outputs are written before the report: an unwritable summary
+    # leaves no report, and an unwritable report leaves the summary whole
+    argv, _, summary_sha = SCAN_BYTES[3]
+    target, written = tmp_path / "missing" / "report", tmp_path / "written"
+    extra = () if other is None else (other, str(written))
+    assert main(["example-scan", *argv, flag, str(target), *extra]) == 2
+    out, err = capsys.readouterr()
     assert err.startswith("divfilt: configuration error:") and str(target) in err
+    assert out == ""
+    if other == "--summary-out":
+        assert hashlib.sha256(written.read_bytes()).hexdigest() == summary_sha
+    else:
+        assert not written.exists()
 
 
 @pytest.mark.parametrize(
@@ -1175,6 +1204,19 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     assert captured.err == "divfilt: internal error: RuntimeError: kernel fault second line\n"
 
 
+def test_only_main_renders_and_writes_reports():
+    # the handlers return their reports; `main` is the one place that names
+    # the renderer and the writer
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    users = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in ("_dumps", "_emit")
+    }
+    assert users == {"main"}
+
+
 def test_handler_is_looked_up_when_main_runs(capsys, monkeypatch):
     argv = ["quad-eval", "--a", "1", "--b", "1", "--d", "2"]
     assert main(argv) == 0  # the parser now exists
@@ -1228,7 +1270,11 @@ def test_writer_matches_json_encoder_on_every_pinned_report(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "_dumps", checked)
     for argv in PINNED_ARGV:
-        assert main([*argv, "--out", "report.out"]) in (0, 1)
+        # --strict reads the written report's own flags; the CSV has none
+        code = main([*argv, "--out", "report.out", "--strict"])
+        report = (tmp_path / "report.out").read_text()
+        flags = [] if argv[0] == "example-scan" else json.loads(report)["audit_flags"]
+        assert code == int(any(f.startswith("discrepancy:") for f in flags)), argv
     assert len(payloads) == sum(a[0] != "example-scan" or "--summary-out" in a for a in PINNED_ARGV)
     lazy = [p for p in payloads if isinstance(p.get("qn", {}).get("points"), picard.QnPoints)]
     assert len(lazy) == sum(a[0] == "elliptic-qn" for a in PINNED_ARGV)
