@@ -1207,7 +1207,8 @@ def test_internal_error_exits_four(capsys, monkeypatch):
 def test_only_main_renders_and_writes_reports():
     # the handlers return their reports; `main` is the one place that names
     # the renderer and the writer
-    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    with open(cli.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
     users = {
         getattr(top, "name", None)
         for top in tree.body
